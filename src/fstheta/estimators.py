@@ -79,56 +79,27 @@ def correction_coeffs(theta: float, alpha: float) -> tuple[float, float, float, 
 # per-step fields
 
 
-def lap_time_interpolant(rec: StepRecord, t: float) -> FeFunction:
-    """Linear-in-time interpolant of the endpoint discrete Laplacians."""
-    l1 = (t - rec.t_prev) / rec.k
-    return (1.0 - l1) * rec.lap_prev + l1 * rec.lap_new
+def _substep_defect(theta: float, alpha: float, v_prev, v_theta, v_onemtheta,
+                   v_new):
+    """How far the interior substep values sit from the endpoint values,
+    weighted by ``correction_coeffs(theta, alpha)``."""
+    c0, c1, ca, cm = correction_coeffs(theta, alpha)
+    return c0 * v_prev + c1 * v_new - ca * v_theta - cm * v_onemtheta
 
 
 def lap_substep_defect(rec: StepRecord, params: SchemeParams) -> FeFunction:
-    """Correction measuring how far the interior substep Laplacians sit from
-    the endpoint interpolant (weights alpha1/beta1)."""
-    c0, c1, ca, cm = correction_coeffs(params.theta, params.alpha1)
-    return (c0 * rec.lap_prev + c1 * rec.lap_new
-            - ca * rec.lap_theta - cm * rec.lap_onemtheta)
+    """Substep-defect correction of the discrete Laplacians (weights
+    alpha1/beta1)."""
+    return _substep_defect(params.theta, params.alpha1, rec.lap_prev,
+                           rec.lap_theta, rec.lap_onemtheta, rec.lap_new)
 
 
-def forcing_interpolant(params: SchemeParams, n: int, f: ScalarField) -> ScalarField:
-    """Linear-in-time interpolant of the forcing between t^{n-1} and t^n."""
-    t0, t1 = params.time(n - 1), params.time(n)
-    k = t1 - t0
-
-    def fn(x, y, t):
-        l1 = (t - t0) / k
-        return (1.0 - l1) * f(x, y, t0) + l1 * f(x, y, t1)
-
-    return ScalarField(f"interp[{f.name}]", fn)
-
-
-def forcing_substep_defect(params: SchemeParams, n: int, f: ScalarField) -> ScalarField:
-    """Correction measuring the interpolation defect of the forcing at the
-    interior substep times (weights alpha2/beta2); constant in t."""
-    t0, t1 = params.time(n - 1), params.time(n)
-    t_a, t_m = params.intermediate_times(n)
-    c0, c1, ca, cm = correction_coeffs(params.theta, params.alpha2)
-
-    def fn(x, y, t):
-        return (c0 * f(x, y, t0) + c1 * f(x, y, t1)
-                - ca * f(x, y, t_a) - cm * f(x, y, t_m))
-
-    return ScalarField(f"defect[{f.name}]", fn)
-
-
-def corrected_forcing_interpolant(params: SchemeParams, n: int,
-                                  f: ScalarField) -> ScalarField:
-    """Forcing interpolant minus its substep-defect correction."""
-    phi = forcing_interpolant(params, n, f)
-    xi = forcing_substep_defect(params, n, f)
-
-    def fn(x, y, t):
-        return phi(x, y, t) - xi(x, y, t)
-
-    return ScalarField(f"corrected[{f.name}]", fn)
+def proj_forcing_substep_defect(rec: StepRecord, params: SchemeParams) -> FeFunction:
+    """L2 projection of the forcing's substep-defect correction (weights
+    alpha2/beta2).  Projection is linear, so this is the same combination of
+    the projected forcing values the step already holds."""
+    return _substep_defect(params.theta, params.alpha2, rec.proj_f_prev,
+                           rec.proj_f_theta, rec.proj_f_onemtheta, rec.proj_f_new)
 
 
 def recon_coeff_two_level(rec: StepRecord) -> FeFunction:
@@ -225,14 +196,12 @@ class StepEstimates:
     norm_w_two: float
     norm_w_three: float
     norm_xi_theta: float
-    norm_xi_theta_prev: float
     delta: float
     beta_coarsen: float
     zeta1: float
     zeta2: float
     norm_xi_phi: float
     norm_proj_xi_phi: float
-    norm_proj_xi_phi_prev: float
     z_norm: float
     y_norm: float
     compact_residual: float
@@ -241,9 +210,8 @@ class StepEstimates:
 class EstimatorEngine:
     """Evaluates every per-step indicator for one run.
 
-    Stateless apart from a small memo of previous-step correction norms, so
-    steps of a fixed trajectory may be processed in any order (the memo is
-    just a shortcut for the sequential case).
+    Stateless: a step needs only its own record and the previous one, so
+    steps of a fixed trajectory may be processed in any order.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField,
@@ -253,15 +221,14 @@ class EstimatorEngine:
         self.forcing = forcing
         self.consts = consts or ConstantsConfig()
         self.transfer = transfer
-        self._memo: dict[int, tuple[float, float]] = {}
 
     # -- forcing corrections -------------------------------------------------
 
     def xi_phi_quad_values(self, rec: StepRecord) -> np.ndarray:
         """Substep-defect correction of the forcing at the quadrature points."""
-        c0, c1, ca, cm = correction_coeffs(self.params.theta, self.params.alpha2)
-        return (c0 * rec.fq_prev + c1 * rec.fq_new
-                - ca * rec.fq_theta - cm * rec.fq_onemtheta)
+        return _substep_defect(self.params.theta, self.params.alpha2,
+                               rec.fq_prev, rec.fq_theta, rec.fq_onemtheta,
+                               rec.fq_new)
 
     def data_time_error(self, rec: StepRecord) -> float:
         """Mean interpolation error of the forcing over the step,
@@ -289,18 +256,14 @@ class EstimatorEngine:
 
     # -- consistency check ----------------------------------------------------
 
-    def compact_form_residual(self, rec: StepRecord,
-                              xi_theta: FeFunction | None = None,
-                              proj_xi_phi: FeFunction | None = None) -> float:
+    def compact_form_residual(self, rec: StepRecord) -> float:
         """Relative residual of the single-equation form of the step:
         (U^n - U^{n-1})/k + corrected-midpoint Laplacian - projected
         corrected forcing.  Vanishes to solver tolerance when the substep
         algebra and the corrections are consistent."""
         sp_ = self.space
-        if xi_theta is None:
-            xi_theta = lap_substep_defect(rec, self.params)
-        if proj_xi_phi is None:
-            proj_xi_phi = sp_.project_quad_values(self.xi_phi_quad_values(rec))
+        xi_theta = lap_substep_defect(rec, self.params)
+        proj_xi_phi = proj_forcing_substep_defect(rec, self.params)
         slope = (rec.U_new - rec.U_prev) / rec.k
         theta_hat = 0.5 * (rec.lap_prev + rec.lap_new) - xi_theta
         phi_hat = 0.5 * (rec.proj_f_prev + rec.proj_f_new) - proj_xi_phi
@@ -323,7 +286,7 @@ class EstimatorEngine:
         norm_xi_t = sp_.l2_norm(xi_t)
         xi_vals = self.xi_phi_quad_values(rec)
         norm_xi_phi = sp_.quad_norm(xi_vals)
-        proj_xi = sp_.project_quad_values(xi_vals)
+        proj_xi = proj_forcing_substep_defect(rec, p)
         norm_proj_xi = sp_.l2_norm(proj_xi)
 
         w = recon_coeff_two_level(rec)
@@ -340,23 +303,17 @@ class EstimatorEngine:
 
         if prev_rec is not None:
             wt, lap_dd, f_dd = recon_coeff_three_level(rec, prev_rec)
-            lap_wt = sp_.discrete_laplacian(wt)
+            # the discrete Laplacian is linear, so lap(wt) is a multiple of
+            # the Laplacian second difference
+            lap_wt = (-4.0 / (k_prev * (k + k_prev))) * lap_dd
             gamma3 = time_weight(sp_, wt, k, cs, lap=lap_wt)
             eta_w3 = elliptic_estimator(sp_, wt, cs, lap=lap_wt)
             norm_w3 = sp_.l2_norm(wt)
             z_norm = sp_.l2_norm(lap_dd)
             y_norm = sp_.l2_norm(f_dd)
-            norm_xi_t_prev, norm_proj_xi_prev = self._prev_norms(prev_rec)
         else:
             gamma3, eta_w3, norm_w3 = gamma2, eta_w2, norm_w2
             z_norm = y_norm = 0.0
-            norm_xi_t_prev = norm_proj_xi_prev = 0.0
-
-        compact = self.compact_form_residual(rec, xi_theta=xi_t,
-                                             proj_xi_phi=proj_xi)
-        self._memo[rec.n] = (norm_xi_t, norm_proj_xi)
-        for stale in [m for m in self._memo if m < rec.n - 1]:
-            del self._memo[stale]
 
         return StepEstimates(
             n=rec.n, k=k, k_prev=k_prev,
@@ -364,23 +321,14 @@ class EstimatorEngine:
             gamma_two=gamma2, gamma_three=gamma3,
             eta_w_two=eta_w2, eta_w_three=eta_w3,
             norm_w_two=norm_w2, norm_w_three=norm_w3,
-            norm_xi_theta=norm_xi_t, norm_xi_theta_prev=norm_xi_t_prev,
+            norm_xi_theta=norm_xi_t,
             delta=delta, beta_coarsen=beta,
             zeta1=zeta1, zeta2=zeta2,
             norm_xi_phi=norm_xi_phi,
             norm_proj_xi_phi=norm_proj_xi,
-            norm_proj_xi_phi_prev=norm_proj_xi_prev,
             z_norm=z_norm, y_norm=y_norm,
-            compact_residual=compact,
+            compact_residual=self.compact_form_residual(rec),
         )
-
-    def _prev_norms(self, prev_rec: StepRecord) -> tuple[float, float]:
-        memo = self._memo.get(prev_rec.n)
-        if memo is not None:
-            return memo
-        xi_t = lap_substep_defect(prev_rec, self.params)
-        proj_xi = self.space.project_quad_values(self.xi_phi_quad_values(prev_rec))
-        return self.space.l2_norm(xi_t), self.space.l2_norm(proj_xi)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +375,9 @@ class EstimatorAccumulator:
 
     ``initial_elliptic`` seeds the elliptic maximum with the indicator of
     the initial state; ``rho0`` is a bound on the initial reconstruction
-    error entering the composite bounds with factor sqrt(2).
+    error entering the composite bounds with factor sqrt(2).  Steps must
+    arrive in order: the E_m1 term pairs each step's correction norms with
+    the previous step's, which the accumulator keeps.
     """
 
     def __init__(self, params: SchemeParams, initial_elliptic: float = 0.0,
@@ -449,6 +399,8 @@ class EstimatorAccumulator:
         self._e_rec_two = 0.0
         self._e_rec_three = 0.0
         self._e_m1 = 0.0
+        self._prev_xi_theta = 0.0
+        self._prev_proj_xi_phi = 0.0
         self.rows: list[tuple] = []
 
     def add(self, se: StepEstimates) -> None:
@@ -477,8 +429,10 @@ class EstimatorAccumulator:
             self._e_t3 += k * k / (2.0 * (k + se.k_prev)) * se.z_norm
             self._e_m1 += k * (
                 k / (2.0 * (k + se.k_prev)) * se.y_norm
-                + 0.25 * k * (se.norm_xi_theta + se.norm_xi_theta_prev)
-                + 0.25 * k * (se.norm_proj_xi_phi + se.norm_proj_xi_phi_prev))
+                + 0.25 * k * (se.norm_xi_theta + self._prev_xi_theta)
+                + 0.25 * k * (se.norm_proj_xi_phi + self._prev_proj_xi_phi))
+        self._prev_xi_theta = se.norm_xi_theta
+        self._prev_proj_xi_phi = se.norm_proj_xi_phi
 
         e_t1_two = math.sqrt(self._sum_kg2_two)
         e_t1_three = math.sqrt(self._sum_kg2_three)

@@ -6,8 +6,6 @@ afterwards, so instances can be shared read-only between concurrent runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -15,21 +13,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAX_LEVEL = 12
-
-
-@dataclass(frozen=True)
-class Facet:
-    """Oriented edge of the triangulation.
-
-    ``unit_normal`` has unit length and points from ``left_tri`` toward
-    ``right_tri``; ``right_tri`` is ``None`` for boundary edges.
-    """
-
-    endpoints: tuple[int, int]
-    length: float
-    unit_normal: tuple[float, float]
-    left_tri: int
-    right_tri: int | None = None
 
 
 class Mesh:
@@ -85,6 +68,9 @@ class Mesh:
         self._build_facets()
 
     def _build_facets(self):
+        """Interior facets as arrays: ``facet_vertices`` (endpoints),
+        ``facet_lengths``, ``facet_normals`` (unit length, pointing from
+        ``facet_tris[:, 0]`` toward ``facet_tris[:, 1]``)."""
         tris = self.triangles
         nt = tris.shape[0]
         edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
@@ -119,21 +105,6 @@ class Mesh:
         self.facet_normals = normals
         self.facet_tris = np.column_stack([left, right])
 
-    @cached_property
-    def interior_facets(self) -> list[Facet]:
-        return [
-            Facet(
-                endpoints=(int(a), int(b)),
-                length=float(l),
-                unit_normal=(float(nx), float(ny)),
-                left_tri=int(lt),
-                right_tri=int(rt),
-            )
-            for (a, b), l, (nx, ny), (lt, rt) in zip(
-                self.facet_vertices, self.facet_lengths,
-                self.facet_normals, self.facet_tris)
-        ]
-
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
@@ -151,11 +122,6 @@ def build_uniform_mesh(level: int) -> Mesh:
     """Mesh of 2**level cells per side, each split along its positive-slope
     diagonal."""
     return Mesh(level)
-
-
-def facet_geometry(mesh: Mesh) -> list[Facet]:
-    """Interior facets with lengths, adjacency and oriented unit normals."""
-    return mesh.interior_facets
 
 
 def write_mesh_text(mesh: Mesh, path) -> None:

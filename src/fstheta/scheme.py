@@ -164,37 +164,48 @@ class ThetaScheme:
             return self.space.function()
         return self.space.l2_project(u0, self.params.time(0))
 
-    def advance(self, prev: FeFunction, n: int) -> StepRecord:
-        """Solve the three substeps taking U^{n-1} to U^n and return the
-        filled record."""
-        return self._advance(prev, n, carry=None)
+    def _solve(self, matrix, rhs, n: int, tag: str) -> np.ndarray:
+        """solve_spd, with failures tagged by step and quantity."""
+        try:
+            return solve_spd(matrix, rhs, self.space.solver_config)
+        except SolverError as err:
+            raise SolverError(f"step {n}, {tag}: {err}", residual=err.residual,
+                              iterations=err.iterations) from err
 
-    def _advance(self, prev: FeFunction, n: int, carry):
+    def iter_steps(self, U0: FeFunction):
+        """Yield the N step records in order.  Each step starts from the
+        previous step's end-of-step forcing samples, discrete Laplacian and
+        forcing projection; step 1 computes them from U0 once."""
+        state, carry = U0, self._initial_carry(U0)
+        for n in range(1, self.params.n_steps + 1):
+            rec = self._step(state, n, carry)
+            yield rec
+            state = rec.U_new
+            carry = (rec.fq_new, rec.lap_new, rec.proj_f_new)
+
+    def _initial_carry(self, U0: FeFunction):
+        sp_ = self.space
+        fq0 = sp_.eval_field_q4(self.forcing, self.params.time(0))
+        lap0 = sp_.function(self._solve(sp_.mass, sp_.stiffness @ U0.coeffs, 1,
+                                        "laplacian at t^{n-1}"))
+        pf0 = sp_.function(self._solve(sp_.mass, sp_.load_from_quad_values(fq0),
+                                       1, "forcing projection at t^{n-1}"))
+        return fq0, lap0, pf0
+
+    def _step(self, prev: FeFunction, n: int, carry) -> StepRecord:
+        """Solve the three substeps taking U^{n-1} to U^n; ``carry`` holds the
+        forcing samples, Laplacian and forcing projection at t^{n-1}."""
         sp_, p = self.space, self.params
-        if not 1 <= n <= p.n_steps:
-            raise ValueError(f"step index {n} outside 1..{p.n_steps}")
         t0, t1 = p.time(n - 1), p.time(n)
         t_a, t_m = p.intermediate_times(n)
         k = t1 - t0
         a_theta, a_tilde = self._substep_matrices(k)
         M, K = sp_.mass, sp_.stiffness
-        cfg = sp_.solver_config
 
         def _solve(matrix, rhs, tag):
-            try:
-                return solve_spd(matrix, rhs, cfg)
-            except SolverError as err:
-                raise SolverError(f"step {n}, {tag}: {err}",
-                                  residual=err.residual,
-                                  iterations=err.iterations) from err
+            return self._solve(matrix, rhs, n, tag)
 
-        if carry is not None:
-            fq0, lap0, pf0 = carry
-        else:
-            fq0 = sp_.eval_field_q4(self.forcing, t0)
-            lap0 = sp_.function(_solve(M, K @ prev.coeffs, "laplacian at t^{n-1}"))
-            pf0 = sp_.function(_solve(M, sp_.load_from_quad_values(fq0),
-                                      "forcing projection at t^{n-1}"))
+        fq0, lap0, pf0 = carry
         fqa = sp_.eval_field_q4(self.forcing, t_a)
         fqm = sp_.eval_field_q4(self.forcing, t_m)
         fq1 = sp_.eval_field_q4(self.forcing, t1)
@@ -232,16 +243,3 @@ class ThetaScheme:
             proj_f_new=pf1,
             fq_prev=fq0, fq_theta=fqa, fq_onemtheta=fqm, fq_new=fq1,
         )
-
-    def iter_steps(self, U0: FeFunction):
-        """Yield the N step records in order, reusing end-of-step caches."""
-        state, carry = U0, None
-        for n in range(1, self.params.n_steps + 1):
-            rec = self._advance(state, n, carry)
-            yield rec
-            state = rec.U_new
-            carry = (rec.fq_new, rec.lap_new, rec.proj_f_new)
-
-    def run(self, U0: FeFunction) -> list[StepRecord]:
-        """All step records; prefer :meth:`iter_steps` for long fine runs."""
-        return list(self.iter_steps(U0))

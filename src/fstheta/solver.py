@@ -7,6 +7,7 @@ the Dirichlet space, so plain PCG with a diagonal preconditioner is enough.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,11 @@ class SolverError(RuntimeError):
 def solve_spd(matrix, rhs, config: SolverConfig | None = None) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by preconditioned conjugate gradients.
 
-    Returns x with ||matrix @ x - rhs||_2 <= rel_tolerance * ||rhs||_2.
-    The iteration is deterministic (fixed summation order), and a zero
-    right-hand side returns an exact zero vector without iterating.
+    Returns x with ||matrix @ x - rhs||_2 <= rel_tolerance * ||rhs||_2,
+    re-checked against the true residual after convergence.  The iteration
+    is deterministic (fixed summation order), a zero right-hand side returns
+    an exact zero vector without iterating, and a non-finite one raises
+    without iterating.
     """
     config = config or SolverConfig()
     b = np.asarray(rhs, dtype=float)
@@ -68,6 +71,8 @@ def solve_spd(matrix, rhs, config: SolverConfig | None = None) -> np.ndarray:
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n)
+    if not math.isfinite(b_norm):
+        raise SolverError("right-hand side is not finite", iterations=0)
     tol = config.rel_tolerance * b_norm
     max_it = config.max_iterations if config.max_iterations is not None else 10 * n
 
@@ -96,11 +101,12 @@ def solve_spd(matrix, rhs, config: SolverConfig | None = None) -> np.ndarray:
         r -= alpha * Ap
         res = float(np.linalg.norm(r))
         if res <= tol:
-            if __debug__:
-                true_res = float(np.linalg.norm(matrix @ x - b))
-                assert true_res <= 10.0 * tol + 1e-300, (
+            true_res = float(np.linalg.norm(matrix @ x - b))
+            if not true_res <= 10.0 * tol + 1e-300:
+                raise SolverError(
                     f"recurrence residual {res:.3e} disagrees with true "
-                    f"residual {true_res:.3e}")
+                    f"residual {true_res:.3e}",
+                    residual=true_res / b_norm, iterations=it)
             return x
         z = r * inv_diag if inv_diag is not None else r
         rz_new = float(r @ z)

@@ -117,25 +117,6 @@ def eoc(values, meshsizes) -> list[float]:
     return list(np.log(v[1:] / v[:-1]) / np.log(h[1:] / h[:-1]))
 
 
-def error_metrics(space: P1Space, case: CaseSpec, records,
-                  initial_state=None) -> tuple[float, float]:
-    """Discrete error metrics of a stored trajectory: the maximum over time
-    nodes of the L2 error and the combined total (max L2 plus accumulated
-    k-weighted H1 errors), both against the exact fields by the degree-5
-    rule."""
-    if initial_state is None:
-        initial_state = space.function()
-    t0 = records[0].t_prev if records else 0.0
-    max_err = space.field_error_l2(case.exact_u, t0, initial_state)
-    sum_k_grad2 = 0.0
-    for rec in records:
-        max_err = max(max_err, space.field_error_l2(case.exact_u, rec.t_new,
-                                                    rec.U_new))
-        grad_err = space.field_error_h1(case.exact_grad_u, rec.t_new, rec.U_new)
-        sum_k_grad2 += rec.k * grad_err ** 2
-    return max_err, math.sqrt(max_err ** 2 + sum_k_grad2)
-
-
 @dataclass
 class RunReport:
     """Everything one (case, level) run produces."""

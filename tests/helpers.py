@@ -1,9 +1,12 @@
 """Shared test utilities: independent oracles kept deliberately separate
 from the library code paths they check."""
 
+import math
+
 import numpy as np
 
 from fstheta import FeFunction, Mesh, ScalarField, StepRecord
+from fstheta.estimators import correction_coeffs
 
 
 def enumerate_edges(triangles):
@@ -68,6 +71,65 @@ def synthetic_record(space, n, t_prev, t_new, states, laps=None, projs=None,
         proj_f_onemtheta=projs[1], proj_f_new=projs[1],
         fq_prev=fqs[0], fq_theta=fqs[1], fq_onemtheta=fqs[2], fq_new=fqs[3],
     )
+
+
+def lap_time_interpolant(rec: StepRecord, t: float) -> FeFunction:
+    """Linear-in-time interpolant of the endpoint discrete Laplacians."""
+    l1 = (t - rec.t_prev) / rec.k
+    return (1.0 - l1) * rec.lap_prev + l1 * rec.lap_new
+
+
+def forcing_interpolant(params, n: int, f: ScalarField) -> ScalarField:
+    """Linear-in-time interpolant of the forcing between t^{n-1} and t^n."""
+    t0, t1 = params.time(n - 1), params.time(n)
+    k = t1 - t0
+
+    def fn(x, y, t):
+        l1 = (t - t0) / k
+        return (1.0 - l1) * f(x, y, t0) + l1 * f(x, y, t1)
+
+    return ScalarField(f"interp[{f.name}]", fn)
+
+
+def forcing_substep_defect(params, n: int, f: ScalarField) -> ScalarField:
+    """Pointwise substep-defect correction of the forcing at the interior
+    substep times (weights alpha2/beta2); constant in t."""
+    t0, t1 = params.time(n - 1), params.time(n)
+    t_a, t_m = params.intermediate_times(n)
+    c0, c1, ca, cm = correction_coeffs(params.theta, params.alpha2)
+
+    def fn(x, y, t):
+        return (c0 * f(x, y, t0) + c1 * f(x, y, t1)
+                - ca * f(x, y, t_a) - cm * f(x, y, t_m))
+
+    return ScalarField(f"defect[{f.name}]", fn)
+
+
+def corrected_forcing_interpolant(params, n: int, f: ScalarField) -> ScalarField:
+    """Forcing interpolant minus its substep-defect correction."""
+    phi = forcing_interpolant(params, n, f)
+    xi = forcing_substep_defect(params, n, f)
+
+    def fn(x, y, t):
+        return phi(x, y, t) - xi(x, y, t)
+
+    return ScalarField(f"corrected[{f.name}]", fn)
+
+
+def error_metrics(space, case, records, initial_state=None):
+    """Error metrics of a stored trajectory: the maximum over time nodes of
+    the L2 error, and that maximum combined with the k-weighted H1 errors."""
+    if initial_state is None:
+        initial_state = space.function()
+    t0 = records[0].t_prev if records else 0.0
+    max_err = space.field_error_l2(case.exact_u, t0, initial_state)
+    sum_k_grad2 = 0.0
+    for rec in records:
+        max_err = max(max_err, space.field_error_l2(case.exact_u, rec.t_new,
+                                                    rec.U_new))
+        grad_err = space.field_error_h1(case.exact_grad_u, rec.t_new, rec.U_new)
+        sum_k_grad2 += rec.k * grad_err ** 2
+    return max_err, math.sqrt(max_err ** 2 + sum_k_grad2)
 
 
 def scalar_substep_factor(lam, k, params):

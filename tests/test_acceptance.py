@@ -293,7 +293,7 @@ def test_criterion_7_scalar_substep_oracle():
     worst = 0.0
     for i in range(3):
         v = space.function(vecs[:, i])
-        rec = scheme.advance(v, 1)
+        rec = next(scheme.iter_steps(v))
         got = space.l2_norm(rec.U_new) / space.l2_norm(v)
         want = abs(scalar_substep_factor(lams[i], k, params))
         worst = max(worst, abs(got - want))

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fstheta import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
-                     P1Space, ScalarField, SchemeParams, ThetaScheme,
-                     build_uniform_mesh, coarsening_estimator,
-                     corrected_forcing_interpolant, elliptic_estimator, eoc,
-                     forcing_interpolant, forcing_substep_defect,
-                     lap_substep_defect, lap_time_interpolant, make_case,
-                     make_uniform_grid, quadrature_exactness_check,
-                     recon_coeff_three_level, recon_coeff_two_level,
-                     step_difference_estimator, time_weight, zero_field)
+import fstheta.fem
+import fstheta.scheme
+from fstheta import (CaseSpec, ConstantsConfig, EstimatorAccumulator,
+                     EstimatorEngine, P1Space, ScalarField, SchemeParams,
+                     ThetaScheme, build_uniform_mesh, coarsening_estimator,
+                     elliptic_estimator, eoc, lap_substep_defect, make_case,
+                     make_uniform_grid, proj_forcing_substep_defect,
+                     quadrature_exactness_check, recon_coeff_three_level,
+                     recon_coeff_two_level, step_difference_estimator,
+                     time_weight, verify_forcing, zero_field)
 from fstheta.estimators import REPORT_COLUMNS, StepEstimates, correction_coeffs
 from fstheta.scheme import THETA_DEFAULT
 
-from helpers import fe_as_field, synthetic_record as _synthetic_record
+from helpers import (corrected_forcing_interpolant, fe_as_field,
+                     forcing_interpolant, forcing_substep_defect,
+                     lap_time_interpolant, synthetic_record as _synthetic_record)
 
 PI = np.pi
 
@@ -139,7 +142,7 @@ def test_two_level_coeff_matches_eigen_oracle():
     p = _params(n_steps=8)
     scheme = ThetaScheme(space, p, zero_field())
     v = space.function(vecs[:, 0])
-    rec = scheme.advance(v, 1)
+    rec = next(scheme.iter_steps(v))
     w = recon_coeff_two_level(rec)
     # with zero forcing, w = lam (U^1 - U^0) / k along the eigenmode
     want = lams[0] * (rec.U_new.coeffs - rec.U_prev.coeffs) / rec.k
@@ -371,9 +374,9 @@ def test_accumulator_single_hand_step():
     se = StepEstimates(
         n=1, k=1.0, k_prev=0.0, eta_U=0.0, gamma_two=2.0, gamma_three=2.0,
         eta_w_two=0.0, eta_w_three=0.0, norm_w_two=0.0, norm_w_three=0.0,
-        norm_xi_theta=0.0, norm_xi_theta_prev=0.0, delta=0.0,
+        norm_xi_theta=0.0, delta=0.0,
         beta_coarsen=0.0, zeta1=0.0, zeta2=0.0, norm_xi_phi=0.0,
-        norm_proj_xi_phi=0.0, norm_proj_xi_phi_prev=0.0, z_norm=0.0,
+        norm_proj_xi_phi=0.0, z_norm=0.0,
         y_norm=0.0, compact_residual=0.0)
     acc.add(se)
     report = acc.report()
@@ -387,9 +390,9 @@ def test_accumulator_rejects_out_of_order():
     se = StepEstimates(
         n=2, k=0.25, k_prev=0.25, eta_U=0.0, gamma_two=0.0, gamma_three=0.0,
         eta_w_two=0.0, eta_w_three=0.0, norm_w_two=0.0, norm_w_three=0.0,
-        norm_xi_theta=0.0, norm_xi_theta_prev=0.0, delta=0.0,
+        norm_xi_theta=0.0, delta=0.0,
         beta_coarsen=0.0, zeta1=0.0, zeta2=0.0, norm_xi_phi=0.0,
-        norm_proj_xi_phi=0.0, norm_proj_xi_phi_prev=0.0, z_norm=0.0,
+        norm_proj_xi_phi=0.0, z_norm=0.0,
         y_norm=0.0, compact_residual=0.0)
     with pytest.raises(ValueError):
         acc.add(se)
@@ -403,9 +406,9 @@ def test_accumulator_formulas_one_step_each_term():
     se = StepEstimates(
         n=1, k=k, k_prev=0.0, eta_U=0.2, gamma_two=1.0, gamma_three=1.0,
         eta_w_two=2.0, eta_w_three=2.0, norm_w_two=3.0, norm_w_three=3.0,
-        norm_xi_theta=4.0, norm_xi_theta_prev=0.0, delta=5.0,
+        norm_xi_theta=4.0, delta=5.0,
         beta_coarsen=6.0, zeta1=7.0, zeta2=8.0, norm_xi_phi=9.0,
-        norm_proj_xi_phi=1.0, norm_proj_xi_phi_prev=0.0, z_norm=0.0,
+        norm_proj_xi_phi=1.0, z_norm=0.0,
         y_norm=0.0, compact_residual=0.0)
     acc.add(se)
     rep = acc.report()
@@ -481,15 +484,143 @@ def test_report_columns_nondecreasing_and_estimates_nonnegative(space2):
         assert (np.diff(series) >= -1e-15).all(), col
 
 
-def test_engine_memo_matches_recompute(space2):
-    # previous-step correction norms are identical whether memoized or not
+def test_accumulator_carries_previous_step_norms():
+    # E_m1 pairs each step's correction norms with the previous step's,
+    # which the accumulator keeps itself
+    p = _params(n_steps=2, final_time=0.5)
+    acc = EstimatorAccumulator(p)
+    k = 0.25
+    zeros = dict(eta_U=0.0, gamma_two=0.0, gamma_three=0.0, eta_w_two=0.0,
+                 eta_w_three=0.0, norm_w_two=0.0, norm_w_three=0.0, delta=0.0,
+                 beta_coarsen=0.0, zeta1=0.0, zeta2=0.0, norm_xi_phi=0.0,
+                 z_norm=0.0, y_norm=0.0, compact_residual=0.0)
+    acc.add(StepEstimates(n=1, k=k, k_prev=0.0, norm_xi_theta=2.0,
+                          norm_proj_xi_phi=3.0, **zeros))
+    assert acc.report().final("E_m1") == 0.0
+    acc.add(StepEstimates(n=2, k=k, k_prev=k, norm_xi_theta=5.0,
+                          norm_proj_xi_phi=7.0, **zeros))
+    want = k * (0.25 * k * (5.0 + 2.0) + 0.25 * k * (7.0 + 3.0))
+    assert abs(acc.report().final("E_m1") - want) <= 1e-15
+
+
+def test_engine_is_stateless(space2):
+    # a fresh engine gives the same step-2 estimates as one that saw step 1
     p = _params()
     f = make_case(1).forcing_f
     scheme = ThetaScheme(space2, p, f)
-    records = scheme.run(scheme.initial_state())
+    records = list(scheme.iter_steps(scheme.initial_state()))
     seq = EstimatorEngine(space2, p, f)
     seq.step_estimates(records[0], None)
-    with_memo = seq.step_estimates(records[1], records[0])
-    fresh = EstimatorEngine(space2, p, f).step_estimates(records[1], records[0])
-    assert with_memo.norm_xi_theta_prev == fresh.norm_xi_theta_prev
-    assert with_memo.norm_proj_xi_phi_prev == fresh.norm_proj_xi_phi_prev
+    fresh = EstimatorEngine(space2, p, f)
+    assert seq.step_estimates(records[1], records[0]) == \
+        fresh.step_estimates(records[1], records[0])
+
+
+# -- linear identities in place of solves -----------------------------------------
+
+def _varstep_case() -> CaseSpec:
+    """u = sin(pi x) sin(pi y) sin(pi (x + 2y - 3t)): not of the form
+    g(t) s(x, y), so no separable shortcut applies."""
+    pi, pi2 = PI, PI * PI
+
+    def parts(x, y, t):
+        phase = pi * (x + 2.0 * y - 3.0 * t)
+        return (np.sin(pi * x), np.sin(pi * y), np.cos(pi * x), np.cos(pi * y),
+                np.sin(phase), np.cos(phase))
+
+    def u(x, y, t):
+        sx, sy, _, _, sp, _ = parts(x, y, t)
+        return sx * sy * sp
+
+    def ux(x, y, t):
+        sx, sy, cx, _, sp, cp = parts(x, y, t)
+        return pi * sy * (cx * sp + sx * cp)
+
+    def uy(x, y, t):
+        sx, sy, _, cy, sp, cp = parts(x, y, t)
+        return pi * sx * (cy * sp + 2.0 * sy * cp)
+
+    def f(x, y, t):
+        sx, sy, cx, cy, sp, cp = parts(x, y, t)
+        return (-3.0 * pi * sx * sy * cp + 7.0 * pi2 * sx * sy * sp
+                - 2.0 * pi2 * cx * sy * cp - 4.0 * pi2 * sx * cy * cp)
+
+    return CaseSpec(
+        case_id=0,
+        exact_u=ScalarField("u", u),
+        exact_grad_u=(ScalarField("du/dx", ux), ScalarField("du/dy", uy)),
+        forcing_f=ScalarField("f", f),
+        u0=ScalarField("u0", lambda x, y, t: u(x, y, 0.0)),
+    )
+
+
+def _random_grid(seed, n_steps):
+    """Grid on [0, 1] whose step sizes vary by up to +-50 % about 1/n_steps."""
+    k = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps)
+    return np.concatenate([[0.0], np.cumsum(k / k.sum())])
+
+
+@pytest.fixture(scope="module")
+def varstep_run(space3):
+    case = _varstep_case()
+    p = SchemeParams(_random_grid(4, 8))
+    scheme = ThetaScheme(space3, p, case.forcing_f)
+    records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
+    return EstimatorEngine(space3, p, case.forcing_f), records
+
+
+def _rel_diff(space, got, want):
+    return space.l2_norm(got - want) / space.l2_norm(want)
+
+
+def test_varstep_case_forcing_matches_solution():
+    assert verify_forcing(_varstep_case()) <= 1e-5
+
+
+def test_projected_forcing_defect_identity(varstep_run):
+    engine, records = varstep_run
+    sp_ = engine.space
+    for rec in records:
+        got = proj_forcing_substep_defect(rec, engine.params)
+        want = sp_.project_quad_values(engine.xi_phi_quad_values(rec))
+        assert _rel_diff(sp_, got, want) <= 1e-10
+
+
+def test_three_level_laplacian_identity(varstep_run):
+    engine, records = varstep_run
+    sp_ = engine.space
+    assert len({round(rec.k, 12) for rec in records}) == len(records)
+    for prev, rec in zip(records, records[1:]):
+        wt, lap_dd, _ = recon_coeff_three_level(rec, prev)
+        got = (-4.0 / (prev.k * (rec.k + prev.k))) * lap_dd
+        assert _rel_diff(sp_, got, sp_.discrete_laplacian(wt)) <= 1e-10
+
+
+def test_ten_solves_per_step_from_step_two(monkeypatch, space3):
+    # the stepper runs 3 substep and 6 end-of-step mass solves, the engine
+    # one more for the Laplacian of w; step 1 adds the two initial ones
+    calls = []
+
+    def counting(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for module in (fstheta.scheme, fstheta.fem):
+        monkeypatch.setattr(module, "solve_spd", counting(module.solve_spd))
+    case = _varstep_case()
+    p = SchemeParams(_random_grid(4, 8))
+    scheme = ThetaScheme(space3, p, case.forcing_f)
+    engine = EstimatorEngine(space3, p, case.forcing_f)
+    per_step, prev = [], None
+    steps = scheme.iter_steps(scheme.initial_state(case.u0))
+    while True:
+        before = len(calls)
+        rec = next(steps, None)
+        if rec is None:
+            break
+        engine.step_estimates(rec, prev)
+        per_step.append(len(calls) - before)
+        prev = rec
+    assert per_step == [12] + [10] * (p.n_steps - 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fstheta import ConfigurationError, Facet, build_uniform_mesh, facet_geometry
+from fstheta import ConfigurationError, build_uniform_mesh
 from fstheta.mesh import write_mesh_text
 
 from helpers import enumerate_edges
@@ -45,23 +45,23 @@ def test_facets_against_edge_enumeration_oracle(level):
     boundary = {e for e, tris in edges.items() if len(tris) == 1}
     assert all(len(tris) in (1, 2) for tris in edges.values())
     assert interior | boundary == set(edges)
-    assert len(m.interior_facets) == len(interior)
+    assert len(m.facet_vertices) == len(interior)
     assert m.n_boundary_facets == len(boundary)
-    got = {tuple(sorted(f.endpoints)) for f in m.interior_facets}
+    got = {tuple(sorted(map(int, ends))) for ends in m.facet_vertices}
     assert got == interior
     # every interior facet lists exactly the two triangles the oracle found
-    for f in m.interior_facets:
-        key = tuple(sorted(f.endpoints))
-        assert {f.left_tri, f.right_tri} == set(edges[key])
+    for ends, tris in zip(m.facet_vertices, m.facet_tris):
+        key = tuple(sorted(map(int, ends)))
+        assert set(map(int, tris)) == set(edges[key])
 
 
 def test_level1_interior_facet_count():
     # frozen from the enumeration oracle: 4 diagonals + 2 vertical + 2
     # horizontal interior edges
     m = build_uniform_mesh(1)
-    assert len(m.interior_facets) == 8
-    for f in m.interior_facets:
-        assert f.right_tri is not None
+    assert len(m.facet_vertices) == 8
+    assert m.facet_tris.shape == (8, 2)
+    assert (m.facet_tris >= 0).all()
 
 
 def test_level2_interior_count_from_boundary_count():
@@ -69,7 +69,7 @@ def test_level2_interior_count_from_boundary_count():
     edges = enumerate_edges(m.triangles)
     n_boundary = sum(1 for tris in edges.values() if len(tris) == 1)
     assert n_boundary == 4 * m.n_cells == 16
-    assert len(m.interior_facets) == len(edges) - n_boundary
+    assert len(m.facet_vertices) == len(edges) - n_boundary
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -96,9 +96,9 @@ def test_unit_normals_and_orientation(level):
 
 def test_facet_adjacency_symmetric():
     m = build_uniform_mesh(2)
-    for f in m.interior_facets:
-        for tri in (f.left_tri, f.right_tri):
-            assert set(f.endpoints) <= set(m.triangles[tri])
+    for ends, tris in zip(m.facet_vertices, m.facet_tris):
+        for tri in tris:
+            assert set(ends) <= set(m.triangles[tri])
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 6])
@@ -131,11 +131,13 @@ def test_dof_map_enumerates_interior_vertices():
     assert sorted(inner) == list(range(m.n_dofs))
 
 
-def test_facet_geometry_returns_facet_objects():
+def test_facet_arrays_agree_in_length_and_are_positive():
     m = build_uniform_mesh(2)
-    facets = facet_geometry(m)
-    assert all(isinstance(f, Facet) for f in facets)
-    assert all(f.length > 0 for f in facets)
+    nf = len(m.facet_vertices)
+    assert m.facet_vertices.shape == m.facet_tris.shape == (nf, 2)
+    assert m.facet_normals.shape == (nf, 2)
+    assert m.facet_lengths.shape == (nf,)
+    assert (m.facet_lengths > 0).all()
 
 
 def test_mesh_text_dump(tmp_path):

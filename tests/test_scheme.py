@@ -79,7 +79,7 @@ def test_params_reject_bad_grid():
 
 def test_zero_data_gives_zero_trajectory(space3):
     scheme = ThetaScheme(space3, _params(), zero_field())
-    records = scheme.run(scheme.initial_state())
+    records = list(scheme.iter_steps(scheme.initial_state()))
     assert len(records) == 4
     for rec in records:
         for fe in (rec.U_theta, rec.U_onemtheta, rec.U_new, rec.lap_new,
@@ -87,17 +87,25 @@ def test_zero_data_gives_zero_trajectory(space3):
             assert (fe.coeffs == 0.0).all()
 
 
-def test_run_chains_states_and_matches_advance(space3):
+def test_iter_steps_chains_states_and_end_of_step_fields(space3):
     case = make_case(1)
     scheme = ThetaScheme(space3, _params(n_steps=3), case.forcing_f)
     U0 = scheme.initial_state(case.u0)
-    records = scheme.run(U0)
+    records = list(scheme.iter_steps(U0))
     assert len(records) == 3
+    assert records[0].U_prev is U0
     for prev, rec in zip(records, records[1:]):
         assert rec.U_prev is prev.U_new
-    direct = scheme.advance(U0, 1)
-    assert np.array_equal(direct.U_new.coeffs, records[0].U_new.coeffs)
-    assert np.array_equal(direct.lap_prev.coeffs, records[0].lap_prev.coeffs)
+        assert rec.lap_prev is prev.lap_new
+        assert rec.proj_f_prev is prev.proj_f_new
+    # the step-1 fields at t^0 are computed from U0 and the forcing
+    assert np.array_equal(records[0].lap_prev.coeffs,
+                          space3.discrete_laplacian(U0).coeffs)
+    assert np.array_equal(records[0].proj_f_prev.coeffs,
+                          space3.l2_project(case.forcing_f, 0.0).coeffs)
+    # a second pass repeats the first bit for bit
+    again = list(scheme.iter_steps(U0))
+    assert np.array_equal(again[-1].U_new.coeffs, records[-1].U_new.coeffs)
 
 
 def test_eigenmode_decay_matches_scalar_oracle(space3):
@@ -107,7 +115,7 @@ def test_eigenmode_decay_matches_scalar_oracle(space3):
     scheme = ThetaScheme(space3, p, zero_field())
     k = p.step_size(1)
     v = space3.function(vecs[:, 0])
-    rec = scheme.advance(v, 1)
+    rec = next(scheme.iter_steps(v))
     got = space3.l2_norm(rec.U_new) / space3.l2_norm(v)
     want = abs(scalar_substep_factor(lams[0], k, p))
     assert abs(got - want) <= 1e-10
@@ -227,11 +235,17 @@ def test_solver_failure_identifies_step():
     space = P1Space(build_uniform_mesh(3), SolverConfig(max_iterations=1))
     scheme = ThetaScheme(space, _params(), case.forcing_f)
     with pytest.raises(SolverError) as err:
-        scheme.advance(space.function(), 1)
+        next(scheme.iter_steps(space.function()))
     assert "step 1" in str(err.value)
 
 
-def test_advance_step_index_validation(space3):
-    scheme = ThetaScheme(space3, _params(n_steps=2), zero_field())
-    with pytest.raises(ValueError):
-        scheme.advance(space3.function(), 3)
+def test_non_finite_forcing_fails_fast_naming_step_and_quantity():
+    bad = ScalarField("nan", lambda x, y, t: np.full(np.shape(x), np.nan))
+    space = P1Space(build_uniform_mesh(4))
+    scheme = ThetaScheme(space, _params(n_steps=16), bad)
+    with pytest.raises(SolverError) as err:
+        next(scheme.iter_steps(space.function()))
+    assert str(err.value).startswith(
+        "step 1, forcing projection at t^{n-1}: right-hand side is not finite")
+    assert err.value.iterations == 0
+    assert err.value.__cause__.iterations == 0

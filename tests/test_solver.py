@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -86,3 +91,60 @@ def test_not_spd_detected():
     a = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(SolverError):
         solve_spd(a, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_raises_without_iterating(bad):
+    b = np.ones(20)
+    b[3] = bad
+    with pytest.raises(SolverError, match="not finite") as err:
+        solve_spd(_random_spd(20, 4), b)
+    assert err.value.iterations == 0
+
+
+class _DriftingDiagonal:
+    """diag(2, 4) whose products double after the first one: CG converges
+    in one iteration, and only the true-residual re-check can notice."""
+
+    shape = (2, 2)
+
+    def __init__(self):
+        self.products = 0
+
+    def diagonal(self):
+        return np.array([2.0, 4.0])
+
+    def __matmul__(self, v):
+        self.products += 1
+        return np.array([2.0, 4.0]) * v * (1.0 if self.products == 1 else 2.0)
+
+
+def test_residual_recheck_catches_inconsistent_products():
+    matrix = _DriftingDiagonal()
+    with pytest.raises(SolverError, match="disagrees with true residual"):
+        solve_spd(matrix, np.array([1.0, 2.0]))
+    assert matrix.products == 2     # one iteration plus the one re-check
+
+
+_OPTIMIZED_SCRIPT = """
+import numpy as np
+from fstheta import SolverError, solve_spd
+from test_solver import _DriftingDiagonal
+assert not __debug__
+try:
+    solve_spd(_DriftingDiagonal(), np.array([1.0, 2.0]))
+except SolverError as err:
+    print("raised:", err)
+"""
+
+
+def test_residual_recheck_survives_python_O():
+    here = Path(__file__).resolve().parent
+    src = here.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised:"), done.stdout

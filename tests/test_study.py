@@ -3,12 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fstheta import (CaseSpec, ConfigurationError, P1Space, SchemeParams,
-                     ThetaScheme, build_uniform_mesh, emit, eoc, error_metrics,
+from fstheta import (CaseSpec, ConfigurationError, P1Space, ScalarField,
+                     SchemeParams, ThetaScheme, build_uniform_mesh, emit, eoc,
                      make_case, make_uniform_grid, run_single, run_study,
                      verify_forcing, zero_field)
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
+
+from helpers import error_metrics
 
 PI = np.pi
 
@@ -83,7 +85,7 @@ def test_error_metrics_on_stored_trajectory():
     params = SchemeParams(make_uniform_grid(8, 1.0))
     scheme = ThetaScheme(space, params, case.forcing_f)
     U0 = scheme.initial_state(case.u0)
-    records = scheme.run(U0)
+    records = list(scheme.iter_steps(U0))
     max_err, e_total = error_metrics(space, case, records, U0)
     rep = run_single(case, 3)
     assert abs(max_err - rep.max_nodal_l2_error) <= 1e-13
@@ -96,8 +98,39 @@ def test_error_metrics_zero_everything():
     space = P1Space(build_uniform_mesh(2))
     params = SchemeParams(make_uniform_grid(2, 1.0))
     scheme = ThetaScheme(space, params, zero_case.forcing_f)
-    records = scheme.run(scheme.initial_state())
+    records = list(scheme.iter_steps(scheme.initial_state()))
     assert error_metrics(space, zero_case, records) == (0.0, 0.0)
+
+
+def test_repeated_runs_are_bit_identical():
+    first = run_single(make_case(1), 4)
+    second = run_single(make_case(1), 4)
+    assert first.report.rows == second.report.rows
+    assert (first.max_nodal_l2_error, first.e_total) == \
+        (second.max_nodal_l2_error, second.e_total)
+
+
+def _scaled_case(case, lam):
+    def scaled(field):
+        return ScalarField(f"{lam}*{field.name}",
+                           lambda x, y, t: lam * field(x, y, t))
+
+    return CaseSpec(case.case_id, scaled(case.exact_u),
+                    tuple(scaled(g) for g in case.exact_grad_u),
+                    scaled(case.forcing_f), scaled(case.u0))
+
+
+@pytest.mark.parametrize("lam", [-4.0, 1.0 / 3.0])
+def test_scaling_the_data_scales_errors_and_estimators(lam):
+    case = make_case(1)
+    base = run_single(case, 4)
+    got = run_single(_scaled_case(case, lam), 4)
+    pairs = [(got.max_nodal_l2_error, base.max_nodal_l2_error),
+             (got.e_total, base.e_total)]
+    pairs += [(got.report.final(col), base.report.final(col))
+              for col in REPORT_COLUMNS[2:]]
+    for value, ref in pairs:
+        assert abs(value - abs(lam) * ref) <= 1e-9 * abs(lam) * abs(ref)
 
 
 def test_eoc_values():
