@@ -13,7 +13,7 @@ from .fem import (FeFunction, P1Space, ScalarField, assemble_mass,
 from .mesh import Mesh, build_uniform_mesh, write_mesh_text
 from .scheme import (THETA_DEFAULT, SchemeParams, StepRecord, ThetaScheme,
                      glowinski_alpha, make_uniform_grid)
-from .solver import SolverConfig, SolverError, solve_spd
+from .solver import SolverError, solve_spd
 from .study import (CaseSpec, RunReport, StudyResult, emit, eoc, make_case,
                     run_single, run_study, verify_forcing)
 
@@ -32,7 +32,7 @@ __all__ = [
     "Mesh", "build_uniform_mesh", "write_mesh_text",
     "THETA_DEFAULT", "SchemeParams", "StepRecord", "ThetaScheme",
     "glowinski_alpha", "make_uniform_grid",
-    "SolverConfig", "SolverError", "solve_spd",
+    "SolverError", "solve_spd",
     "CaseSpec", "RunReport", "StudyResult", "emit", "eoc", "make_case",
     "run_single", "run_study", "verify_forcing",
     "__version__",

@@ -14,7 +14,6 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .estimators import ConstantsConfig
 from .scheme import THETA_DEFAULT
-from .solver import SolverConfig
 from .study import VARIANTS, eoc, run_study
 
 _CONST_NAMES = tuple(f.name for f in fields(ConstantsConfig))
@@ -70,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--const", type=_parse_const, action="append", default=[],
                    metavar="NAME=V", help="estimator constant override "
                    f"({', '.join(_CONST_NAMES)}); repeatable")
-    p.add_argument("--solver-tol", type=float, default=1e-12)
     p.add_argument("--format", choices=("csv", "md"), default="csv")
     p.add_argument("--out", type=Path, default=Path("results"))
     p.add_argument("--variant", choices=VARIANTS, default="both")
@@ -113,11 +111,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     consts = ConstantsConfig(**dict(args.const))
     try:
-        solver_config = SolverConfig(rel_tolerance=args.solver_tol)
         result = run_study(
             args.case, args.levels,
             theta=args.theta, alpha1=args.alpha1, alpha2=args.alpha2,
-            consts=consts, solver_config=solver_config,
+            consts=consts,
             out_dir=args.out, fmt=args.format, variant=args.variant)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
-from .solver import SolverConfig, solve_spd
+from .solver import solve_spd
 
 # ---------------------------------------------------------------------------
 # symmetric quadrature rules on the reference triangle
@@ -171,15 +171,10 @@ class P1Space:
     be shared across concurrent runs.
     """
 
-    def __init__(self, mesh: Mesh, solver_config: SolverConfig | None = None):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.solver_config = solver_config or SolverConfig()
-
-        self.mass_full = assemble_mass(mesh, dirichlet=False)
-        self.stiffness_full = assemble_stiffness(mesh, dirichlet=False)
-        idx = mesh.interior_vertices
-        self.mass = self.mass_full[idx][:, idx].tocsr()
-        self.stiffness = self.stiffness_full[idx][:, idx].tocsr()
+        self.mass = assemble_mass(mesh)
+        self.stiffness = assemble_stiffness(mesh)
 
         self._grads = _basis_gradients(mesh)
         pts = mesh.vertices[mesh.triangles]      # (nt, 3, 2)
@@ -245,7 +240,7 @@ class P1Space:
         return self.project_load(self.load_from_quad_values(vals))
 
     def project_load(self, load: np.ndarray) -> FeFunction:
-        return self.function(solve_spd(self.mass, load, self.solver_config))
+        return self.function(solve_spd(self.mass, load))
 
     def discrete_laplacian(self, v: FeFunction) -> FeFunction:
         """The nonnegative operator d with (d, chi) = (grad v, grad chi) for

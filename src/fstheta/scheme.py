@@ -136,65 +136,68 @@ class StepRecord:
 class ThetaScheme:
     """Advance the discrete solution through the three substeps per step.
 
-    Substep matrices are assembled once per distinct step size and reused;
-    the time loop itself is sequential, but distinct runs sharing the same
-    space are independent.
+    The scheme keeps the substep-matrix pair of the current step size only:
+    it is reused while consecutive steps share k and rebuilt when k changes,
+    so a grid whose every step has its own k holds one pair, not one per
+    step.  The time loop itself is sequential, but distinct runs sharing the
+    same space are independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
         self.space = space
         self.params = params
         self.forcing = forcing
-        self._matrices: dict[float, tuple] = {}
+        self._matrices: tuple | None = None     # (k, a_theta, a_tilde)
 
     def _substep_matrices(self, k: float):
-        cached = self._matrices.get(k)
-        if cached is None:
+        if self._matrices is None or self._matrices[0] != k:
             p = self.params
             M, K = self.space.mass, self.space.stiffness
             a_theta = (M * (1.0 / (p.theta * k)) + K * p.alpha1).tocsr()
             a_tilde = (M * (1.0 / (p.theta_tilde * k)) + K * p.beta1).tocsr()
-            cached = (a_theta, a_tilde)
-            self._matrices[k] = cached
-        return cached
+            self._matrices = (k, a_theta, a_tilde)
+        return self._matrices[1:]
 
     def initial_state(self, u0: ScalarField | None = None) -> FeFunction:
         """L2 projection of the initial datum (zero field when omitted)."""
         if u0 is None:
             return self.space.function()
-        return self.space.l2_project(u0, self.params.time(0))
+        sp_ = self.space
+        load = sp_.load_vector(u0, self.params.time(0))
+        return sp_.function(self._solve(sp_.mass, load, 0, "initial projection"))
 
     def _solve(self, matrix, rhs, n: int, tag: str) -> np.ndarray:
         """solve_spd, with failures tagged by step and quantity."""
         try:
-            return solve_spd(matrix, rhs, self.space.solver_config)
+            return solve_spd(matrix, rhs)
         except SolverError as err:
             raise SolverError(f"step {n}, {tag}: {err}", residual=err.residual,
                               iterations=err.iterations) from err
 
     def iter_steps(self, U0: FeFunction):
         """Yield the N step records in order.  Each step starts from the
-        previous step's end-of-step forcing samples, discrete Laplacian and
-        forcing projection; step 1 computes them from U0 once."""
+        previous step's end-of-step forcing samples, load vector, discrete
+        Laplacian and forcing projection; step 1 computes them from U0 once."""
         state, carry = U0, self._initial_carry(U0)
         for n in range(1, self.params.n_steps + 1):
-            rec = self._step(state, n, carry)
+            rec, carry = self._step(state, n, carry)
             yield rec
             state = rec.U_new
-            carry = (rec.fq_new, rec.lap_new, rec.proj_f_new)
 
     def _initial_carry(self, U0: FeFunction):
         sp_ = self.space
         fq0 = sp_.eval_field_q4(self.forcing, self.params.time(0))
+        b0 = sp_.load_from_quad_values(fq0)
         lap0 = sp_.function(self._solve(sp_.mass, sp_.stiffness @ U0.coeffs, 1,
                                         "laplacian at t^{n-1}"))
-        pf0 = sp_.function(self._solve(sp_.mass, sp_.load_from_quad_values(fq0),
-                                       1, "forcing projection at t^{n-1}"))
-        return fq0, lap0, pf0
+        pf0 = sp_.function(self._solve(sp_.mass, b0, 1,
+                                       "forcing projection at t^{n-1}"))
+        return fq0, b0, lap0, pf0
 
-    def _step(self, prev: FeFunction, n: int, carry) -> StepRecord:
+    def _step(self, prev: FeFunction, n: int, carry):
         """Solve the three substeps taking U^{n-1} to U^n; ``carry`` holds the
-        forcing samples, Laplacian and forcing projection at t^{n-1}."""
+        forcing samples, load, Laplacian and forcing projection at t^{n-1}.
+        Returns the step record and the same four quantities at t^n."""
         sp_, p = self.space, self.params
         t0, t1 = p.time(n - 1), p.time(n)
         t_a, t_m = p.intermediate_times(n)
@@ -205,11 +208,10 @@ class ThetaScheme:
         def _solve(matrix, rhs, tag):
             return self._solve(matrix, rhs, n, tag)
 
-        fq0, lap0, pf0 = carry
+        fq0, b0, lap0, pf0 = carry
         fqa = sp_.eval_field_q4(self.forcing, t_a)
         fqm = sp_.eval_field_q4(self.forcing, t_m)
         fq1 = sp_.eval_field_q4(self.forcing, t1)
-        b0 = sp_.load_from_quad_values(fq0)
         ba = sp_.load_from_quad_values(fqa)
         bm = sp_.load_from_quad_values(fqm)
         b1 = sp_.load_from_quad_values(fq1)
@@ -242,4 +244,4 @@ class ThetaScheme:
             proj_f_prev=pf0, proj_f_theta=pfa, proj_f_onemtheta=pfm,
             proj_f_new=pf1,
             fq_prev=fq0, fq_theta=fqa, fq_onemtheta=fqm, fq_new=fq1,
-        )
+        ), (fq1, b1, lap_1, pf1)

@@ -8,37 +8,11 @@ the Dirichlet space, so plain PCG with a diagonal preconditioner is enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-
-_PRECONDITIONERS = ("none", "diagonal")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Stopping rule for :func:`solve_spd`.
-
-    ``max_iterations=None`` means ten times the system size.
-    """
-
-    rel_tolerance: float = 1e-12
-    max_iterations: int | None = None
-    preconditioner: str = "diagonal"
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tolerance <= 1e-6:
-            raise ConfigurationError(
-                f"rel_tolerance must lie in (0, 1e-6], got {self.rel_tolerance!r}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if self.preconditioner not in _PRECONDITIONERS:
-            raise ConfigurationError(
-                f"preconditioner must be one of {_PRECONDITIONERS}, "
-                f"got {self.preconditioner!r}")
+REL_TOLERANCE = 1e-12
+MAX_ITERATIONS_PER_DOF = 10
 
 
 class SolverError(RuntimeError):
@@ -50,16 +24,17 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-def solve_spd(matrix, rhs, config: SolverConfig | None = None) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by preconditioned conjugate gradients.
+def solve_spd(matrix, rhs) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` by diagonally preconditioned conjugate
+    gradients.
 
-    Returns x with ||matrix @ x - rhs||_2 <= rel_tolerance * ||rhs||_2,
-    re-checked against the true residual after convergence.  The iteration
-    is deterministic (fixed summation order), a zero right-hand side returns
-    an exact zero vector without iterating, and a non-finite one raises
-    without iterating.
+    Returns x with ||matrix @ x - rhs||_2 <= REL_TOLERANCE * ||rhs||_2,
+    re-checked against the true residual after convergence, and raises
+    SolverError after MAX_ITERATIONS_PER_DOF * n iterations without
+    convergence.  The iteration is deterministic (fixed summation order), a
+    zero right-hand side returns an exact zero vector without iterating, and
+    a non-finite one raises without iterating.
     """
-    config = config or SolverConfig()
     b = np.asarray(rhs, dtype=float)
     if b.ndim != 1:
         raise ValueError(f"rhs must be a vector, got shape {b.shape}")
@@ -73,19 +48,17 @@ def solve_spd(matrix, rhs, config: SolverConfig | None = None) -> np.ndarray:
         return np.zeros(n)
     if not math.isfinite(b_norm):
         raise SolverError("right-hand side is not finite", iterations=0)
-    tol = config.rel_tolerance * b_norm
-    max_it = config.max_iterations if config.max_iterations is not None else 10 * n
+    tol = REL_TOLERANCE * b_norm
+    max_it = MAX_ITERATIONS_PER_DOF * n
 
-    inv_diag = None
-    if config.preconditioner == "diagonal":
-        diag = np.asarray(matrix.diagonal(), dtype=float)
-        if np.any(diag <= 0.0):
-            raise SolverError("nonpositive diagonal entry; matrix is not SPD")
-        inv_diag = 1.0 / diag
+    diag = np.asarray(matrix.diagonal(), dtype=float)
+    if np.any(diag <= 0.0):
+        raise SolverError("nonpositive diagonal entry; matrix is not SPD")
+    inv_diag = 1.0 / diag
 
     x = np.zeros(n)
     r = b.copy()
-    z = r * inv_diag if inv_diag is not None else r
+    z = r * inv_diag
     p = z.copy()
     rz = float(r @ z)
     res = b_norm
@@ -108,7 +81,7 @@ def solve_spd(matrix, rhs, config: SolverConfig | None = None) -> np.ndarray:
                     f"residual {true_res:.3e}",
                     residual=true_res / b_norm, iterations=it)
             return x
-        z = r * inv_diag if inv_diag is not None else r
+        z = r * inv_diag
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

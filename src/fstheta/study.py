@@ -21,7 +21,6 @@ from .estimators import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
 from .fem import P1Space, ScalarField
 from .mesh import build_uniform_mesh
 from .scheme import (THETA_DEFAULT, SchemeParams, ThetaScheme, make_uniform_grid)
-from .solver import SolverConfig
 
 VARIANTS = ("two", "three", "both")
 
@@ -140,13 +139,12 @@ class RunReport:
 def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
                alpha1: float | None = None, alpha2: float | None = None,
                consts: ConstantsConfig | None = None,
-               solver_config: SolverConfig | None = None,
                final_time: float = 1.0, n_steps: int | None = None) -> RunReport:
     """Run one level with k = 2^-level (so k equals the grid spacing) and
     accumulate both estimator variants alongside the error metrics."""
     consts = consts or ConstantsConfig()
     mesh = build_uniform_mesh(level)
-    space = P1Space(mesh, solver_config)
+    space = P1Space(mesh)
     steps = n_steps if n_steps is not None else 2 ** level
     params = SchemeParams(make_uniform_grid(steps, final_time),
                           theta=theta, alpha1=alpha1, alpha2=alpha2)
@@ -211,7 +209,6 @@ class StudyResult:
 def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
               alpha1: float | None = None, alpha2: float | None = None,
               consts: ConstantsConfig | None = None,
-              solver_config: SolverConfig | None = None,
               final_time: float = 1.0,
               out_dir=None, fmt: str = "csv", variant: str = "both") -> StudyResult:
     """Run a sweep of levels for one case.
@@ -225,8 +222,7 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
         for level in levels:
             reports.append(run_single(
                 case, level, theta=theta, alpha1=alpha1, alpha2=alpha2,
-                consts=consts, solver_config=solver_config,
-                final_time=final_time))
+                consts=consts, final_time=final_time))
     except Exception:
         if out_dir is not None and reports:
             emit(reports, fmt=fmt, out_dir=out_dir, variant=variant)

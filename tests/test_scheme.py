@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
-                     SchemeParams, SolverConfig, SolverError, ThetaScheme,
+                     SchemeParams, SolverError, ThetaScheme,
                      build_uniform_mesh, glowinski_alpha, make_case,
                      make_uniform_grid, zero_field)
 from fstheta.scheme import THETA_DEFAULT
@@ -137,7 +137,7 @@ def test_unconditional_decay_without_forcing(alpha1, n_steps, final_time):
 
 def test_nonuniform_grid_supported(space3):
     # the harness only uses uniform steps, but the stepper must handle any
-    # increasing grid (one substep-matrix pair per distinct step size)
+    # increasing grid (the substep-matrix pair is rebuilt whenever k changes)
     p = SchemeParams(np.array([0.0, 0.3, 0.5, 1.0]))
     scheme = ThetaScheme(space3, p, zero_field())
     rng = np.random.default_rng(2)
@@ -148,6 +148,43 @@ def test_nonuniform_grid_supported(space3):
         norms.append(space3.l2_norm(rec.U_new))
     assert len(norms) == 4
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
+
+
+def test_alternating_step_sizes_match_fresh_single_steps(space3):
+    # k alternates exactly between 1/8 and 1/4, so the one cached pair is
+    # rebuilt on every step; each step must equal a fresh scheme's only step
+    case = make_case(1)
+    grid = np.concatenate([[0.0], np.cumsum([0.125, 0.25] * 4)])
+    assert np.diff(grid).tolist() == [0.125, 0.25] * 4
+    scheme = ThetaScheme(space3, SchemeParams(grid), case.forcing_f)
+    for rec in scheme.iter_steps(scheme.initial_state(case.u0)):
+        assert scheme._matrices[0] == rec.k
+        fresh = ThetaScheme(space3, SchemeParams(np.array([rec.t_prev, rec.t_new])),
+                            case.forcing_f)
+        once = next(fresh.iter_steps(rec.U_prev))
+        assert np.array_equal(rec.U_new.coeffs, once.U_new.coeffs)
+
+
+def test_three_loads_per_step_from_step_two(monkeypatch, space3):
+    # the end-of-step load is carried into the next step, which assembles
+    # only the loads at its three new time levels
+    calls = []
+    load = P1Space.load_from_quad_values
+
+    def counting(self, vals):
+        calls.append(1)
+        return load(self, vals)
+
+    monkeypatch.setattr(P1Space, "load_from_quad_values", counting)
+    case = make_case(1)
+    scheme = ThetaScheme(space3, _params(n_steps=4), case.forcing_f)
+    per_step, steps = [], scheme.iter_steps(space3.function())
+    while True:
+        before = len(calls)
+        if next(steps, None) is None:
+            break
+        per_step.append(len(calls) - before)
+    assert per_step == [4, 3, 3, 3]
 
 
 def test_compact_form_residual_small_on_case1(space3):
@@ -230,13 +267,26 @@ def test_nodal_quadrature_weights_integrate_linears():
         assert abs(w @ s - 0.5) <= 1e-14
 
 
-def test_solver_failure_identifies_step():
-    case = make_case(1)
-    space = P1Space(build_uniform_mesh(3), SolverConfig(max_iterations=1))
-    scheme = ThetaScheme(space, _params(), case.forcing_f)
+def test_solver_failure_identifies_step(monkeypatch, space3):
+    def failing(matrix, rhs):
+        raise SolverError("no convergence", residual=0.5, iterations=7)
+
+    monkeypatch.setattr("fstheta.scheme.solve_spd", failing)
+    scheme = ThetaScheme(space3, _params(), make_case(1).forcing_f)
     with pytest.raises(SolverError) as err:
-        next(scheme.iter_steps(space.function()))
-    assert "step 1" in str(err.value)
+        next(scheme.iter_steps(space3.function()))
+    assert str(err.value).startswith("step 1, ")
+    assert (err.value.residual, err.value.iterations) == (0.5, 7)
+
+
+def test_non_finite_initial_datum_names_the_projection(space3):
+    bad = ScalarField("nan", lambda x, y, t: np.full(np.shape(x), np.nan))
+    scheme = ThetaScheme(space3, _params(), zero_field())
+    with pytest.raises(SolverError) as err:
+        scheme.initial_state(bad)
+    assert str(err.value) == \
+        "step 0, initial projection: right-hand side is not finite"
+    assert err.value.iterations == 0
 
 
 def test_non_finite_forcing_fails_fast_naming_step_and_quantity():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fstheta import ConfigurationError, SolverConfig, SolverError, solve_spd
+from fstheta import SolverError, solve_spd
 
 
 def _random_spd(n, seed):
@@ -30,12 +30,10 @@ def test_two_by_two_hand_solution():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("precond", ["diagonal", "none"])
-def test_random_spd_residual_contract(seed, precond):
+def test_random_spd_residual_contract(seed):
     a = _random_spd(50, seed)
     b = np.random.default_rng(seed + 100).standard_normal(50)
-    cfg = SolverConfig(preconditioner=precond)
-    x = solve_spd(a, b, cfg)
+    x = solve_spd(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -58,11 +56,13 @@ def test_dimension_mismatch_raises():
 
 
 def test_nonconvergence_raises_with_residual():
-    a = _random_spd(50, 7)
-    b = np.ones(50)
-    with pytest.raises(SolverError) as err:
-        solve_spd(a, b, SolverConfig(max_iterations=2))
-    assert err.value.iterations == 2
+    # identity plus a skew part: the diagonal and every curvature p @ a @ p
+    # are positive, so no SPD check fires, but a is not symmetric and CG
+    # stalls until the iteration cap of ten per unknown
+    a = np.array([[1.0, -1.0], [1.0, 1.0]])
+    with pytest.raises(SolverError, match="no convergence") as err:
+        solve_spd(a, np.array([1.0, 0.0]))
+    assert err.value.iterations == 10 * 2
     assert np.isfinite(err.value.residual)
     assert err.value.residual > 0
 
@@ -73,18 +73,6 @@ def test_deterministic_bitwise():
     x1 = solve_spd(a, b)
     x2 = solve_spd(a, b)
     assert np.array_equal(x1, x2)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"rel_tolerance": 0.0},
-    {"rel_tolerance": -1e-12},
-    {"rel_tolerance": 1e-3},
-    {"max_iterations": 0},
-    {"preconditioner": "ilu"},
-])
-def test_config_validation(kwargs):
-    with pytest.raises(ConfigurationError):
-        SolverConfig(**kwargs)
 
 
 def test_not_spd_detected():

@@ -243,8 +243,7 @@ def test_cli_end_to_end(tmp_path):
 def test_cli_constant_overrides(tmp_path):
     out = tmp_path / "res"
     code = cli_main(["--case", "1", "--levels", "2", "--out", str(out),
-                     "--const", "C12=0.5", "--const", "C22=0.5",
-                     "--solver-tol", "1e-10"])
+                     "--const", "C12=0.5", "--const", "C22=0.5"])
     assert code == 0
 
 
@@ -252,6 +251,7 @@ def test_cli_constant_overrides(tmp_path):
     ["--levels", "5:3"],
     ["--const", "bogus=1.0"],
     ["--theta", "abc"],
+    ["--solver-tol", "1e-10"],
 ])
 def test_cli_rejects_bad_flags(args):
     with pytest.raises(SystemExit):
