@@ -53,13 +53,30 @@ _Q5_W = np.array([9.0 / 40.0] + [_Q5_W1] * 3 + [_Q5_W2] * 3)
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function of (x, y, t), vectorized over numpy arrays."""
+    """Scalar function of (x, y, t), vectorized over numpy arrays.
+
+    ``factors``, when set, is a triple (c, X, Y) of vectorized functions with
+    ``fn(x, y, t) == (c(t) * X(x)) * Y(y)`` bit for bit; ``P1Space`` then
+    evaluates X and Y on the distinct quadrature coordinates only.  Build
+    such a field with ``ScalarField.separable``, which derives ``fn`` from
+    the factors so that the two cannot disagree.
+    """
 
     name: str
     fn: Callable
+    factors: tuple[Callable, Callable, Callable] | None = None
 
     def __call__(self, x, y, t):
         return self.fn(x, y, t)
+
+    @classmethod
+    def separable(cls, name: str, c: Callable, X: Callable, Y: Callable) -> "ScalarField":
+        """The field (c(t) * X(x)) * Y(y), with the products grouped exactly
+        so."""
+        def fn(x, y, t):
+            return (c(t) * X(x)) * Y(y)
+
+        return cls(name, fn, (c, X, Y))
 
 
 def zero_field(name: str = "zero") -> ScalarField:
@@ -168,7 +185,9 @@ class P1Space:
     quadrature data.
 
     All operations are pure given the immutable mesh, so one instance can
-    be shared across concurrent runs.
+    be shared across concurrent runs.  The distinct coordinates of a rule's
+    points are tabulated on the first evaluation of a field with factors at
+    them; two concurrent first calls build the same table.
     """
 
     def __init__(self, mesh: Mesh):
@@ -184,6 +203,7 @@ class P1Space:
         self._q5_x = (pts[:, :, 0] @ _Q5_BARY.T)
         self._q5_y = (pts[:, :, 1] @ _Q5_BARY.T)
         self._q5_wa = mesh.tri_areas[:, None] * _Q5_W[None, :]
+        self._distinct: dict[str, tuple] = {}   # rule -> (xu, ix, yu, iy)
 
     # -- basic constructors -------------------------------------------------
 
@@ -207,7 +227,22 @@ class P1Space:
         return v.vertex_values()[self.mesh.triangles] @ _Q4_BARY.T
 
     def eval_field_q4(self, g: ScalarField, t: float) -> np.ndarray:
-        return _values(g, self._q4_x, self._q4_y, t)
+        return self._quad_field(g, "q4", t)
+
+    def _quad_field(self, g: ScalarField, rule: str, t: float) -> np.ndarray:
+        """g(., t) at the points of the degree-4 ("q4") or degree-5 ("q5")
+        rule.  A field with factors is evaluated on the distinct x and y
+        coordinates of the points and gathered back, grouped as
+        ``ScalarField.separable`` groups it, so the values equal g's own bit
+        for bit."""
+        x, y = (self._q4_x, self._q4_y) if rule == "q4" else (self._q5_x, self._q5_y)
+        if g.factors is None:
+            return _values(g, x, y, t)
+        if rule not in self._distinct:
+            self._distinct[rule] = (*_distinct_with_index(x), *_distinct_with_index(y))
+        xu, ix, yu, iy = self._distinct[rule]
+        c, fx, fy = g.factors
+        return (c(t) * np.take(fx(xu), ix)) * np.take(fy(yu), iy)
 
     def quad_norm(self, vals: np.ndarray) -> float:
         """L2 norm of a field given by its degree-4 quadrature values."""
@@ -291,7 +326,7 @@ class P1Space:
 
     def field_error_l2(self, g: ScalarField, t: float, v: FeFunction) -> float:
         """||g(.,t) - v|| by the degree-5 rule."""
-        gq = _values(g, self._q5_x, self._q5_y, t)
+        gq = self._quad_field(g, "q5", t)
         vq = v.vertex_values()[self.mesh.triangles] @ _Q5_BARY.T
         return float(np.sqrt((self._q5_wa * (gq - vq) ** 2).sum()))
 
@@ -299,12 +334,19 @@ class P1Space:
         """||grad g(.,t) - grad v|| by the degree-5 rule; ``g_grad`` is a
         (d/dx, d/dy) pair of fields."""
         gx, gy = g_grad
-        gxq = _values(gx, self._q5_x, self._q5_y, t)
-        gyq = _values(gy, self._q5_x, self._q5_y, t)
+        gxq = self._quad_field(gx, "q5", t)
+        gyq = self._quad_field(gy, "q5", t)
         gv = self.element_gradients(v)
         dx = gxq - gv[:, 0:1]
         dy = gyq - gv[:, 1:2]
         return float(np.sqrt((self._q5_wa * (dx ** 2 + dy ** 2)).sum()))
+
+
+def _distinct_with_index(coords: np.ndarray):
+    """Sorted distinct values of ``coords`` and the int32 index that gathers
+    them back into the shape of ``coords``."""
+    values, inverse = np.unique(coords.ravel(), return_inverse=True)
+    return values, inverse.astype(np.int32).reshape(coords.shape)
 
 
 def _values(g, x, y, t) -> np.ndarray:

@@ -19,6 +19,11 @@ from .solver import SolverError, solve_spd
 
 THETA_DEFAULT = 1.0 - math.sqrt(2.0) / 2.0
 
+# step sizes closer than this many units in the last place of the step's end
+# time share one substep-matrix pair: they differ by the rounding of the grid
+# nodes, not by the grid
+_STEP_MATCH_ULPS = 4
+
 
 def glowinski_alpha(theta: float) -> float:
     """Splitting weight that makes all three substep matrices proportional."""
@@ -139,7 +144,9 @@ class ThetaScheme:
     The scheme keeps the substep-matrix pair of the current step size only:
     it is reused while consecutive steps share k and rebuilt when k changes,
     so a grid whose every step has its own k holds one pair, not one per
-    step.  The time loop itself is sequential, but distinct runs sharing the
+    step.  Step sizes that differ only by the rounding of the grid nodes, as
+    those of ``make_uniform_grid`` do when N is not a power of two, count as
+    one k.  The time loop itself is sequential, but distinct runs sharing the
     same space are independent.
     """
 
@@ -149,8 +156,10 @@ class ThetaScheme:
         self.forcing = forcing
         self._matrices: tuple | None = None     # (k, a_theta, a_tilde)
 
-    def _substep_matrices(self, k: float):
-        if self._matrices is None or self._matrices[0] != k:
+    def _substep_matrices(self, k: float, t_new: float):
+        cached = self._matrices
+        if cached is None or \
+                abs(k - cached[0]) > _STEP_MATCH_ULPS * np.spacing(abs(t_new)):
             p = self.params
             M, K = self.space.mass, self.space.stiffness
             a_theta = (M * (1.0 / (p.theta * k)) + K * p.alpha1).tocsr()
@@ -202,7 +211,7 @@ class ThetaScheme:
         t0, t1 = p.time(n - 1), p.time(n)
         t_a, t_m = p.intermediate_times(n)
         k = t1 - t0
-        a_theta, a_tilde = self._substep_matrices(k)
+        a_theta, a_tilde = self._substep_matrices(k, t1)
         M, K = sp_.mass, sp_.stiffness
 
         def _solve(matrix, rhs, tag):

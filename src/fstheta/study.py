@@ -41,28 +41,26 @@ class CaseSpec:
 def _separable_case(case_id: int, time_factor, time_factor_dt, freq: float) -> CaseSpec:
     a = freq
 
-    def u(x, y, t):
-        return time_factor(t) * np.sin(a * x) * np.sin(a * y)
+    def sin_a(s):
+        return np.sin(a * s)
 
-    def ux(x, y, t):
-        return a * time_factor(t) * np.cos(a * x) * np.sin(a * y)
+    def cos_a(s):
+        return np.cos(a * s)
 
-    def uy(x, y, t):
-        return a * time_factor(t) * np.sin(a * x) * np.cos(a * y)
+    def grad_factor(t):
+        return a * time_factor(t)
 
-    def f(x, y, t):
-        return (time_factor_dt(t) + 2.0 * a * a * time_factor(t)) \
-            * np.sin(a * x) * np.sin(a * y)
+    def forcing_factor(t):
+        return time_factor_dt(t) + 2.0 * a * a * time_factor(t)
 
-    def u0(x, y, t):
-        return u(x, y, 0.0)
-
+    separable = ScalarField.separable
     return CaseSpec(
         case_id=case_id,
-        exact_u=ScalarField("u", u),
-        exact_grad_u=(ScalarField("du/dx", ux), ScalarField("du/dy", uy)),
-        forcing_f=ScalarField("f", f),
-        u0=ScalarField("u0", u0),
+        exact_u=separable("u", time_factor, sin_a, sin_a),
+        exact_grad_u=(separable("du/dx", grad_factor, cos_a, sin_a),
+                      separable("du/dy", grad_factor, sin_a, cos_a)),
+        forcing_f=separable("f", forcing_factor, sin_a, sin_a),
+        u0=separable("u0", lambda t: time_factor(0.0), sin_a, sin_a),
     )
 
 

@@ -2,6 +2,16 @@ import pytest
 
 from fstheta import run_study
 
+# fixtures that run the level-7 sweeps; tests using them are marked slow, so
+# `pytest -m "not slow"` gives a quick loop
+SLOW_FIXTURES = {"case1_sweep", "case2_sweep"}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if SLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
 
 @pytest.fixture(scope="session")
 def case1_sweep():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from fstheta import FeFunction, Mesh, ScalarField, StepRecord
+from fstheta import CaseSpec, FeFunction, Mesh, ScalarField, StepRecord
 from fstheta.estimators import correction_coeffs
 
 
@@ -177,3 +177,40 @@ def sympy_local_matrices(coords):
             gj = (sym.diff(lams[j], x), sym.diff(lams[j], y))
             stiff[i, j] = float(integrate(gi[0] * gj[0] + gi[1] * gj[1]))
     return mass, stiff
+
+
+def varstep_case() -> CaseSpec:
+    """u = sin(pi x) sin(pi y) sin(pi (x + 2y - 3t)): not of the form
+    g(t) s(x, y), so no separable shortcut applies."""
+    pi = math.pi
+    pi2 = pi * pi
+
+    def parts(x, y, t):
+        phase = pi * (x + 2.0 * y - 3.0 * t)
+        return (np.sin(pi * x), np.sin(pi * y), np.cos(pi * x), np.cos(pi * y),
+                np.sin(phase), np.cos(phase))
+
+    def u(x, y, t):
+        sx, sy, _, _, sp, _ = parts(x, y, t)
+        return sx * sy * sp
+
+    def ux(x, y, t):
+        sx, sy, cx, _, sp, cp = parts(x, y, t)
+        return pi * sy * (cx * sp + sx * cp)
+
+    def uy(x, y, t):
+        sx, sy, _, cy, sp, cp = parts(x, y, t)
+        return pi * sx * (cy * sp + 2.0 * sy * cp)
+
+    def f(x, y, t):
+        sx, sy, cx, cy, sp, cp = parts(x, y, t)
+        return (-3.0 * pi * sx * sy * cp + 7.0 * pi2 * sx * sy * sp
+                - 2.0 * pi2 * cx * sy * cp - 4.0 * pi2 * sx * cy * cp)
+
+    return CaseSpec(
+        case_id=0,
+        exact_u=ScalarField("u", u),
+        exact_grad_u=(ScalarField("du/dx", ux), ScalarField("du/dy", uy)),
+        forcing_f=ScalarField("f", f),
+        u0=ScalarField("u0", lambda x, y, t: u(x, y, 0.0)),
+    )

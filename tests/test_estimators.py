@@ -6,7 +6,7 @@ import scipy.linalg
 
 import fstheta.fem
 import fstheta.scheme
-from fstheta import (CaseSpec, ConstantsConfig, EstimatorAccumulator,
+from fstheta import (ConstantsConfig, EstimatorAccumulator,
                      EstimatorEngine, P1Space, ScalarField, SchemeParams,
                      ThetaScheme, build_uniform_mesh, coarsening_estimator,
                      elliptic_estimator, eoc, lap_substep_defect, make_case,
@@ -19,7 +19,8 @@ from fstheta.scheme import THETA_DEFAULT
 
 from helpers import (corrected_forcing_interpolant, fe_as_field,
                      forcing_interpolant, forcing_substep_defect,
-                     lap_time_interpolant, synthetic_record as _synthetic_record)
+                     lap_time_interpolant, synthetic_record as _synthetic_record,
+                     varstep_case)
 
 PI = np.pi
 
@@ -518,42 +519,6 @@ def test_engine_is_stateless(space2):
 
 # -- linear identities in place of solves -----------------------------------------
 
-def _varstep_case() -> CaseSpec:
-    """u = sin(pi x) sin(pi y) sin(pi (x + 2y - 3t)): not of the form
-    g(t) s(x, y), so no separable shortcut applies."""
-    pi, pi2 = PI, PI * PI
-
-    def parts(x, y, t):
-        phase = pi * (x + 2.0 * y - 3.0 * t)
-        return (np.sin(pi * x), np.sin(pi * y), np.cos(pi * x), np.cos(pi * y),
-                np.sin(phase), np.cos(phase))
-
-    def u(x, y, t):
-        sx, sy, _, _, sp, _ = parts(x, y, t)
-        return sx * sy * sp
-
-    def ux(x, y, t):
-        sx, sy, cx, _, sp, cp = parts(x, y, t)
-        return pi * sy * (cx * sp + sx * cp)
-
-    def uy(x, y, t):
-        sx, sy, _, cy, sp, cp = parts(x, y, t)
-        return pi * sx * (cy * sp + 2.0 * sy * cp)
-
-    def f(x, y, t):
-        sx, sy, cx, cy, sp, cp = parts(x, y, t)
-        return (-3.0 * pi * sx * sy * cp + 7.0 * pi2 * sx * sy * sp
-                - 2.0 * pi2 * cx * sy * cp - 4.0 * pi2 * sx * cy * cp)
-
-    return CaseSpec(
-        case_id=0,
-        exact_u=ScalarField("u", u),
-        exact_grad_u=(ScalarField("du/dx", ux), ScalarField("du/dy", uy)),
-        forcing_f=ScalarField("f", f),
-        u0=ScalarField("u0", lambda x, y, t: u(x, y, 0.0)),
-    )
-
-
 def _random_grid(seed, n_steps):
     """Grid on [0, 1] whose step sizes vary by up to +-50 % about 1/n_steps."""
     k = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps)
@@ -562,7 +527,7 @@ def _random_grid(seed, n_steps):
 
 @pytest.fixture(scope="module")
 def varstep_run(space3):
-    case = _varstep_case()
+    case = varstep_case()
     p = SchemeParams(_random_grid(4, 8))
     scheme = ThetaScheme(space3, p, case.forcing_f)
     records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
@@ -574,7 +539,7 @@ def _rel_diff(space, got, want):
 
 
 def test_varstep_case_forcing_matches_solution():
-    assert verify_forcing(_varstep_case()) <= 1e-5
+    assert verify_forcing(varstep_case()) <= 1e-5
 
 
 def test_projected_forcing_defect_identity(varstep_run):
@@ -609,7 +574,7 @@ def test_ten_solves_per_step_from_step_two(monkeypatch, space3):
 
     for module in (fstheta.scheme, fstheta.fem):
         monkeypatch.setattr(module, "solve_spd", counting(module.solve_spd))
-    case = _varstep_case()
+    case = varstep_case()
     p = SchemeParams(_random_grid(4, 8))
     scheme = ThetaScheme(space3, p, case.forcing_f)
     engine = EstimatorEngine(space3, p, case.forcing_f)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fstheta import (FeFunction, P1Space, ScalarField, assemble_mass,
-                     assemble_stiffness, build_uniform_mesh, eoc, zero_field)
+from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams, assemble_mass,
+                     assemble_stiffness, build_uniform_mesh, eoc, make_case,
+                     make_uniform_grid, zero_field)
+from fstheta.fem import _values as fem_values
 
-from helpers import fe_as_field, sympy_local_matrices
+from helpers import fe_as_field, sympy_local_matrices, varstep_case
 
 PI = np.pi
 SIN2 = ScalarField("sin.sin", lambda x, y, t: np.sin(PI * x) * np.sin(PI * y))
@@ -286,6 +288,85 @@ def test_interpolant_error_orders():
         hs.append(2.0 ** (-level))
     assert abs(eoc(l2s, hs)[-1] - 2.0) <= 0.15
     assert abs(eoc(h1s, hs)[-1] - 1.0) <= 0.1
+
+
+# -- fields with factors -----------------------------------------------------------
+
+def _case_fields(case):
+    return (case.exact_u, *case.exact_grad_u, case.forcing_f, case.u0)
+
+
+def _direct(field):
+    """The same field without its factors."""
+    return ScalarField(field.name, field.fn)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_factored_evaluation_equals_fn_bit_for_bit(level):
+    space = P1Space(build_uniform_mesh(level))
+    params = SchemeParams(make_uniform_grid(2 ** level, 1.0))
+    n = params.n_steps // 2 + 1
+    times = (params.time(0), *params.intermediate_times(n), params.time(n))
+    v = space.function(np.random.default_rng(level).standard_normal(space.n_dofs))
+    for cid in (1, 2, 3):
+        case = make_case(cid)
+        for field in _case_fields(case):
+            assert field.factors is not None
+            for t in times:
+                assert np.array_equal(space.eval_field_q4(field, t),
+                                      field(space._q4_x, space._q4_y, t))
+                assert np.array_equal(space._quad_field(field, "q5", t),
+                                      field(space._q5_x, space._q5_y, t))
+                assert space.field_error_l2(field, t, v) == \
+                    space.field_error_l2(_direct(field), t, v)
+        for t in times:
+            assert space.field_error_h1(case.exact_grad_u, t, v) == \
+                space.field_error_h1(tuple(map(_direct, case.exact_grad_u)), t, v)
+
+
+def test_field_without_factors_takes_the_direct_path():
+    space = P1Space(build_uniform_mesh(3))
+    case = varstep_case()
+    v = _random_fe(space)
+    for field in _case_fields(case):
+        assert field.factors is None
+        for t in (0.0, 0.3):
+            assert np.array_equal(space.eval_field_q4(field, t),
+                                  fem_values(field, space._q4_x, space._q4_y, t))
+            assert np.array_equal(space._quad_field(field, "q5", t),
+                                  fem_values(field, space._q5_x, space._q5_y, t))
+            space.field_error_l2(field, t, v)
+        space.field_error_h1(case.exact_grad_u, 0.3, v)
+    assert space._distinct == {}
+
+
+def test_factors_see_only_distinct_coordinates_and_tables_are_lazy():
+    space = P1Space(build_uniform_mesh(5))
+    assert space._distinct == {}
+    sizes = []
+
+    def counting(fn):
+        def wrapped(s):
+            sizes.append(np.size(s))
+            return fn(s)
+        return wrapped
+
+    c, fx, fy = make_case(1).forcing_f.factors
+    field = ScalarField.separable("f", c, counting(fx), counting(fy))
+    space.eval_field_q4(field, 0.25)
+    assert set(space._distinct) == {"q4"}
+    space.field_error_l2(field, 0.25, space.function())
+    assert set(space._distinct) == {"q4", "q5"}
+    n_distinct = max(np.unique(a).size for a in (space._q4_x, space._q4_y,
+                                                 space._q5_x, space._q5_y))
+    assert len(sizes) == 4
+    assert max(sizes) <= n_distinct < space._q4_x.size // 10
+
+
+def test_separable_constructor_groups_the_products():
+    field = ScalarField.separable("g", lambda t: 3.0 * t, np.exp, np.cos)
+    x, y = np.linspace(0.0, 1.0, 7), np.linspace(1.0, 2.0, 7)
+    assert np.array_equal(field(x, y, 0.7), ((3.0 * 0.7) * np.exp(x)) * np.cos(y))
 
 
 # -- FeFunction plumbing ---------------------------------------------------------

@@ -165,6 +165,19 @@ def test_alternating_step_sizes_match_fresh_single_steps(space3):
         assert np.array_equal(rec.U_new.coeffs, once.U_new.coeffs)
 
 
+def test_uniform_grid_with_rounded_steps_builds_one_pair(space3):
+    # arange(101) * 0.01 has 8 distinct step sizes that differ only in the
+    # last bits of the nodes; they must share one substep-matrix pair
+    p = _params(n_steps=100)
+    assert np.unique(np.diff(p.time_grid)).size == 8
+    scheme = ThetaScheme(space3, p, make_case(1).forcing_f)
+    pairs = []
+    for _ in scheme.iter_steps(space3.function()):
+        if not pairs or scheme._matrices is not pairs[-1]:
+            pairs.append(scheme._matrices)
+    assert len(pairs) == 1
+
+
 def test_three_loads_per_step_from_step_two(monkeypatch, space3):
     # the end-of-step load is carried into the next step, which assembles
     # only the loads at its three new time levels
