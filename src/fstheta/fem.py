@@ -187,7 +187,11 @@ class P1Space:
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs.  The distinct coordinates of a rule's
     points are tabulated on the first evaluation of a field with factors at
-    them; two concurrent first calls build the same table.
+    them, the facet-jump operator on the first ``jump_norm`` and the
+    element-weighted mass matrix of a power on the first
+    ``weighted_element_norm`` with it; two concurrent first calls build the
+    same table or operator.  Methods taking an ``FeFunction`` raise
+    ``ValueError`` for a function on another mesh.
     """
 
     def __init__(self, mesh: Mesh):
@@ -204,6 +208,12 @@ class P1Space:
         self._q5_y = (pts[:, :, 1] @ _Q5_BARY.T)
         self._q5_wa = mesh.tri_areas[:, None] * _Q5_W[None, :]
         self._distinct: dict[str, tuple] = {}   # rule -> (xu, ix, yu, iy)
+        self._jump: sp.csr_matrix | None = None
+        self._weighted_mass: dict[float, sp.csr_matrix] = {}   # power -> W_p
+
+    def _check(self, v: FeFunction) -> None:
+        if v.mesh is not self.mesh:
+            raise ValueError("function lives on a different mesh than the space")
 
     # -- basic constructors -------------------------------------------------
 
@@ -224,6 +234,7 @@ class P1Space:
 
     def eval_q4(self, v: FeFunction) -> np.ndarray:
         """FE values at the degree-4 quadrature points, shape (nt, 6)."""
+        self._check(v)
         return v.vertex_values()[self.mesh.triangles] @ _Q4_BARY.T
 
     def eval_field_q4(self, g: ScalarField, t: float) -> np.ndarray:
@@ -280,52 +291,76 @@ class P1Space:
     def discrete_laplacian(self, v: FeFunction) -> FeFunction:
         """The nonnegative operator d with (d, chi) = (grad v, grad chi) for
         every chi in the space; a mass solve of the stiffness product."""
+        self._check(v)
         return self.project_load(self.stiffness @ v.coeffs)
 
     # -- norms ---------------------------------------------------------------
 
     def l2_norm(self, v: FeFunction) -> float:
+        self._check(v)
         return float(np.sqrt(max(v.coeffs @ (self.mass @ v.coeffs), 0.0)))
 
     def h1_seminorm(self, v: FeFunction) -> float:
+        self._check(v)
         return float(np.sqrt(max(v.coeffs @ (self.stiffness @ v.coeffs), 0.0)))
 
-    def weighted_element_norm(self, v, power: float) -> float:
-        """(sum_K ||h_K^power v||_K^2)^{1/2}.
-
-        ``v`` is an FeFunction (element integrals exact for P1) or an array
-        of per-element constants.
-        """
-        h2p = self.mesh.tri_diameters ** (2.0 * power)
-        if isinstance(v, FeFunction):
-            loc = v.vertex_values()[self.mesh.triangles]   # (nt, 3)
-            integ = self.mesh.tri_areas / 12.0 * (
-                (loc ** 2).sum(axis=1) + loc.sum(axis=1) ** 2)
-        else:
-            c = np.asarray(v, dtype=float)
-            integ = self.mesh.tri_areas * c ** 2
-        return float(np.sqrt((h2p * integ).sum()))
+    def weighted_element_norm(self, v: FeFunction, power: float) -> float:
+        """(sum_K ||h_K^power v||_K^2)^{1/2}, exact for P1: the quadratic
+        form of the element-weighted mass matrix sum_K h_K^{2 power} M_K."""
+        self._check(v)
+        c = v.coeffs
+        return float(np.sqrt(max(c @ (self._weighted_mass_matrix(power) @ c), 0.0)))
 
     def element_gradients(self, v: FeFunction) -> np.ndarray:
         """Constant gradient of v per triangle, shape (nt, 2)."""
+        self._check(v)
         loc = v.vertex_values()[self.mesh.triangles]
         return np.einsum("ti,tid->td", loc, self._grads)
 
     def jump_norm(self, v: FeFunction, power: float) -> float:
         """(sum_e h_e^{2 power} J_e^2 |e|)^{1/2} with J_e the jump of the
         normal gradient component across interior facet e."""
-        m = self.mesh
-        grads = self.element_gradients(v)
-        gl = grads[m.facet_tris[:, 0]]
-        gr = grads[m.facet_tris[:, 1]]
-        jump = ((gl - gr) * m.facet_normals).sum(axis=1)
-        contrib = m.facet_lengths ** (2.0 * power) * jump ** 2 * m.facet_lengths
-        return float(np.sqrt(contrib.sum()))
+        self._check(v)
+        if self._jump is None:
+            self._jump = _facet_jump_operator(self.mesh, self._grads)
+        jump = self._jump @ v.coeffs
+        weights = self.mesh.facet_lengths ** (2.0 * power + 1.0)
+        return float(np.sqrt(weights @ (jump * jump)))
+
+    def _weighted_mass_matrix(self, power: float) -> sp.csr_matrix:
+        """W_p = sum_K h_K^{2 power} M_K on the interior dofs.  It has the
+        sparsity of ``mass`` and stores only its own data array."""
+        if power not in self._weighted_mass:
+            m = self.mesh
+            # M_K = |K|/12 (1 + delta_ij), so a diagonal entry sums 2 w_K over
+            # the triangles at its vertex and an off-diagonal one w_K over the
+            # two triangles at its edge, an interior facet.  Working per facet
+            # keeps the build's temporaries a third of those of a scatter of
+            # all 9 entries per triangle.  The canonical CSR of this pattern
+            # (diagonal plus interior edges) orders its data as ``mass`` does.
+            w = m.tri_areas * m.tri_diameters ** (2.0 * power) / 12.0
+            diag = 2.0 * np.bincount(m.triangles.ravel(), np.repeat(w, 3),
+                                     m.n_vertices)[m.interior_vertices]
+            ends = m.dof_map[m.facet_vertices]
+            inner = (ends >= 0).all(axis=1)
+            off = w[m.facet_tris[inner]].sum(axis=1)
+            ends = ends[inner]
+            dofs = np.arange(self.n_dofs)
+            weighted = sp.coo_matrix(
+                (np.concatenate([diag, off, off]),
+                 (np.concatenate([dofs, ends[:, 0], ends[:, 1]]),
+                  np.concatenate([dofs, ends[:, 1], ends[:, 0]]))),
+                shape=self.mass.shape).tocsr()
+            self._weighted_mass[power] = sp.csr_matrix(
+                (weighted.data, self.mass.indices, self.mass.indptr),
+                shape=self.mass.shape)
+        return self._weighted_mass[power]
 
     # -- errors against exact fields ------------------------------------------
 
     def field_error_l2(self, g: ScalarField, t: float, v: FeFunction) -> float:
         """||g(.,t) - v|| by the degree-5 rule."""
+        self._check(v)
         gq = self._quad_field(g, "q5", t)
         vq = v.vertex_values()[self.mesh.triangles] @ _Q5_BARY.T
         return float(np.sqrt((self._q5_wa * (gq - vq) ** 2).sum()))
@@ -333,6 +368,7 @@ class P1Space:
     def field_error_h1(self, g_grad, t: float, v: FeFunction) -> float:
         """||grad g(.,t) - grad v|| by the degree-5 rule; ``g_grad`` is a
         (d/dx, d/dy) pair of fields."""
+        self._check(v)
         gx, gy = g_grad
         gxq = self._quad_field(gx, "q5", t)
         gyq = self._quad_field(gy, "q5", t)
@@ -340,6 +376,44 @@ class P1Space:
         dx = gxq - gv[:, 0:1]
         dy = gyq - gv[:, 1:2]
         return float(np.sqrt((self._q5_wa * (dx ** 2 + dy ** 2)).sum()))
+
+
+def _facet_jump_operator(mesh: Mesh, grads: np.ndarray) -> sp.csr_matrix:
+    """n_interior_facets x n_dofs matrix whose row e maps the dof values of v
+    to (grad v|_L - grad v|_R) . n_e across facet e, with L, R =
+    ``facet_tris[e]`` and n_e = ``facet_normals[e]``.
+
+    Row e stores four entries: the facet's two vertices and the vertex of
+    each triangle opposite to it.  A boundary vertex carries no dof; its
+    entry is stored as a zero in column 0, so every row has the same length
+    and the CSR arrays are written directly, with int32 indices.
+    """
+    rows = np.arange(mesh.facet_tris.shape[0])
+    a, b = mesh.facet_vertices[:, 0], mesh.facet_vertices[:, 1]
+
+    def normal_derivative(tri, i):
+        # grad phi_i . n_e on triangle tri, i its local vertex index
+        return (grads[tri, i] * mesh.facet_normals).sum(axis=1)
+
+    verts, coeffs = [a, b], [0.0, 0.0]
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        tri = mesh.facet_tris[:, side]
+        local = mesh.triangles[tri]
+        ia = np.argmax(local == a[:, None], axis=1)
+        ib = np.argmax(local == b[:, None], axis=1)
+        io = 3 - ia - ib                            # the vertex opposite the facet
+        coeffs[0] = coeffs[0] + sign * normal_derivative(tri, ia)
+        coeffs[1] = coeffs[1] + sign * normal_derivative(tri, ib)
+        verts.append(local[rows, io])
+        coeffs.append(sign * normal_derivative(tri, io))
+    dofs = mesh.dof_map[np.column_stack(verts)].astype(np.int32)
+    data = np.column_stack(coeffs)
+    on_boundary = dofs < 0
+    data[on_boundary] = 0.0
+    dofs[on_boundary] = 0
+    indptr = np.arange(0, dofs.size + 1, 4, dtype=np.int32)
+    return sp.csr_matrix((data.ravel(), dofs.ravel(), indptr),
+                         shape=(rows.size, mesh.n_dofs))
 
 
 def _distinct_with_index(coords: np.ndarray):

@@ -52,6 +52,28 @@ def fe_as_field(fe: FeFunction) -> ScalarField:
     return ScalarField("fe", fn)
 
 
+def gathered_element_norm(space, v: FeFunction, power: float) -> float:
+    """(sum_K ||h_K^power v||_K^2)^{1/2} element by element from the gathered
+    vertex values: the exact P1 integral |K|/12 (sum_i v_i^2 + (sum_i v_i)^2)
+    per triangle."""
+    mesh = space.mesh
+    loc = v.vertex_values()[mesh.triangles]                 # (nt, 3)
+    integ = mesh.tri_areas / 12.0 * ((loc ** 2).sum(axis=1) + loc.sum(axis=1) ** 2)
+    return float(np.sqrt((mesh.tri_diameters ** (2.0 * power) * integ).sum()))
+
+
+def gathered_jump_norm(space, v: FeFunction, power: float) -> float:
+    """(sum_e h_e^{2 power} J_e^2 |e|)^{1/2} from the per-triangle gradients
+    of the two triangles at each interior facet."""
+    mesh = space.mesh
+    grads = space.element_gradients(v)
+    gl = grads[mesh.facet_tris[:, 0]]
+    gr = grads[mesh.facet_tris[:, 1]]
+    jump = ((gl - gr) * mesh.facet_normals).sum(axis=1)
+    contrib = mesh.facet_lengths ** (2.0 * power) * jump ** 2 * mesh.facet_lengths
+    return float(np.sqrt(contrib.sum()))
+
+
 def synthetic_record(space, n, t_prev, t_new, states, laps=None, projs=None,
                      fqs=None) -> StepRecord:
     """StepRecord from prescribed endpoint data (interior substep slots

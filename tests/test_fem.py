@@ -7,7 +7,8 @@ from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams, assemble_ma
                      make_uniform_grid, zero_field)
 from fstheta.fem import _values as fem_values
 
-from helpers import fe_as_field, sympy_local_matrices, varstep_case
+from helpers import (fe_as_field, gathered_element_norm, gathered_jump_norm,
+                     sympy_local_matrices, varstep_case)
 
 PI = np.pi
 SIN2 = ScalarField("sin.sin", lambda x, y, t: np.sin(PI * x) * np.sin(PI * y))
@@ -221,13 +222,6 @@ def test_weighted_element_norm_against_quadrature_oracle():
         assert abs(space.weighted_element_norm(v, power) - oracle) <= 1e-12
 
 
-def test_weighted_element_norm_piecewise_constant_input(space3):
-    c = np.full(space3.mesh.n_triangles, 3.0)
-    h = space3.mesh.tri_diameters[0]
-    # constant field of value 3: norm is 3 h^p over the unit-area domain
-    assert abs(space3.weighted_element_norm(c, 1.0) - 3.0 * h) <= 1e-13
-
-
 def test_jump_norm_against_facet_oracle():
     space = P1Space(build_uniform_mesh(2))
     mesh = space.mesh
@@ -255,6 +249,72 @@ def test_jump_norm_homogeneity(space3):
     base = space3.jump_norm(v, 1.5)
     for c in (-3.0, 0.5):
         assert abs(space3.jump_norm(c * v, 1.5) - abs(c) * base) <= 1e-12 * base
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_operator_norms_match_gathered_oracles(level):
+    space = P1Space(build_uniform_mesh(level))
+    v = _random_fe(space, seed=level)
+    for power in (0, 1, 2):
+        want = gathered_element_norm(space, v, power)
+        assert abs(space.weighted_element_norm(v, power) - want) <= 1e-12 * want
+    for power in (0.5, 1.5):
+        want = gathered_jump_norm(space, v, power)
+        assert abs(space.jump_norm(v, power) - want) <= 1e-12 * want
+    z = space.function()
+    assert space.weighted_element_norm(z, 2) == 0.0
+    assert space.jump_norm(z, 1.5) == 0.0
+
+
+def test_norm_operators_are_built_on_first_use():
+    space = P1Space(build_uniform_mesh(4))
+    assert space._jump is None and space._weighted_mass == {}
+    v = _random_fe(space)
+    space.jump_norm(v, 1.5)
+    jump = space._jump
+    assert jump.shape == (space.mesh.facet_tris.shape[0], space.n_dofs)
+    assert jump.nnz == 4 * jump.shape[0]
+    assert np.array_equal(np.diff(jump.indptr), np.full(jump.shape[0], 4))
+    assert jump.indices.dtype == np.int32 and jump.indptr.dtype == np.int32
+    space.weighted_element_norm(v, 2.0)
+    space.weighted_element_norm(v, 1.0)
+    assert set(space._weighted_mass) == {1.0, 2.0}
+    for weighted in space._weighted_mass.values():
+        assert np.shares_memory(weighted.indices, space.mass.indices)
+        assert np.shares_memory(weighted.indptr, space.mass.indptr)
+        assert not np.shares_memory(weighted.data, space.mass.data)
+    w2 = space._weighted_mass[2.0]
+    space.jump_norm(v, 0.5)
+    space.weighted_element_norm(v, 2.0)
+    assert space._jump is jump and space._weighted_mass[2.0] is w2
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_jumps_of_a_linear_interpolant_vanish_away_from_the_boundary(level):
+    space = P1Space(build_uniform_mesh(level))
+    mesh = space.mesh
+    v = space.nodal_interpolant(ScalarField("x+2y", lambda x, y, t: x + 2.0 * y), 0.0)
+    space.jump_norm(v, 1.5)
+    jumps = space._jump @ v.coeffs
+    touches_boundary = mesh.boundary_vertex_flags[mesh.triangles].any(axis=1)
+    away = ~touches_boundary[mesh.facet_tris].any(axis=1)
+    assert away.sum() > 0 and np.abs(jumps[away]).max() <= 1e-12
+    # near the boundary the zero trace bends the function, so jumps appear
+    assert np.abs(jumps[~away]).max() > 1.0
+
+
+def test_functions_from_another_mesh_are_rejected():
+    space = P1Space(build_uniform_mesh(3))
+    v = _random_fe(P1Space(build_uniform_mesh(4)))
+    calls = [lambda: space.l2_norm(v), lambda: space.h1_seminorm(v),
+             lambda: space.weighted_element_norm(v, 2.0),
+             lambda: space.jump_norm(v, 1.5), lambda: space.element_gradients(v),
+             lambda: space.eval_q4(v), lambda: space.discrete_laplacian(v),
+             lambda: space.field_error_l2(SIN2, 0.0, v),
+             lambda: space.field_error_h1(SIN2_GRAD, 0.0, v)]
+    for call in calls:
+        with pytest.raises(ValueError, match="different mesh"):
+            call()
 
 
 # -- errors against exact fields ------------------------------------------------
