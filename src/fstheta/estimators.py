@@ -215,12 +215,11 @@ class EstimatorEngine:
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField,
-                 consts: ConstantsConfig | None = None, transfer=None):
+                 consts: ConstantsConfig | None = None):
         self.space = space
         self.params = params
         self.forcing = forcing
         self.consts = consts or ConstantsConfig()
-        self.transfer = transfer
 
     # -- forcing corrections -------------------------------------------------
 
@@ -297,7 +296,7 @@ class EstimatorEngine:
 
         eta_u = elliptic_estimator(sp_, rec.U_new, cs, lap=rec.lap_new)
         delta = step_difference_estimator(sp_, rec, cs)
-        beta = coarsening_estimator(sp_, rec, self.transfer)
+        beta = coarsening_estimator(sp_, rec, None)   # fixed mesh: no transfer
         zeta1 = self.data_time_error(rec)
         zeta2 = self.data_projection_error(rec, xi_vals, proj_xi)
 

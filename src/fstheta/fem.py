@@ -106,9 +106,6 @@ class FeFunction:
         full[self.mesh.interior_vertices] = self.coeffs
         return full
 
-    def copy(self) -> "FeFunction":
-        return FeFunction(self.mesh, self.coeffs.copy())
-
     def _check(self, other: "FeFunction"):
         if other.mesh is not self.mesh:
             raise ValueError("operands live on different meshes")
@@ -185,13 +182,20 @@ class P1Space:
     quadrature data.
 
     All operations are pure given the immutable mesh, so one instance can
-    be shared across concurrent runs.  The distinct coordinates of a rule's
-    points are tabulated on the first evaluation of a field with factors at
-    them, the facet-jump operator on the first ``jump_norm`` and the
+    be shared across concurrent runs.  Built on first use, never in the
+    constructor: the coordinates of a rule's points on the first evaluation
+    of a field without factors at them; the distinct coordinates and their
+    intp gather indices on the first evaluation of a field with factors at
+    them, so a run whose fields all have factors stores no full coordinate
+    array; the facet-jump operator on the first ``jump_norm``; the
     element-weighted mass matrix of a power on the first
-    ``weighted_element_norm`` with it; two concurrent first calls build the
-    same table or operator.  Methods taking an ``FeFunction`` raise
-    ``ValueError`` for a function on another mesh.
+    ``weighted_element_norm`` with it; and the h-weighted degree-4
+    quadrature weights of a power on the first ``weighted_quad_norm`` with
+    it.  Two concurrent first calls build the same table, operator or
+    weights.  Methods taking an ``FeFunction`` raise
+    ``ValueError`` for a function on another mesh, and methods taking
+    degree-4 quadrature values raise it for an array not of shape
+    (n_triangles, 6).
     """
 
     def __init__(self, mesh: Mesh):
@@ -200,20 +204,24 @@ class P1Space:
         self.stiffness = assemble_stiffness(mesh)
 
         self._grads = _basis_gradients(mesh)
-        pts = mesh.vertices[mesh.triangles]      # (nt, 3, 2)
-        self._q4_x = (pts[:, :, 0] @ _Q4_BARY.T)
-        self._q4_y = (pts[:, :, 1] @ _Q4_BARY.T)
         self._q4_wa = mesh.tri_areas[:, None] * _Q4_W[None, :]
-        self._q5_x = (pts[:, :, 0] @ _Q5_BARY.T)
-        self._q5_y = (pts[:, :, 1] @ _Q5_BARY.T)
         self._q5_wa = mesh.tri_areas[:, None] * _Q5_W[None, :]
+        self._coords: dict[str, tuple] = {}     # rule -> (x, y)
         self._distinct: dict[str, tuple] = {}   # rule -> (xu, ix, yu, iy)
         self._jump: sp.csr_matrix | None = None
         self._weighted_mass: dict[float, sp.csr_matrix] = {}   # power -> W_p
+        self._weighted_q4_wa: dict[float, np.ndarray] = {}     # power -> h^2p wa
 
     def _check(self, v: FeFunction) -> None:
         if v.mesh is not self.mesh:
             raise ValueError("function lives on a different mesh than the space")
+
+    def _check_quad(self, vals: np.ndarray) -> None:
+        expected = self._q4_wa.shape
+        if np.shape(vals) != expected:
+            raise ValueError(
+                f"expected degree-4 quadrature values of shape (n_triangles, 6) "
+                f"= {expected}, got {np.shape(vals)}")
 
     # -- basic constructors -------------------------------------------------
 
@@ -245,25 +253,39 @@ class P1Space:
         rule.  A field with factors is evaluated on the distinct x and y
         coordinates of the points and gathered back, grouped as
         ``ScalarField.separable`` groups it, so the values equal g's own bit
-        for bit."""
-        x, y = (self._q4_x, self._q4_y) if rule == "q4" else (self._q5_x, self._q5_y)
+        for bit.  c(t) scales the distinct X values before the gather, which
+        gives the same products as scaling the gathered ones."""
         if g.factors is None:
-            return _values(g, x, y, t)
+            if rule not in self._coords:
+                self._coords[rule] = self._points(rule)
+            return _values(g, *self._coords[rule], t)
         if rule not in self._distinct:
+            x, y = self._points(rule)
             self._distinct[rule] = (*_distinct_with_index(x), *_distinct_with_index(y))
         xu, ix, yu, iy = self._distinct[rule]
         c, fx, fy = g.factors
-        return (c(t) * np.take(fx(xu), ix)) * np.take(fy(yu), iy)
+        return np.take(c(t) * fx(xu), ix) * np.take(fy(yu), iy)
+
+    def _points(self, rule: str) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of the points of the degree-4 ("q4") or degree-5 ("q5")
+        rule, each of shape (n_triangles, n_points)."""
+        bary = _Q4_BARY if rule == "q4" else _Q5_BARY
+        pts = self.mesh.vertices[self.mesh.triangles]      # (nt, 3, 2)
+        return pts[:, :, 0] @ bary.T, pts[:, :, 1] @ bary.T
 
     def quad_norm(self, vals: np.ndarray) -> float:
         """L2 norm of a field given by its degree-4 quadrature values."""
+        self._check_quad(vals)
         return float(np.sqrt((self._q4_wa * vals ** 2).sum()))
 
     def weighted_quad_norm(self, vals: np.ndarray, power: float) -> float:
         """Broken norm (sum_K h_K^{2 power} ||.||_K^2)^{1/2} from degree-4
         quadrature values."""
-        w = self.mesh.tri_diameters ** (2.0 * power)
-        return float(np.sqrt((w[:, None] * self._q4_wa * vals ** 2).sum()))
+        self._check_quad(vals)
+        if power not in self._weighted_q4_wa:
+            h_2p = self.mesh.tri_diameters ** (2.0 * power)
+            self._weighted_q4_wa[power] = h_2p[:, None] * self._q4_wa
+        return float(np.sqrt((self._weighted_q4_wa[power] * vals ** 2).sum()))
 
     # -- loads and projections ----------------------------------------------
 
@@ -272,6 +294,7 @@ class P1Space:
         return self.load_from_quad_values(self.eval_field_q4(g, t))
 
     def load_from_quad_values(self, vals: np.ndarray) -> np.ndarray:
+        self._check_quad(vals)
         contrib = (self._q4_wa * vals) @ _Q4_BARY          # (nt, 3)
         b = np.bincount(self.mesh.triangles.ravel(),
                         weights=contrib.ravel(),
@@ -417,10 +440,12 @@ def _facet_jump_operator(mesh: Mesh, grads: np.ndarray) -> sp.csr_matrix:
 
 
 def _distinct_with_index(coords: np.ndarray):
-    """Sorted distinct values of ``coords`` and the int32 index that gathers
-    them back into the shape of ``coords``."""
+    """Sorted distinct values of ``coords`` and the index that gathers them
+    back into the shape of ``coords``.  The index is intp, the dtype
+    ``np.take`` gathers with; narrower indices would be converted on every
+    gather."""
     values, inverse = np.unique(coords.ravel(), return_inverse=True)
-    return values, inverse.astype(np.int32).reshape(coords.shape)
+    return values, inverse.astype(np.intp, copy=False).reshape(coords.shape)
 
 
 def _values(g, x, y, t) -> np.ndarray:

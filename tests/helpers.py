@@ -74,6 +74,13 @@ def gathered_jump_norm(space, v: FeFunction, power: float) -> float:
     return float(np.sqrt(contrib.sum()))
 
 
+def summed_weighted_quad_norm(space, vals, power: float) -> float:
+    """(sum_K h_K^{2 power} ||.||_K^2)^{1/2} from degree-4 quadrature values,
+    with the weights h_K^{2 power} |K| w_q formed on every call."""
+    w = space.mesh.tri_diameters ** (2.0 * power)
+    return float(np.sqrt((w[:, None] * space._q4_wa * vals ** 2).sum()))
+
+
 def synthetic_record(space, n, t_prev, t_new, states, laps=None, projs=None,
                      fqs=None) -> StepRecord:
     """StepRecord from prescribed endpoint data (interior substep slots

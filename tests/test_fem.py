@@ -8,7 +8,7 @@ from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams, assemble_ma
 from fstheta.fem import _values as fem_values
 
 from helpers import (fe_as_field, gathered_element_norm, gathered_jump_norm,
-                     sympy_local_matrices, varstep_case)
+                     summed_weighted_quad_norm, sympy_local_matrices, varstep_case)
 
 PI = np.pi
 SIN2 = ScalarField("sin.sin", lambda x, y, t: np.sin(PI * x) * np.sin(PI * y))
@@ -317,6 +317,54 @@ def test_functions_from_another_mesh_are_rejected():
             call()
 
 
+# -- norms and loads of quadrature values -------------------------------------------
+
+def _random_quad_values(space, seed=0):
+    return np.random.default_rng(seed).standard_normal(space._q4_wa.shape)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_weighted_quad_norm_equals_summed_oracle_bit_for_bit(level):
+    space = P1Space(build_uniform_mesh(level))
+    vals = _random_quad_values(space, seed=level)
+    for power in (0.5, 1.0, 2.0):
+        for _ in range(2):   # the call that builds the weights and one reusing them
+            assert space.weighted_quad_norm(vals, power) == \
+                summed_weighted_quad_norm(space, vals, power)
+
+
+def test_quad_weights_are_built_once_per_power():
+    space = P1Space(build_uniform_mesh(4))
+    assert space._weighted_q4_wa == {}
+    vals = _random_quad_values(space)
+    space.weighted_quad_norm(vals, 1.0)
+    assert set(space._weighted_q4_wa) == {1.0}
+    weights = space._weighted_q4_wa[1.0]
+    assert weights.shape == space._q4_wa.shape
+    space.weighted_quad_norm(2.0 * vals, 1.0)
+    assert space._weighted_q4_wa[1.0] is weights
+    space.weighted_quad_norm(vals, 2.0)
+    assert set(space._weighted_q4_wa) == {1.0, 2.0}
+    assert space._weighted_q4_wa[1.0] is weights
+
+
+def test_quad_values_of_wrong_shape_are_rejected():
+    space = P1Space(build_uniform_mesh(3))
+    nt = space.mesh.n_triangles
+    calls = (space.quad_norm, lambda v: space.weighted_quad_norm(v, 1.0),
+             space.load_from_quad_values)
+    for shape in ((6,), (nt, 1), (nt, 7), (6, nt), (nt * 6,)):
+        bad = np.ones(shape)
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(bad)
+            assert f"({nt}, 6)" in str(info.value)
+            assert str(shape) in str(info.value)
+    good = _random_quad_values(space)
+    assert space.quad_norm(good) > 0.0
+    assert space.load_from_quad_values(good).shape == (space.n_dofs,)
+
+
 # -- errors against exact fields ------------------------------------------------
 
 def test_field_error_zero_case(space3):
@@ -368,15 +416,15 @@ def test_factored_evaluation_equals_fn_bit_for_bit(level):
     n = params.n_steps // 2 + 1
     times = (params.time(0), *params.intermediate_times(n), params.time(n))
     v = space.function(np.random.default_rng(level).standard_normal(space.n_dofs))
+    (x4, y4), (x5, y5) = space._points("q4"), space._points("q5")
     for cid in (1, 2, 3):
         case = make_case(cid)
         for field in _case_fields(case):
             assert field.factors is not None
             for t in times:
-                assert np.array_equal(space.eval_field_q4(field, t),
-                                      field(space._q4_x, space._q4_y, t))
+                assert np.array_equal(space.eval_field_q4(field, t), field(x4, y4, t))
                 assert np.array_equal(space._quad_field(field, "q5", t),
-                                      field(space._q5_x, space._q5_y, t))
+                                      field(x5, y5, t))
                 assert space.field_error_l2(field, t, v) == \
                     space.field_error_l2(_direct(field), t, v)
         for t in times:
@@ -388,21 +436,23 @@ def test_field_without_factors_takes_the_direct_path():
     space = P1Space(build_uniform_mesh(3))
     case = varstep_case()
     v = _random_fe(space)
+    (x4, y4), (x5, y5) = space._points("q4"), space._points("q5")
     for field in _case_fields(case):
         assert field.factors is None
         for t in (0.0, 0.3):
             assert np.array_equal(space.eval_field_q4(field, t),
-                                  fem_values(field, space._q4_x, space._q4_y, t))
+                                  fem_values(field, x4, y4, t))
             assert np.array_equal(space._quad_field(field, "q5", t),
-                                  fem_values(field, space._q5_x, space._q5_y, t))
+                                  fem_values(field, x5, y5, t))
             space.field_error_l2(field, t, v)
         space.field_error_h1(case.exact_grad_u, 0.3, v)
     assert space._distinct == {}
+    assert set(space._coords) == {"q4", "q5"}
 
 
 def test_factors_see_only_distinct_coordinates_and_tables_are_lazy():
     space = P1Space(build_uniform_mesh(5))
-    assert space._distinct == {}
+    assert space._distinct == {} and space._coords == {}
     sizes = []
 
     def counting(fn):
@@ -417,10 +467,25 @@ def test_factors_see_only_distinct_coordinates_and_tables_are_lazy():
     assert set(space._distinct) == {"q4"}
     space.field_error_l2(field, 0.25, space.function())
     assert set(space._distinct) == {"q4", "q5"}
-    n_distinct = max(np.unique(a).size for a in (space._q4_x, space._q4_y,
-                                                 space._q5_x, space._q5_y))
+    coords = (*space._points("q4"), *space._points("q5"))
+    n_distinct = max(np.unique(a).size for a in coords)
     assert len(sizes) == 4
-    assert max(sizes) <= n_distinct < space._q4_x.size // 10
+    assert max(sizes) <= n_distinct < coords[0].size // 10
+    # a field with factors keeps only the distinct tables, no full coordinates
+    assert space._coords == {}
+
+
+def test_distinct_indices_are_intp_and_gather_the_coordinates():
+    # np.take converts narrower indices to intp on every gather
+    space = P1Space(build_uniform_mesh(4))
+    field = make_case(1).forcing_f
+    space.eval_field_q4(field, 0.25)
+    space.field_error_l2(field, 0.25, space.function())
+    for rule in ("q4", "q5"):
+        x, y = space._points(rule)
+        xu, ix, yu, iy = space._distinct[rule]
+        assert ix.dtype == np.intp and iy.dtype == np.intp
+        assert np.array_equal(xu[ix], x) and np.array_equal(yu[iy], y)
 
 
 def test_separable_constructor_groups_the_products():
