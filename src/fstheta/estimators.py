@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fem import FeFunction, P1Space, ScalarField
-from .scheme import THETA_DEFAULT, SchemeParams, StepRecord
+from .scheme import THETA_DEFAULT, SchemeParams, StepRecord, substep_defect
 
 _SQRT30 = math.sqrt(30.0)
 _GAUSS3_OFFSETS = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
@@ -63,43 +63,8 @@ def quadrature_exactness_check(alpha: float, theta: float = THETA_DEFAULT) -> fl
     return max(defect_const, defect_lin)
 
 
-def correction_coeffs(theta: float, alpha: float) -> tuple[float, float, float, float]:
-    """Weights (c0, c1, ca, cm) of the substep-defect corrections: the
-    correction equals c0*v(t^{n-1}) + c1*v(t^n) - ca*v(t^{n-1+theta})
-    - cm*v(t^{n-theta})."""
-    beta = 1.0 - alpha
-    tt = 1.0 - theta
-    return (tt * (alpha * (1.0 - theta) + beta * theta),
-            tt * (alpha * theta + beta * (1.0 - theta)),
-            tt * alpha,
-            tt * beta)
-
-
 # ---------------------------------------------------------------------------
 # per-step fields
-
-
-def _substep_defect(theta: float, alpha: float, v_prev, v_theta, v_onemtheta,
-                   v_new):
-    """How far the interior substep values sit from the endpoint values,
-    weighted by ``correction_coeffs(theta, alpha)``."""
-    c0, c1, ca, cm = correction_coeffs(theta, alpha)
-    return c0 * v_prev + c1 * v_new - ca * v_theta - cm * v_onemtheta
-
-
-def lap_substep_defect(rec: StepRecord, params: SchemeParams) -> FeFunction:
-    """Substep-defect correction of the discrete Laplacians (weights
-    alpha1/beta1)."""
-    return _substep_defect(params.theta, params.alpha1, rec.lap_prev,
-                           rec.lap_theta, rec.lap_onemtheta, rec.lap_new)
-
-
-def proj_forcing_substep_defect(rec: StepRecord, params: SchemeParams) -> FeFunction:
-    """L2 projection of the forcing's substep-defect correction (weights
-    alpha2/beta2).  Projection is linear, so this is the same combination of
-    the projected forcing values the step already holds."""
-    return _substep_defect(params.theta, params.alpha2, rec.proj_f_prev,
-                           rec.proj_f_theta, rec.proj_f_onemtheta, rec.proj_f_new)
 
 
 def recon_coeff_two_level(rec: StepRecord) -> FeFunction:
@@ -225,9 +190,9 @@ class EstimatorEngine:
 
     def xi_phi_quad_values(self, rec: StepRecord) -> np.ndarray:
         """Substep-defect correction of the forcing at the quadrature points."""
-        return _substep_defect(self.params.theta, self.params.alpha2,
-                               rec.fq_prev, rec.fq_theta, rec.fq_onemtheta,
-                               rec.fq_new)
+        return substep_defect(self.params.theta, self.params.alpha2,
+                              rec.fq_prev, rec.fq_theta, rec.fq_onemtheta,
+                              rec.fq_new)
 
     def data_time_error(self, rec: StepRecord) -> float:
         """Mean interpolation error of the forcing over the step,
@@ -261,11 +226,9 @@ class EstimatorEngine:
         corrected forcing.  Vanishes to solver tolerance when the substep
         algebra and the corrections are consistent."""
         sp_ = self.space
-        xi_theta = lap_substep_defect(rec, self.params)
-        proj_xi_phi = proj_forcing_substep_defect(rec, self.params)
         slope = (rec.U_new - rec.U_prev) / rec.k
-        theta_hat = 0.5 * (rec.lap_prev + rec.lap_new) - xi_theta
-        phi_hat = 0.5 * (rec.proj_f_prev + rec.proj_f_new) - proj_xi_phi
+        theta_hat = 0.5 * (rec.lap_prev + rec.lap_new) - rec.xi_theta
+        phi_hat = 0.5 * (rec.proj_f_prev + rec.proj_f_new) - rec.proj_xi_phi
         resid = slope + theta_hat - phi_hat
         scale = max(sp_.l2_norm(slope), sp_.l2_norm(theta_hat),
                     sp_.l2_norm(phi_hat))
@@ -277,16 +240,14 @@ class EstimatorEngine:
 
     def step_estimates(self, rec: StepRecord,
                        prev_rec: StepRecord | None = None) -> StepEstimates:
-        sp_, p, cs = self.space, self.params, self.consts
+        sp_, cs = self.space, self.consts
         k = rec.k
         k_prev = prev_rec.k if prev_rec is not None else 0.0
 
-        xi_t = lap_substep_defect(rec, p)
-        norm_xi_t = sp_.l2_norm(xi_t)
+        norm_xi_t = sp_.l2_norm(rec.xi_theta)
         xi_vals = self.xi_phi_quad_values(rec)
         norm_xi_phi = sp_.quad_norm(xi_vals)
-        proj_xi = proj_forcing_substep_defect(rec, p)
-        norm_proj_xi = sp_.l2_norm(proj_xi)
+        norm_proj_xi = sp_.l2_norm(rec.proj_xi_phi)
 
         w = recon_coeff_two_level(rec)
         lap_w = sp_.discrete_laplacian(w)
@@ -298,7 +259,7 @@ class EstimatorEngine:
         delta = step_difference_estimator(sp_, rec, cs)
         beta = coarsening_estimator(sp_, rec, None)   # fixed mesh: no transfer
         zeta1 = self.data_time_error(rec)
-        zeta2 = self.data_projection_error(rec, xi_vals, proj_xi)
+        zeta2 = self.data_projection_error(rec, xi_vals, rec.proj_xi_phi)
 
         if prev_rec is not None:
             wt, lap_dd, f_dd = recon_coeff_three_level(rec, prev_rec)
@@ -348,10 +309,6 @@ class EstimatorReport:
 
     columns: tuple[str, ...]
     rows: list[tuple]
-
-    def series(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([row[i] for row in self.rows])
 
     def final(self, name: str) -> float:
         if not self.rows:

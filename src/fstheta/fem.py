@@ -129,9 +129,6 @@ class FeFunction:
     def __neg__(self):
         return FeFunction(self.mesh, -self.coeffs)
 
-    def save_text(self, path) -> None:
-        np.savetxt(path, self.coeffs)
-
 
 def _local_mass_pattern() -> np.ndarray:
     # exact P1 mass on a triangle of unit area
@@ -234,10 +231,6 @@ class P1Space:
             coeffs = np.zeros(self.mesh.n_dofs)
         return FeFunction(self.mesh, coeffs)
 
-    def nodal_interpolant(self, g: ScalarField, t: float) -> FeFunction:
-        xy = self.mesh.vertices[self.mesh.interior_vertices]
-        return self.function(_values(g, xy[:, 0], xy[:, 1], t))
-
     # -- quadrature evaluation ----------------------------------------------
 
     def eval_q4(self, v: FeFunction) -> np.ndarray:
@@ -304,9 +297,6 @@ class P1Space:
     def l2_project(self, g: ScalarField, t: float) -> FeFunction:
         """L2 projection onto the Dirichlet space (mass solve)."""
         return self.project_load(self.load_vector(g, t))
-
-    def project_quad_values(self, vals: np.ndarray) -> FeFunction:
-        return self.project_load(self.load_from_quad_values(vals))
 
     def project_load(self, load: np.ndarray) -> FeFunction:
         return self.function(solve_spd(self.mass, load))

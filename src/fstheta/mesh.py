@@ -6,8 +6,6 @@ afterwards, so instances can be shared read-only between concurrent runs.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -123,10 +121,3 @@ def build_uniform_mesh(level: int) -> Mesh:
     diagonal."""
     return Mesh(level)
 
-
-def write_mesh_text(mesh: Mesh, path) -> None:
-    """Dump the mesh as plain text: one "x y" line per vertex followed by one
-    0-based "i j k" line per triangle.  Debugging aid only."""
-    lines = [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices]
-    lines += [f"{a} {b} {c}" for a, b, c in mesh.triangles]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -39,6 +39,27 @@ def make_uniform_grid(n_steps: int, final_time: float) -> np.ndarray:
     return np.arange(n_steps + 1) * (final_time / n_steps)
 
 
+def correction_coeffs(theta: float, alpha: float) -> tuple[float, float, float, float]:
+    """Weights (c0, c1, ca, cm) of the substep-defect corrections: the
+    correction equals c0*v(t^{n-1}) + c1*v(t^n) - ca*v(t^{n-1+theta})
+    - cm*v(t^{n-theta})."""
+    beta = 1.0 - alpha
+    tt = 1.0 - theta
+    return (tt * (alpha * (1.0 - theta) + beta * theta),
+            tt * (alpha * theta + beta * (1.0 - theta)),
+            tt * alpha,
+            tt * beta)
+
+
+def substep_defect(theta: float, alpha: float, v_prev, v_theta, v_onemtheta,
+                   v_new):
+    """How far the interior substep values sit from the endpoint values,
+    weighted by ``correction_coeffs(theta, alpha)``.  The values may be
+    arrays or FE functions; the combination is linear in them."""
+    c0, c1, ca, cm = correction_coeffs(theta, alpha)
+    return c0 * v_prev + c1 * v_new - ca * v_theta - cm * v_onemtheta
+
+
 @dataclass
 class SchemeParams:
     """Splitting weights and time grid of the three-substep integrator.
@@ -109,9 +130,14 @@ class SchemeParams:
 
 @dataclass
 class StepRecord:
-    """Everything one time step produces: the three substep states, their
-    discrete Laplacians, projected forcing values, and cached forcing samples
-    at the quadrature points (reused by the estimators)."""
+    """Everything one time step produces: the substep states, the discrete
+    Laplacians and projected forcing values at the step's two ends, the two
+    substep-defect corrections, and cached forcing samples at the quadrature
+    points (reused by the estimators).
+
+    ``xi_theta`` is the substep-defect correction of the discrete Laplacians
+    (weights alpha1/beta1) and ``proj_xi_phi`` the L2 projection of the
+    forcing's correction (weights alpha2/beta2)."""
 
     n: int
     t_prev: float
@@ -121,13 +147,11 @@ class StepRecord:
     U_onemtheta: FeFunction
     U_new: FeFunction
     lap_prev: FeFunction
-    lap_theta: FeFunction
-    lap_onemtheta: FeFunction
     lap_new: FeFunction
     proj_f_prev: FeFunction
-    proj_f_theta: FeFunction
-    proj_f_onemtheta: FeFunction
     proj_f_new: FeFunction
+    xi_theta: FeFunction
+    proj_xi_phi: FeFunction
     fq_prev: np.ndarray = field(repr=False, default=None)
     fq_theta: np.ndarray = field(repr=False, default=None)
     fq_onemtheta: np.ndarray = field(repr=False, default=None)
@@ -238,19 +262,23 @@ class ThetaScheme:
             + al2 * b1 + be2 * bm
         u_1 = _solve(a_theta, rhs, "third substep")
 
-        lap_a = sp_.function(_solve(M, K @ u_a, "laplacian at t^{n-1+theta}"))
-        lap_m = sp_.function(_solve(M, K @ u_m, "laplacian at t^{n-theta}"))
+        # the discrete Laplacian and the projection are linear, so each
+        # substep-defect correction takes one mass solve of the same
+        # combination of stiffness products or loads
         lap_1 = sp_.function(_solve(M, K @ u_1, "laplacian at t^n"))
-        pfa = sp_.function(_solve(M, ba, "forcing projection at t^{n-1+theta}"))
-        pfm = sp_.function(_solve(M, bm, "forcing projection at t^{n-theta}"))
         pf1 = sp_.function(_solve(M, b1, "forcing projection at t^n"))
+        defect = substep_defect(p.theta, al1, prev.coeffs, u_a, u_m, u_1)
+        xi_theta = sp_.function(_solve(M, K @ defect,
+                                       "laplacian substep defect"))
+        xi_phi_load = substep_defect(p.theta, al2, b0, ba, bm, b1)
+        proj_xi_phi = sp_.function(_solve(M, xi_phi_load,
+                                          "forcing projection substep defect"))
 
         return StepRecord(
             n=n, t_prev=t0, t_new=t1,
             U_prev=prev, U_theta=sp_.function(u_a),
             U_onemtheta=sp_.function(u_m), U_new=sp_.function(u_1),
-            lap_prev=lap0, lap_theta=lap_a, lap_onemtheta=lap_m, lap_new=lap_1,
-            proj_f_prev=pf0, proj_f_theta=pfa, proj_f_onemtheta=pfm,
-            proj_f_new=pf1,
+            lap_prev=lap0, lap_new=lap_1, proj_f_prev=pf0, proj_f_new=pf1,
+            xi_theta=xi_theta, proj_xi_phi=proj_xi_phi,
             fq_prev=fq0, fq_theta=fqa, fq_onemtheta=fqm, fq_new=fq1,
         ), (fq1, b1, lap_1, pf1)

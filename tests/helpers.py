@@ -4,9 +4,10 @@ from the library code paths they check."""
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from fstheta import CaseSpec, FeFunction, Mesh, ScalarField, StepRecord
-from fstheta.estimators import correction_coeffs
+from fstheta.scheme import correction_coeffs, substep_defect
 
 
 def enumerate_edges(triangles):
@@ -83,8 +84,9 @@ def summed_weighted_quad_norm(space, vals, power: float) -> float:
 
 def synthetic_record(space, n, t_prev, t_new, states, laps=None, projs=None,
                      fqs=None) -> StepRecord:
-    """StepRecord from prescribed endpoint data (interior substep slots
-    reuse the endpoints; fine for quantities that ignore them)."""
+    """StepRecord from prescribed endpoint data (interior substep states
+    reuse the endpoints and both substep-defect corrections are zero; fine
+    for quantities that ignore them)."""
     zero = space.function()
     laps = laps if laps is not None else (zero, zero)
     projs = projs if projs is not None else (zero, zero)
@@ -94,12 +96,51 @@ def synthetic_record(space, n, t_prev, t_new, states, laps=None, projs=None,
         n=n, t_prev=t_prev, t_new=t_new,
         U_prev=states[0], U_theta=states[0], U_onemtheta=states[1],
         U_new=states[1],
-        lap_prev=laps[0], lap_theta=laps[0], lap_onemtheta=laps[1],
-        lap_new=laps[1],
-        proj_f_prev=projs[0], proj_f_theta=projs[0],
-        proj_f_onemtheta=projs[1], proj_f_new=projs[1],
+        lap_prev=laps[0], lap_new=laps[1],
+        proj_f_prev=projs[0], proj_f_new=projs[1],
+        xi_theta=zero, proj_xi_phi=zero,
         fq_prev=fqs[0], fq_theta=fqs[1], fq_onemtheta=fqs[2], fq_new=fqs[3],
     )
+
+
+def nodal_interpolant(space, g: ScalarField, t: float) -> FeFunction:
+    """FE function with the values of g(., t) at the interior vertices."""
+    xy = space.mesh.vertices[space.mesh.interior_vertices]
+    return space.function(g(xy[:, 0], xy[:, 1], t))
+
+
+def project_quad_values(space, vals) -> FeFunction:
+    """L2 projection of a field given by its degree-4 quadrature values."""
+    return space.project_load(space.load_from_quad_values(vals))
+
+
+def four_laplacian_xi_theta(space, params, rec: StepRecord) -> FeFunction:
+    """Substep-defect correction of the discrete Laplacians formed from one
+    mass solve per substep state (weights alpha1/beta1)."""
+    laps = [space.discrete_laplacian(v)
+            for v in (rec.U_prev, rec.U_theta, rec.U_onemtheta, rec.U_new)]
+    return substep_defect(params.theta, params.alpha1, *laps)
+
+
+def direct_xi_theta(space, params, rec: StepRecord) -> FeFunction:
+    """M^{-1} K applied to the substep-defect combination of the states, by a
+    sparse LU factorization of the mass matrix instead of CG."""
+    defect = substep_defect(params.theta, params.alpha1, rec.U_prev.coeffs,
+                            rec.U_theta.coeffs, rec.U_onemtheta.coeffs,
+                            rec.U_new.coeffs)
+    lu = spla.splu(space.mass.tocsc())
+    return space.function(lu.solve(space.stiffness @ defect))
+
+
+def scaled_case(case: CaseSpec, lam: float) -> CaseSpec:
+    """The case with every field multiplied by lam."""
+    def scaled(field: ScalarField) -> ScalarField:
+        return ScalarField(f"{lam}*{field.name}",
+                           lambda x, y, t: lam * field(x, y, t))
+
+    return CaseSpec(case.case_id, scaled(case.exact_u),
+                    tuple(scaled(g) for g in case.exact_grad_u),
+                    scaled(case.forcing_f), scaled(case.u0))
 
 
 def lap_time_interpolant(rec: StepRecord, t: float) -> FeFunction:

@@ -9,18 +9,18 @@ import fstheta.scheme
 from fstheta import (ConstantsConfig, EstimatorAccumulator,
                      EstimatorEngine, P1Space, ScalarField, SchemeParams,
                      ThetaScheme, build_uniform_mesh, coarsening_estimator,
-                     elliptic_estimator, eoc, lap_substep_defect, make_case,
-                     make_uniform_grid, proj_forcing_substep_defect,
+                     elliptic_estimator, eoc, make_case, make_uniform_grid,
                      quadrature_exactness_check, recon_coeff_three_level,
                      recon_coeff_two_level, step_difference_estimator,
                      time_weight, verify_forcing, zero_field)
-from fstheta.estimators import REPORT_COLUMNS, StepEstimates, correction_coeffs
-from fstheta.scheme import THETA_DEFAULT
+from fstheta.estimators import REPORT_COLUMNS, StepEstimates
+from fstheta.scheme import THETA_DEFAULT, correction_coeffs
 
-from helpers import (corrected_forcing_interpolant, fe_as_field,
-                     forcing_interpolant, forcing_substep_defect,
-                     lap_time_interpolant, synthetic_record as _synthetic_record,
-                     varstep_case)
+from helpers import (corrected_forcing_interpolant, direct_xi_theta,
+                     fe_as_field, forcing_interpolant, forcing_substep_defect,
+                     four_laplacian_xi_theta, lap_time_interpolant,
+                     nodal_interpolant, project_quad_values,
+                     synthetic_record as _synthetic_record, varstep_case)
 
 PI = np.pi
 
@@ -80,9 +80,11 @@ def test_lap_interpolant_endpoints(space2):
 
 
 def test_corrections_vanish_on_zero_trajectory(space2):
-    z = space2.function()
-    rec = _synthetic_record(space2, 1, 0.0, 0.25, (z, z))
-    assert (lap_substep_defect(rec, _params()).coeffs == 0.0).all()
+    p = _params()
+    scheme = ThetaScheme(space2, p, zero_field())
+    for rec in scheme.iter_steps(scheme.initial_state()):
+        assert (rec.xi_theta.coeffs == 0.0).all()
+        assert (rec.proj_xi_phi.coeffs == 0.0).all()
 
 
 def test_correction_coeffs_sum():
@@ -228,7 +230,7 @@ def test_elliptic_estimator_second_order_on_interpolants():
     vals, hs = [], []
     for level in (3, 4, 5, 6):
         space = P1Space(build_uniform_mesh(level))
-        vals.append(elliptic_estimator(space, space.nodal_interpolant(g, 0.0),
+        vals.append(elliptic_estimator(space, nodal_interpolant(space, g, 0.0),
                                        consts))
         hs.append(2.0 ** (-level))
     orders = eoc(vals, hs)
@@ -313,7 +315,7 @@ def test_data_errors_vanish_for_time_linear_fe_forcing(space2):
     xi_vals = engine.xi_phi_quad_values(rec)
     assert np.abs(xi_vals).max() <= 1e-12
     assert engine.data_time_error(rec) <= 1e-12
-    proj_xi = space2.project_quad_values(xi_vals)
+    proj_xi = project_quad_values(space2, xi_vals)
     assert engine.data_projection_error(rec, xi_vals, proj_xi) <= 1e-9
 
 
@@ -323,7 +325,7 @@ def test_data_projection_error_positive_for_rough_forcing(space2):
     engine, rec, _ = _engine_record(space2, f)
     xi_vals = engine.xi_phi_quad_values(rec)
     assert engine.data_time_error(rec) <= 1e-12
-    proj_xi = space2.project_quad_values(xi_vals)
+    proj_xi = project_quad_values(space2, xi_vals)
     assert engine.data_projection_error(rec, xi_vals, proj_xi) > 1e-3
 
 
@@ -480,8 +482,8 @@ def test_report_columns_nondecreasing_and_estimates_nonnegative(space2):
         acc.add(se)
         prev = rec
     report = acc.report()
-    for col in REPORT_COLUMNS[2:]:
-        series = report.series(col)
+    for i, col in enumerate(REPORT_COLUMNS[2:], start=2):
+        series = np.array([row[i] for row in report.rows])
         assert (np.diff(series) >= -1e-15).all(), col
 
 
@@ -546,9 +548,28 @@ def test_projected_forcing_defect_identity(varstep_run):
     engine, records = varstep_run
     sp_ = engine.space
     for rec in records:
-        got = proj_forcing_substep_defect(rec, engine.params)
-        want = sp_.project_quad_values(engine.xi_phi_quad_values(rec))
-        assert _rel_diff(sp_, got, want) <= 1e-10
+        want = project_quad_values(sp_, engine.xi_phi_quad_values(rec))
+        assert _rel_diff(sp_, rec.proj_xi_phi, want) <= 1e-10
+
+
+def test_laplacian_defect_identity_against_four_laplacians(varstep_run):
+    # xi_theta is one mass solve of K times the state defect; the four
+    # discrete Laplacians of the substep states combine to the same field
+    engine, records = varstep_run
+    sp_ = engine.space
+    for rec in records:
+        want = four_laplacian_xi_theta(sp_, engine.params, rec)
+        assert _rel_diff(sp_, rec.xi_theta, want) <= 1e-9
+
+
+def test_laplacian_defect_identity_against_direct_solve():
+    space = P1Space(build_uniform_mesh(5))
+    case = make_case(1)
+    p = _params(n_steps=32)
+    scheme = ThetaScheme(space, p, case.forcing_f)
+    for rec in scheme.iter_steps(scheme.initial_state(case.u0)):
+        want = direct_xi_theta(space, p, rec)
+        assert _rel_diff(space, rec.xi_theta, want) <= 1e-10
 
 
 def test_three_level_laplacian_identity(varstep_run):
@@ -561,9 +582,10 @@ def test_three_level_laplacian_identity(varstep_run):
         assert _rel_diff(sp_, got, sp_.discrete_laplacian(wt)) <= 1e-10
 
 
-def test_ten_solves_per_step_from_step_two(monkeypatch, space3):
-    # the stepper runs 3 substep and 6 end-of-step mass solves, the engine
-    # one more for the Laplacian of w; step 1 adds the two initial ones
+def test_eight_solves_per_step_from_step_two(monkeypatch, space3):
+    # the stepper runs 3 substep solves, 2 end-of-step mass solves and one
+    # mass solve per substep-defect correction, the engine one more for the
+    # Laplacian of w; step 1 adds the two initial ones
     calls = []
 
     def counting(solve):
@@ -588,4 +610,4 @@ def test_ten_solves_per_step_from_step_two(monkeypatch, space3):
         engine.step_estimates(rec, prev)
         per_step.append(len(calls) - before)
         prev = rec
-    assert per_step == [12] + [10] * (p.n_steps - 1)
+    assert per_step == [10] + [8] * (p.n_steps - 1)

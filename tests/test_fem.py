@@ -8,7 +8,8 @@ from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams, assemble_ma
 from fstheta.fem import _values as fem_values
 
 from helpers import (fe_as_field, gathered_element_norm, gathered_jump_norm,
-                     summed_weighted_quad_norm, sympy_local_matrices, varstep_case)
+                     nodal_interpolant, summed_weighted_quad_norm,
+                     sympy_local_matrices, varstep_case)
 
 PI = np.pi
 SIN2 = ScalarField("sin.sin", lambda x, y, t: np.sin(PI * x) * np.sin(PI * y))
@@ -293,7 +294,7 @@ def test_norm_operators_are_built_on_first_use():
 def test_jumps_of_a_linear_interpolant_vanish_away_from_the_boundary(level):
     space = P1Space(build_uniform_mesh(level))
     mesh = space.mesh
-    v = space.nodal_interpolant(ScalarField("x+2y", lambda x, y, t: x + 2.0 * y), 0.0)
+    v = nodal_interpolant(space, ScalarField("x+2y", lambda x, y, t: x + 2.0 * y), 0.0)
     space.jump_norm(v, 1.5)
     jumps = space._jump @ v.coeffs
     touches_boundary = mesh.boundary_vertex_flags[mesh.triangles].any(axis=1)
@@ -390,7 +391,7 @@ def test_interpolant_error_orders():
     l2s, h1s, hs = [], [], []
     for level in (3, 4, 5, 6):
         space = P1Space(build_uniform_mesh(level))
-        v = space.nodal_interpolant(SIN2, 0.0)
+        v = nodal_interpolant(space, SIN2, 0.0)
         l2s.append(space.field_error_l2(SIN2, 0.0, v))
         h1s.append(space.field_error_h1(SIN2_GRAD, 0.0, v))
         hs.append(2.0 ** (-level))
@@ -516,10 +517,3 @@ def test_fefunction_arithmetic(space3):
     assert np.allclose((2.0 * v).coeffs, 2.0 * v.coeffs)
     assert np.allclose((v / 4.0).coeffs, v.coeffs / 4.0)
     assert np.allclose((-v).coeffs, -v.coeffs)
-
-
-def test_fefunction_save_text(tmp_path, space3):
-    v = _random_fe(space3, seed=31)
-    path = tmp_path / "vec.txt"
-    v.save_text(path)
-    assert np.allclose(np.loadtxt(path), v.coeffs)

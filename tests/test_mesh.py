@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fstheta import ConfigurationError, build_uniform_mesh
-from fstheta.mesh import write_mesh_text
 
 from helpers import enumerate_edges
 
@@ -138,15 +137,3 @@ def test_facet_arrays_agree_in_length_and_are_positive():
     assert m.facet_normals.shape == (nf, 2)
     assert m.facet_lengths.shape == (nf,)
     assert (m.facet_lengths > 0).all()
-
-
-def test_mesh_text_dump(tmp_path):
-    m = build_uniform_mesh(2)
-    path = tmp_path / "mesh.txt"
-    write_mesh_text(m, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == m.n_vertices + m.n_triangles
-    verts = [tuple(map(float, ln.split())) for ln in lines[:m.n_vertices]]
-    tris = [tuple(map(int, ln.split())) for ln in lines[m.n_vertices:]]
-    assert np.allclose(verts, m.vertices)
-    assert np.array_equal(tris, m.triangles)

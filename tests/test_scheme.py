@@ -83,7 +83,7 @@ def test_zero_data_gives_zero_trajectory(space3):
     assert len(records) == 4
     for rec in records:
         for fe in (rec.U_theta, rec.U_onemtheta, rec.U_new, rec.lap_new,
-                   rec.proj_f_new):
+                   rec.proj_f_new, rec.xi_theta, rec.proj_xi_phi):
             assert (fe.coeffs == 0.0).all()
 
 

@@ -3,14 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fstheta import (CaseSpec, ConfigurationError, P1Space, ScalarField,
+from fstheta import (CaseSpec, ConfigurationError, P1Space,
                      SchemeParams, ThetaScheme, build_uniform_mesh, emit, eoc,
                      make_case, make_uniform_grid, run_single, run_study,
                      verify_forcing, zero_field)
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
 
-from helpers import error_metrics
+from helpers import error_metrics, scaled_case, varstep_case
 
 PI = np.pi
 
@@ -110,27 +110,32 @@ def test_repeated_runs_are_bit_identical():
         (second.max_nodal_l2_error, second.e_total)
 
 
-def _scaled_case(case, lam):
-    def scaled(field):
-        return ScalarField(f"{lam}*{field.name}",
-                           lambda x, y, t: lam * field(x, y, t))
-
-    return CaseSpec(case.case_id, scaled(case.exact_u),
-                    tuple(scaled(g) for g in case.exact_grad_u),
-                    scaled(case.forcing_f), scaled(case.u0))
-
-
 @pytest.mark.parametrize("lam", [-4.0, 1.0 / 3.0])
 def test_scaling_the_data_scales_errors_and_estimators(lam):
     case = make_case(1)
     base = run_single(case, 4)
-    got = run_single(_scaled_case(case, lam), 4)
+    got = run_single(scaled_case(case, lam), 4)
     pairs = [(got.max_nodal_l2_error, base.max_nodal_l2_error),
              (got.e_total, base.e_total)]
     pairs += [(got.report.final(col), base.report.final(col))
               for col in REPORT_COLUMNS[2:]]
     for value, ref in pairs:
         assert abs(value - abs(lam) * ref) <= 1e-9 * abs(lam) * abs(ref)
+
+
+@pytest.mark.parametrize("case", [make_case(1), make_case(2), varstep_case()],
+                         ids=["case1", "case2", "varstep"])
+def test_scaling_the_data_by_minus_two_doubles_every_column_exactly(case):
+    # multiplying by a power of two is exact in floating point, and every
+    # step of the pipeline is linear or a norm, so the doubling is bit for bit
+    base = run_single(case, 4)
+    got = run_single(scaled_case(case, -2.0), 4)
+    assert got.max_nodal_l2_error == 2.0 * base.max_nodal_l2_error
+    assert got.e_total == 2.0 * base.e_total
+    assert len(got.report.rows) == len(base.report.rows) == 16
+    for row, ref in zip(got.report.rows, base.report.rows):
+        assert row[:2] == ref[:2]
+        assert row[2:] == tuple(2.0 * v for v in ref[2:])
 
 
 def test_eoc_values():
