@@ -176,7 +176,8 @@ def _scatter(mesh: Mesh, tris, local, dirichlet: bool) -> sp.csr_matrix:
 
 class P1Space:
     """Dirichlet P1 space on a fixed mesh with cached matrices and
-    quadrature data.
+    quadrature data.  ``mass`` and ``stiffness`` are stored as 7-diagonal
+    ``dia_matrix`` operators, the band of the uniform mesh.
 
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs.  Built on first use, never in the
@@ -197,8 +198,8 @@ class P1Space:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.mass = assemble_mass(mesh)
-        self.stiffness = assemble_stiffness(mesh)
+        self.mass = assemble_mass(mesh).todia()
+        self.stiffness = assemble_stiffness(mesh).todia()
 
         self._grads = _basis_gradients(mesh)
         self._q4_wa = mesh.tri_areas[:, None] * _Q4_W[None, :]
@@ -206,7 +207,7 @@ class P1Space:
         self._coords: dict[str, tuple] = {}     # rule -> (x, y)
         self._distinct: dict[str, tuple] = {}   # rule -> (xu, ix, yu, iy)
         self._jump: sp.csr_matrix | None = None
-        self._weighted_mass: dict[float, sp.csr_matrix] = {}   # power -> W_p
+        self._weighted_mass: dict[float, sp.dia_matrix] = {}   # power -> W_p
         self._weighted_q4_wa: dict[float, np.ndarray] = {}     # power -> h^2p wa
 
     def _check(self, v: FeFunction) -> None:
@@ -340,17 +341,16 @@ class P1Space:
         weights = self.mesh.facet_lengths ** (2.0 * power + 1.0)
         return float(np.sqrt(weights @ (jump * jump)))
 
-    def _weighted_mass_matrix(self, power: float) -> sp.csr_matrix:
-        """W_p = sum_K h_K^{2 power} M_K on the interior dofs.  It has the
-        sparsity of ``mass`` and stores only its own data array."""
+    def _weighted_mass_matrix(self, power: float) -> sp.dia_matrix:
+        """W_p = sum_K h_K^{2 power} M_K on the interior dofs, banded with
+        the offsets of ``mass``."""
         if power not in self._weighted_mass:
             m = self.mesh
             # M_K = |K|/12 (1 + delta_ij), so a diagonal entry sums 2 w_K over
             # the triangles at its vertex and an off-diagonal one w_K over the
             # two triangles at its edge, an interior facet.  Working per facet
             # keeps the build's temporaries a third of those of a scatter of
-            # all 9 entries per triangle.  The canonical CSR of this pattern
-            # (diagonal plus interior edges) orders its data as ``mass`` does.
+            # all 9 entries per triangle.
             w = m.tri_areas * m.tri_diameters ** (2.0 * power) / 12.0
             diag = 2.0 * np.bincount(m.triangles.ravel(), np.repeat(w, 3),
                                      m.n_vertices)[m.interior_vertices]
@@ -359,14 +359,11 @@ class P1Space:
             off = w[m.facet_tris[inner]].sum(axis=1)
             ends = ends[inner]
             dofs = np.arange(self.n_dofs)
-            weighted = sp.coo_matrix(
+            self._weighted_mass[power] = sp.coo_matrix(
                 (np.concatenate([diag, off, off]),
                  (np.concatenate([dofs, ends[:, 0], ends[:, 1]]),
                   np.concatenate([dofs, ends[:, 1], ends[:, 0]]))),
-                shape=self.mass.shape).tocsr()
-            self._weighted_mass[power] = sp.csr_matrix(
-                (weighted.data, self.mass.indices, self.mass.indptr),
-                shape=self.mass.shape)
+                shape=self.mass.shape).todia()
         return self._weighted_mass[power]
 
     # -- errors against exact fields ------------------------------------------
@@ -386,9 +383,15 @@ class P1Space:
         gxq = self._quad_field(gx, "q5", t)
         gyq = self._quad_field(gy, "q5", t)
         gv = self.element_gradients(v)
+        # dx and dy are fresh arrays, so they are squared and summed in place;
+        # the arrays ``_quad_field`` returns are never written.
         dx = gxq - gv[:, 0:1]
         dy = gyq - gv[:, 1:2]
-        return float(np.sqrt((self._q5_wa * (dx ** 2 + dy ** 2)).sum()))
+        np.square(dx, out=dx)
+        np.square(dy, out=dy)
+        dx += dy
+        dx *= self._q5_wa
+        return float(np.sqrt(dx.sum()))
 
 
 def _facet_jump_operator(mesh: Mesh, grads: np.ndarray) -> sp.csr_matrix:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .fem import FeFunction, P1Space, ScalarField
@@ -186,8 +187,14 @@ class ThetaScheme:
                 abs(k - cached[0]) > _STEP_MATCH_ULPS * np.spacing(abs(t_new)):
             p = self.params
             M, K = self.space.mass, self.space.stiffness
-            a_theta = (M * (1.0 / (p.theta * k)) + K * p.alpha1).tocsr()
-            a_tilde = (M * (1.0 / (p.theta_tilde * k)) + K * p.beta1).tocsr()
+            # P1 couples the same vertex pairs in M and K, so both bands have
+            # the same offsets and the pair is formed diagonal by diagonal
+            a_theta = sp.dia_matrix(
+                (M.data * (1.0 / (p.theta * k)) + K.data * p.alpha1, M.offsets),
+                shape=M.shape)
+            a_tilde = sp.dia_matrix(
+                (M.data * (1.0 / (p.theta_tilde * k)) + K.data * p.beta1, M.offsets),
+                shape=M.shape)
             self._matrices = (k, a_theta, a_tilde)
         return self._matrices[1:]
 

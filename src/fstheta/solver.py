@@ -3,6 +3,11 @@
 All systems in this package are either a mass matrix or a shifted
 mass-stiffness combination M/c + aK, both symmetric positive definite on
 the Dirichlet space, so plain PCG with a diagonal preconditioner is enough.
+The solver needs only ``shape``, ``diagonal()`` and ``@`` of its matrix.  The
+package passes 7-diagonal ``dia_matrix`` operators: their products add
+diagonal by diagonal in ascending offset order, so each entry is the same
+left-to-right sum over ascending columns that the canonical CSR form gives,
+bit for bit (a stored zero of the band adds 0 * x).
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
                      SchemeParams, SolverError, ThetaScheme,
                      build_uniform_mesh, glowinski_alpha, make_case,
-                     make_uniform_grid, zero_field)
+                     make_uniform_grid, solve_spd, zero_field)
 from fstheta.scheme import THETA_DEFAULT
 
 from helpers import scalar_substep_factor
@@ -176,6 +177,39 @@ def test_uniform_grid_with_rounded_steps_builds_one_pair(space3):
         if not pairs or scheme._matrices is not pairs[-1]:
             pairs.append(scheme._matrices)
     assert len(pairs) == 1
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
+def test_banded_operators_match_their_csr_form_bit_for_bit(level):
+    # mass, stiffness and both substep matrices are 7-diagonal DIA operators
+    # with ascending offsets; their products, and so every PCG iterate, equal
+    # those of the canonical CSR form bit for bit.  At theta = 0.25 with
+    # alpha1 = 0.6 the substep pair is not proportional to one matrix.
+    space = P1Space(build_uniform_mesh(level))
+    M, K = space.mass, space.stiffness
+    m = 2 ** level - 1
+    offsets = [-(m + 1), -m, -1, 0, 1, m, m + 1]
+    matrices = [M, K]
+    for kw in ({}, {"theta": 0.25, "alpha1": 0.6}):
+        p = _params(**kw)
+        k = p.time(1) - p.time(0)
+        scheme = ThetaScheme(space, p, zero_field())
+        a_theta, a_tilde = scheme._substep_matrices(k, p.time(1))
+        for a, shift, weight in ((a_theta, p.theta, p.alpha1),
+                                 (a_tilde, p.theta_tilde, p.beta1)):
+            summed = M.tocsr() * (1.0 / (shift * k)) + K.tocsr() * weight
+            assert (a.tocsr() != summed).nnz == 0
+            matrices.append(a)
+    rng = np.random.default_rng(level)
+    for a in matrices:
+        assert isinstance(a, sp.dia_matrix)
+        assert list(a.offsets) == offsets
+        csr = a.tocsr()
+        for _ in range(3):
+            v = rng.standard_normal(space.n_dofs)
+            assert np.array_equal(a @ v, csr @ v)
+        b = rng.standard_normal(space.n_dofs)
+        assert np.array_equal(solve_spd(a, b), solve_spd(csr, b))
 
 
 def test_three_loads_per_step_from_step_two(monkeypatch, space3):
