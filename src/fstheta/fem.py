@@ -180,17 +180,21 @@ class P1Space:
     ``dia_matrix`` operators, the band of the uniform mesh.
 
     All operations are pure given the immutable mesh, so one instance can
-    be shared across concurrent runs.  Built on first use, never in the
-    constructor: the coordinates of a rule's points on the first evaluation
-    of a field without factors at them; the distinct coordinates and their
-    intp gather indices on the first evaluation of a field with factors at
-    them, so a run whose fields all have factors stores no full coordinate
-    array; the facet-jump operator on the first ``jump_norm``; the
-    element-weighted mass matrix of a power on the first
-    ``weighted_element_norm`` with it; and the h-weighted degree-4
-    quadrature weights of a power on the first ``weighted_quad_norm`` with
-    it.  Two concurrent first calls build the same table, operator or
-    weights.  Methods taking an ``FeFunction`` raise
+    be shared across concurrent runs, and ``run_single`` evaluates a step's
+    indicators and error norms on a worker thread while its scheme thread
+    solves the next step.  Built on first use, never in the constructor:
+    the coordinates of a rule's points on the first evaluation of a field
+    without factors at them; the distinct coordinates and their intp gather
+    indices, one row per cell column for x and per cell row for y, on the
+    first evaluation of a field with factors at them, so a run whose fields
+    all have factors stores no full coordinate or index array; the
+    facet-jump operator on the first ``jump_norm``; the element-weighted
+    mass matrix of a power on the first ``weighted_element_norm`` with it;
+    and the h-weighted degree-4 quadrature weights of a power on the first
+    ``weighted_quad_norm`` with it.  Such a first build may race between
+    two threads, harmlessly: both build the same table, operator or
+    weights, and either stored copy serves every later call.  Methods
+    taking an ``FeFunction`` raise
     ``ValueError`` for a function on another mesh, and methods taking
     degree-4 quadrature values raise it for an array not of shape
     (n_triangles, 6).
@@ -248,17 +252,25 @@ class P1Space:
         coordinates of the points and gathered back, grouped as
         ``ScalarField.separable`` groups it, so the values equal g's own bit
         for bit.  c(t) scales the distinct X values before the gather, which
-        gives the same products as scaling the gathered ones."""
+        gives the same products as scaling the gathered ones; X is gathered
+        once per cell column and Y once per cell row, and their broadcast
+        product is laid out in triangle order."""
         if g.factors is None:
             if rule not in self._coords:
                 self._coords[rule] = self._points(rule)
             return _values(g, *self._coords[rule], t)
         if rule not in self._distinct:
             x, y = self._points(rule)
-            self._distinct[rule] = (*_distinct_with_index(x), *_distinct_with_index(y))
+            n = self.mesh.n_cells
+            self._distinct[rule] = (*_distinct_by_line(x, n, "column"),
+                                    *_distinct_by_line(y, n, "row"))
         xu, ix, yu, iy = self._distinct[rule]
         c, fx, fy = g.factors
-        return np.take(c(t) * fx(xu), ix) * np.take(fy(yu), iy)
+        # (cell row, cell column, triangle type and point) is the triangle
+        # order, so the product reshapes to (n_triangles, points) in place
+        gx = np.take(c(t) * fx(xu), ix)
+        gy = np.take(fy(yu), iy)
+        return (gx[None] * gy[:, None]).reshape(self.mesh.n_triangles, -1)
 
     def _points(self, rule: str) -> tuple[np.ndarray, np.ndarray]:
         """x and y of the points of the degree-4 ("q4") or degree-5 ("q5")
@@ -432,13 +444,25 @@ def _facet_jump_operator(mesh: Mesh, grads: np.ndarray) -> sp.csr_matrix:
                          shape=(rows.size, mesh.n_dofs))
 
 
-def _distinct_with_index(coords: np.ndarray):
-    """Sorted distinct values of ``coords`` and the index that gathers them
-    back into the shape of ``coords``.  The index is intp, the dtype
-    ``np.take`` gathers with; narrower indices would be converted on every
-    gather."""
+def _distinct_by_line(coords: np.ndarray, n: int, line: str):
+    """Sorted distinct values of the (n_triangles, points) array ``coords``
+    and an (n, 2 * points) index that gathers them for one cell ``line``:
+    "column" for x, which depends only on the cell column, or "row" for y,
+    which depends only on the cell row, given the triangle type and the
+    point.  Triangle 2 * (row * n + column) + type is the uniform mesh's
+    row-major cell layout; coordinates that vary along the other axis raise
+    ``ValueError``.  The index is intp, the dtype ``np.take`` gathers with;
+    narrower indices would be converted on every gather."""
     values, inverse = np.unique(coords.ravel(), return_inverse=True)
-    return values, inverse.astype(np.intp, copy=False).reshape(coords.shape)
+    full = inverse.astype(np.intp, copy=False).reshape(n, n, -1)
+    axis, other = (0, "row") if line == "column" else (1, "column")
+    index = full.take(0, axis=axis)          # a copy: ``full`` is not kept
+    if not (full == np.expand_dims(index, axis)).all():
+        raise ValueError(
+            f"quadrature coordinates of one cell {line} vary with the cell "
+            f"{other}: the points do not follow the row-major cell layout "
+            f"(triangle 2 * (row * n + column) + type) of the uniform mesh")
+    return values, index
 
 
 def _values(g, x, y, t) -> np.ndarray:

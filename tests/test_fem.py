@@ -477,17 +477,54 @@ def test_factors_see_only_distinct_coordinates_and_tables_are_lazy():
     assert space._coords == {}
 
 
+def _gathered(index_x, index_y, xu, yu, shape):
+    """The coordinates the (n, 2 * points) indices gather: x follows the cell
+    column, y the cell row of triangle 2 * (row * n + column) + type."""
+    n, width = index_x.shape
+    cells = (n, n, width)
+    x = np.broadcast_to(xu[index_x][None], cells).reshape(shape)
+    y = np.broadcast_to(yu[index_y][:, None], cells).reshape(shape)
+    return x, y
+
+
 def test_distinct_indices_are_intp_and_gather_the_coordinates():
-    # np.take converts narrower indices to intp on every gather
+    # np.take converts narrower indices to intp on every gather; one index row
+    # per cell column (x) or cell row (y), not one entry per point
     space = P1Space(build_uniform_mesh(4))
     field = make_case(1).forcing_f
     space.eval_field_q4(field, 0.25)
     space.field_error_l2(field, 0.25, space.function())
-    for rule in ("q4", "q5"):
+    for rule, n_points in (("q4", 6), ("q5", 7)):
         x, y = space._points(rule)
         xu, ix, yu, iy = space._distinct[rule]
         assert ix.dtype == np.intp and iy.dtype == np.intp
-        assert np.array_equal(xu[ix], x) and np.array_equal(yu[iy], y)
+        assert ix.shape == iy.shape == (16, 2 * n_points)
+        gx, gy = _gathered(ix, iy, xu, yu, x.shape)
+        assert np.array_equal(gx, x) and np.array_equal(gy, y)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_gather_indices_follow_the_cell_columns_and_rows(level):
+    space = P1Space(build_uniform_mesh(level))
+    n = space.mesh.n_cells
+    case = make_case(2)
+    for field in _case_fields(case):
+        space.eval_field_q4(field, 0.3)
+        space._quad_field(field, "q5", 0.3)
+    for rule in ("q4", "q5"):
+        x, y = space._points(rule)
+        xu, ix, yu, iy = space._distinct[rule]
+        assert ix.shape == iy.shape == (n, 2 * x.shape[1])
+        gx, gy = _gathered(ix, iy, xu, yu, x.shape)
+        assert np.array_equal(gx, x) and np.array_equal(gy, y)
+
+
+def test_gather_indices_reject_another_cell_layout():
+    # with x and y swapped, x follows the cell row: the table build refuses
+    space = P1Space(build_uniform_mesh(3))
+    space._points = lambda rule: P1Space._points(space, rule)[::-1]
+    with pytest.raises(ValueError, match="row-major cell layout"):
+        space.eval_field_q4(make_case(1).forcing_f, 0.25)
 
 
 def test_separable_constructor_groups_the_products():

@@ -1,12 +1,16 @@
+import dataclasses
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fstheta import (CaseSpec, ConfigurationError, P1Space,
-                     SchemeParams, ThetaScheme, build_uniform_mesh, emit, eoc,
-                     make_case, make_uniform_grid, run_single, run_study,
-                     verify_forcing, zero_field)
+from fstheta import (CaseSpec, ConfigurationError, EstimatorEngine, P1Space,
+                     RunReport, ScalarField, SchemeParams, SolverError,
+                     ThetaScheme, build_uniform_mesh, emit, eoc, make_case,
+                     make_uniform_grid, run_single, run_study, verify_forcing,
+                     zero_field)
+from fstheta import study
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
 
@@ -136,6 +140,140 @@ def test_scaling_the_data_by_minus_two_doubles_every_column_exactly(case):
     for row, ref in zip(got.report.rows, base.report.rows):
         assert row[:2] == ref[:2]
         assert row[2:] == tuple(2.0 * v for v in ref[2:])
+
+
+# -- evaluation overlapped with the time loop ----------------------------------------
+
+INLINE, OVERLAPPED = 10 ** 9, 0     # cutoffs that force either path
+
+
+@pytest.mark.parametrize("case,kwargs", [
+    (make_case(1), {}), (make_case(2), {}),
+    (make_case(1), {"theta": 0.25, "alpha1": 0.6}), (varstep_case(), {})],
+    ids=["case1", "case2", "theta0.25", "varstep"])
+def test_inline_and_overlapped_runs_are_bit_identical(monkeypatch, case, kwargs):
+    runs = []
+    for cutoff in (INLINE, OVERLAPPED):
+        monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", cutoff)
+        runs.append(run_single(case, 4, **kwargs))
+    inline, overlapped = runs
+    for f in dataclasses.fields(RunReport):
+        assert getattr(overlapped, f.name) == getattr(inline, f.name), f.name
+
+
+def _record_thread_starts(monkeypatch) -> list:
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def test_no_thread_below_the_cutoff_and_none_alive_after_return(monkeypatch):
+    dofs = [P1Space(build_uniform_mesh(level)).n_dofs for level in (5, 6)]
+    assert dofs[0] < study.OVERLAP_MIN_DOFS <= dofs[1]
+    before = set(threading.enumerate())
+    started = _record_thread_starts(monkeypatch)
+    run_single(make_case(1), 5)
+    assert started == []
+    monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", OVERLAPPED)
+    run_single(make_case(1), 3)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert set(threading.enumerate()) == before
+
+
+def test_at_most_one_step_is_in_flight(monkeypatch):
+    monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", OVERLAPPED)
+    scheme_steps, evaluated = [], []
+    step, estimate = ThetaScheme._step, EstimatorEngine.step_estimates
+
+    def recording_step(scheme, prev, n, carry):
+        scheme_steps.append(n)
+        return step(scheme, prev, n, carry)
+
+    def recording_estimate(engine, rec, prev_rec=None):
+        evaluated.append((rec.n, max(scheme_steps)))
+        return estimate(engine, rec, prev_rec)
+
+    monkeypatch.setattr(ThetaScheme, "_step", recording_step)
+    monkeypatch.setattr(EstimatorEngine, "step_estimates", recording_estimate)
+    run_single(make_case(1), 4)
+    assert [n for n, _ in evaluated] == list(range(1, 17))
+    assert all(latest <= n + 1 for n, latest in evaluated)
+
+
+def _failing_from(field: ScalarField, t_fail: float) -> ScalarField:
+    def fn(x, y, t):
+        if t >= t_fail:
+            raise ArithmeticError(f"{field.name} has no value at t = {t}")
+        return field(x, y, t)
+
+    return ScalarField(field.name, fn)
+
+
+def _fail_scheme_at(monkeypatch, n_fail: int) -> None:
+    step = ThetaScheme._step
+
+    def failing_step(scheme, prev, n, carry):
+        if n == n_fail:
+            raise SolverError(f"step {n}, first substep: no convergence")
+        return step(scheme, prev, n, carry)
+
+    monkeypatch.setattr(ThetaScheme, "_step", failing_step)
+
+
+def _fail_estimate_at(monkeypatch, n_fail: int) -> None:
+    estimate = EstimatorEngine.step_estimates
+
+    def failing_estimate(engine, rec, prev_rec=None):
+        if rec.n == n_fail:
+            raise FloatingPointError(f"indicator of step {rec.n} overflowed")
+        return estimate(engine, rec, prev_rec)
+
+    monkeypatch.setattr(EstimatorEngine, "step_estimates", failing_estimate)
+
+
+def _errors_of_both_paths(monkeypatch, run) -> list:
+    before = set(threading.enumerate())
+    errors = []
+    for cutoff in (INLINE, OVERLAPPED):
+        monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", cutoff)
+        with pytest.raises(Exception) as info:
+            run()
+        errors.append((type(info.value), str(info.value)))
+        assert set(threading.enumerate()) == before
+    return errors
+
+
+def test_a_failed_error_norm_propagates_with_its_type_and_message(monkeypatch):
+    case = make_case(1)
+    gx, gy = case.exact_grad_u
+    failing = dataclasses.replace(case, exact_grad_u=(gx, _failing_from(gy, 0.5)))
+    errors = _errors_of_both_paths(monkeypatch, lambda: run_single(failing, 3))
+    assert errors == [(ArithmeticError, "du/dy has no value at t = 0.5")] * 2
+
+
+def test_a_failed_estimate_propagates_with_its_type_and_message(monkeypatch):
+    _fail_estimate_at(monkeypatch, 5)
+    errors = _errors_of_both_paths(monkeypatch, lambda: run_single(make_case(1), 3))
+    assert errors == [(FloatingPointError, "indicator of step 5 overflowed")] * 2
+
+
+def test_a_failed_estimate_wins_over_a_scheme_failure_in_the_next_step(monkeypatch):
+    _fail_estimate_at(monkeypatch, 3)
+    _fail_scheme_at(monkeypatch, 4)
+    errors = _errors_of_both_paths(monkeypatch, lambda: run_single(make_case(1), 3))
+    assert errors == [(FloatingPointError, "indicator of step 3 overflowed")] * 2
+
+
+def test_a_scheme_failure_propagates_when_the_estimates_succeed(monkeypatch):
+    _fail_scheme_at(monkeypatch, 4)
+    errors = _errors_of_both_paths(monkeypatch, lambda: run_single(make_case(1), 3))
+    assert errors == [(SolverError, "step 4, first substep: no convergence")] * 2
 
 
 def test_eoc_values():
