@@ -208,13 +208,14 @@ class EstimatorEngine:
             acc += wq * self.space.quad_norm(f_vals - phi_vals)
         return 0.5 * acc
 
-    def data_projection_error(self, rec: StepRecord, xi_vals: np.ndarray,
-                              proj_xi: FeFunction) -> float:
-        """c11 max over the endpoint forcings of ||h (I - P0)(f + xi)||."""
+    def data_projection_error(self, rec: StepRecord, xi_vals: np.ndarray) -> float:
+        """c11 max over the endpoint forcings of ||h (I - P0)(f + xi)||, with
+        xi at the quadrature points in ``xi_vals`` and P0 xi in
+        ``rec.proj_xi_phi``."""
         sp_ = self.space
-        fe_prev = sp_.eval_q4(rec.proj_f_prev + proj_xi)
+        fe_prev = sp_.eval_q4(rec.proj_f_prev + rec.proj_xi_phi)
         d_prev = sp_.weighted_quad_norm(rec.fq_prev + xi_vals - fe_prev, 1.0)
-        fe_new = sp_.eval_q4(rec.proj_f_new + proj_xi)
+        fe_new = sp_.eval_q4(rec.proj_f_new + rec.proj_xi_phi)
         d_new = sp_.weighted_quad_norm(rec.fq_new + xi_vals - fe_new, 1.0)
         return self.consts.c11 * max(d_prev, d_new)
 
@@ -259,7 +260,7 @@ class EstimatorEngine:
         delta = step_difference_estimator(sp_, rec, cs)
         beta = coarsening_estimator(sp_, rec, None)   # fixed mesh: no transfer
         zeta1 = self.data_time_error(rec)
-        zeta2 = self.data_projection_error(rec, xi_vals, rec.proj_xi_phi)
+        zeta2 = self.data_projection_error(rec, xi_vals)
 
         if prev_rec is not None:
             wt, lap_dd, f_dd = recon_coeff_three_level(rec, prev_rec)

@@ -177,7 +177,10 @@ def _scatter(mesh: Mesh, tris, local, dirichlet: bool) -> sp.csr_matrix:
 class P1Space:
     """Dirichlet P1 space on a fixed mesh with cached matrices and
     quadrature data.  ``mass`` and ``stiffness`` are stored as 7-diagonal
-    ``dia_matrix`` operators, the band of the uniform mesh.
+    ``dia_matrix`` operators, the band of the uniform mesh.  Every element
+    of that mesh has the one diameter ``h``, so the h-weighted norms are
+    powers of ``h`` times the plain ones; a mesh whose diameters differ
+    raises ``ValueError``.
 
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs, and ``run_single`` evaluates a step's
@@ -187,13 +190,10 @@ class P1Space:
     without factors at them; the distinct coordinates and their intp gather
     indices, one row per cell column for x and per cell row for y, on the
     first evaluation of a field with factors at them, so a run whose fields
-    all have factors stores no full coordinate or index array; the
-    facet-jump operator on the first ``jump_norm``; the element-weighted
-    mass matrix of a power on the first ``weighted_element_norm`` with it;
-    and the h-weighted degree-4 quadrature weights of a power on the first
-    ``weighted_quad_norm`` with it.  Such a first build may race between
-    two threads, harmlessly: both build the same table, operator or
-    weights, and either stored copy serves every later call.  Methods
+    all have factors stores no full coordinate or index array; and the
+    facet-jump operator on the first ``jump_norm``.  Such a first build may
+    race between two threads, harmlessly: both build the same table or
+    operator, and either stored copy serves every later call.  Methods
     taking an ``FeFunction`` raise
     ``ValueError`` for a function on another mesh, and methods taking
     degree-4 quadrature values raise it for an array not of shape
@@ -201,7 +201,13 @@ class P1Space:
     """
 
     def __init__(self, mesh: Mesh):
+        h = mesh.tri_diameters[0]
+        if not (mesh.tri_diameters == h).all():
+            raise ValueError(
+                "element diameters differ: the h-weighted norms need the "
+                "uniform mesh, whose elements all have one diameter")
         self.mesh = mesh
+        self._h = float(h)
         self.mass = assemble_mass(mesh).todia()
         self.stiffness = assemble_stiffness(mesh).todia()
 
@@ -211,8 +217,6 @@ class P1Space:
         self._coords: dict[str, tuple] = {}     # rule -> (x, y)
         self._distinct: dict[str, tuple] = {}   # rule -> (xu, ix, yu, iy)
         self._jump: sp.csr_matrix | None = None
-        self._weighted_mass: dict[float, sp.dia_matrix] = {}   # power -> W_p
-        self._weighted_q4_wa: dict[float, np.ndarray] = {}     # power -> h^2p wa
 
     def _check(self, v: FeFunction) -> None:
         if v.mesh is not self.mesh:
@@ -286,12 +290,8 @@ class P1Space:
 
     def weighted_quad_norm(self, vals: np.ndarray, power: float) -> float:
         """Broken norm (sum_K h_K^{2 power} ||.||_K^2)^{1/2} from degree-4
-        quadrature values."""
-        self._check_quad(vals)
-        if power not in self._weighted_q4_wa:
-            h_2p = self.mesh.tri_diameters ** (2.0 * power)
-            self._weighted_q4_wa[power] = h_2p[:, None] * self._q4_wa
-        return float(np.sqrt((self._weighted_q4_wa[power] * vals ** 2).sum()))
+        quadrature values: h^power times ``quad_norm``."""
+        return self._h ** power * self.quad_norm(vals)
 
     # -- loads and projections ----------------------------------------------
 
@@ -331,11 +331,9 @@ class P1Space:
         return float(np.sqrt(max(v.coeffs @ (self.stiffness @ v.coeffs), 0.0)))
 
     def weighted_element_norm(self, v: FeFunction, power: float) -> float:
-        """(sum_K ||h_K^power v||_K^2)^{1/2}, exact for P1: the quadratic
-        form of the element-weighted mass matrix sum_K h_K^{2 power} M_K."""
-        self._check(v)
-        c = v.coeffs
-        return float(np.sqrt(max(c @ (self._weighted_mass_matrix(power) @ c), 0.0)))
+        """(sum_K ||h_K^power v||_K^2)^{1/2}, exact for P1: h^power times
+        ``l2_norm``."""
+        return self._h ** power * self.l2_norm(v)
 
     def element_gradients(self, v: FeFunction) -> np.ndarray:
         """Constant gradient of v per triangle, shape (nt, 2)."""
@@ -352,31 +350,6 @@ class P1Space:
         jump = self._jump @ v.coeffs
         weights = self.mesh.facet_lengths ** (2.0 * power + 1.0)
         return float(np.sqrt(weights @ (jump * jump)))
-
-    def _weighted_mass_matrix(self, power: float) -> sp.dia_matrix:
-        """W_p = sum_K h_K^{2 power} M_K on the interior dofs, banded with
-        the offsets of ``mass``."""
-        if power not in self._weighted_mass:
-            m = self.mesh
-            # M_K = |K|/12 (1 + delta_ij), so a diagonal entry sums 2 w_K over
-            # the triangles at its vertex and an off-diagonal one w_K over the
-            # two triangles at its edge, an interior facet.  Working per facet
-            # keeps the build's temporaries a third of those of a scatter of
-            # all 9 entries per triangle.
-            w = m.tri_areas * m.tri_diameters ** (2.0 * power) / 12.0
-            diag = 2.0 * np.bincount(m.triangles.ravel(), np.repeat(w, 3),
-                                     m.n_vertices)[m.interior_vertices]
-            ends = m.dof_map[m.facet_vertices]
-            inner = (ends >= 0).all(axis=1)
-            off = w[m.facet_tris[inner]].sum(axis=1)
-            ends = ends[inner]
-            dofs = np.arange(self.n_dofs)
-            self._weighted_mass[power] = sp.coo_matrix(
-                (np.concatenate([diag, off, off]),
-                 (np.concatenate([dofs, ends[:, 0], ends[:, 1]]),
-                  np.concatenate([dofs, ends[:, 1], ends[:, 0]]))),
-                shape=self.mass.shape).todia()
-        return self._weighted_mass[power]
 
     # -- errors against exact fields ------------------------------------------
 

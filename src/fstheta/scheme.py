@@ -153,10 +153,10 @@ class StepRecord:
     proj_f_new: FeFunction
     xi_theta: FeFunction
     proj_xi_phi: FeFunction
-    fq_prev: np.ndarray = field(repr=False, default=None)
-    fq_theta: np.ndarray = field(repr=False, default=None)
-    fq_onemtheta: np.ndarray = field(repr=False, default=None)
-    fq_new: np.ndarray = field(repr=False, default=None)
+    fq_prev: np.ndarray = field(repr=False)
+    fq_theta: np.ndarray = field(repr=False)
+    fq_onemtheta: np.ndarray = field(repr=False)
+    fq_new: np.ndarray = field(repr=False)
 
     @property
     def k(self) -> float:

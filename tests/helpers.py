@@ -77,7 +77,7 @@ def gathered_jump_norm(space, v: FeFunction, power: float) -> float:
 
 def summed_weighted_quad_norm(space, vals, power: float) -> float:
     """(sum_K h_K^{2 power} ||.||_K^2)^{1/2} from degree-4 quadrature values,
-    with the weights h_K^{2 power} |K| w_q formed on every call."""
+    summed with the per-point weights h_K^{2 power} |K| w_q."""
     w = space.mesh.tri_diameters ** (2.0 * power)
     return float(np.sqrt((w[:, None] * space._q4_wa * vals ** 2).sum()))
 
