@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .fem import FeFunction, P1Space, ScalarField
-from .scheme import THETA_DEFAULT, SchemeParams, StepRecord, substep_defect
+from .scheme import THETA_DEFAULT, SchemeParams, StepRecord
 
 _SQRT30 = math.sqrt(30.0)
 _GAUSS3_OFFSETS = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
@@ -186,13 +184,7 @@ class EstimatorEngine:
         self.forcing = forcing
         self.consts = consts or ConstantsConfig()
 
-    # -- forcing corrections -------------------------------------------------
-
-    def xi_phi_quad_values(self, rec: StepRecord) -> np.ndarray:
-        """Substep-defect correction of the forcing at the quadrature points."""
-        return substep_defect(self.params.theta, self.params.alpha2,
-                              rec.fq_prev, rec.fq_theta, rec.fq_onemtheta,
-                              rec.fq_new)
+    # -- forcing data errors -------------------------------------------------
 
     def data_time_error(self, rec: StepRecord) -> float:
         """Mean interpolation error of the forcing over the step,
@@ -208,15 +200,15 @@ class EstimatorEngine:
             acc += wq * self.space.quad_norm(f_vals - phi_vals)
         return 0.5 * acc
 
-    def data_projection_error(self, rec: StepRecord, xi_vals: np.ndarray) -> float:
+    def data_projection_error(self, rec: StepRecord) -> float:
         """c11 max over the endpoint forcings of ||h (I - P0)(f + xi)||, with
-        xi at the quadrature points in ``xi_vals`` and P0 xi in
+        xi at the quadrature points in ``rec.xi_phi_q4`` and P0 xi in
         ``rec.proj_xi_phi``."""
         sp_ = self.space
         fe_prev = sp_.eval_q4(rec.proj_f_prev + rec.proj_xi_phi)
-        d_prev = sp_.weighted_quad_norm(rec.fq_prev + xi_vals - fe_prev, 1.0)
+        d_prev = sp_.weighted_quad_norm(rec.fq_prev + rec.xi_phi_q4 - fe_prev, 1.0)
         fe_new = sp_.eval_q4(rec.proj_f_new + rec.proj_xi_phi)
-        d_new = sp_.weighted_quad_norm(rec.fq_new + xi_vals - fe_new, 1.0)
+        d_new = sp_.weighted_quad_norm(rec.fq_new + rec.xi_phi_q4 - fe_new, 1.0)
         return self.consts.c11 * max(d_prev, d_new)
 
     # -- consistency check ----------------------------------------------------
@@ -246,8 +238,7 @@ class EstimatorEngine:
         k_prev = prev_rec.k if prev_rec is not None else 0.0
 
         norm_xi_t = sp_.l2_norm(rec.xi_theta)
-        xi_vals = self.xi_phi_quad_values(rec)
-        norm_xi_phi = sp_.quad_norm(xi_vals)
+        norm_xi_phi = sp_.quad_norm(rec.xi_phi_q4)
         norm_proj_xi = sp_.l2_norm(rec.proj_xi_phi)
 
         w = recon_coeff_two_level(rec)
@@ -260,7 +251,7 @@ class EstimatorEngine:
         delta = step_difference_estimator(sp_, rec, cs)
         beta = coarsening_estimator(sp_, rec, None)   # fixed mesh: no transfer
         zeta1 = self.data_time_error(rec)
-        zeta2 = self.data_projection_error(rec, xi_vals)
+        zeta2 = self.data_projection_error(rec)
 
         if prev_rec is not None:
             wt, lap_dd, f_dd = recon_coeff_three_level(rec, prev_rec)

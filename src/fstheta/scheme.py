@@ -20,11 +20,6 @@ from .solver import SolverError, solve_spd
 
 THETA_DEFAULT = 1.0 - math.sqrt(2.0) / 2.0
 
-# step sizes closer than this many units in the last place of the step's end
-# time share one substep-matrix pair: they differ by the rounding of the grid
-# nodes, not by the grid
-_STEP_MATCH_ULPS = 4
-
 
 def glowinski_alpha(theta: float) -> float:
     """Splitting weight that makes all three substep matrices proportional."""
@@ -131,21 +126,19 @@ class SchemeParams:
 
 @dataclass
 class StepRecord:
-    """Everything one time step produces: the substep states, the discrete
-    Laplacians and projected forcing values at the step's two ends, the two
-    substep-defect corrections, and cached forcing samples at the quadrature
-    points (reused by the estimators).
+    """What the estimators read of one time step: the states, discrete
+    Laplacians, projected forcing values and forcing samples at the step's
+    two ends, and the three substep-defect corrections.
 
-    ``xi_theta`` is the substep-defect correction of the discrete Laplacians
-    (weights alpha1/beta1) and ``proj_xi_phi`` the L2 projection of the
-    forcing's correction (weights alpha2/beta2)."""
+    ``xi_theta`` is the correction of the discrete Laplacians (weights
+    alpha1/beta1), ``xi_phi_q4`` the correction of the forcing at the
+    degree-4 quadrature points and ``proj_xi_phi`` its L2 projection
+    (weights alpha2/beta2)."""
 
     n: int
     t_prev: float
     t_new: float
     U_prev: FeFunction
-    U_theta: FeFunction
-    U_onemtheta: FeFunction
     U_new: FeFunction
     lap_prev: FeFunction
     lap_new: FeFunction
@@ -153,9 +146,8 @@ class StepRecord:
     proj_f_new: FeFunction
     xi_theta: FeFunction
     proj_xi_phi: FeFunction
+    xi_phi_q4: np.ndarray = field(repr=False)
     fq_prev: np.ndarray = field(repr=False)
-    fq_theta: np.ndarray = field(repr=False)
-    fq_onemtheta: np.ndarray = field(repr=False)
     fq_new: np.ndarray = field(repr=False)
 
     @property
@@ -166,37 +158,32 @@ class StepRecord:
 class ThetaScheme:
     """Advance the discrete solution through the three substeps per step.
 
-    The scheme keeps the substep-matrix pair of the current step size only:
-    it is reused while consecutive steps share k and rebuilt when k changes,
-    so a grid whose every step has its own k holds one pair, not one per
-    step.  Step sizes that differ only by the rounding of the grid nodes, as
-    those of ``make_uniform_grid`` do when N is not a power of two, count as
-    one k.  The time loop itself is sequential, but distinct runs sharing the
-    same space are independent.
+    A step has two stages: ``_substeps`` samples the forcing and solves the
+    three substeps, and ``_node_fields`` gives the discrete Laplacian and
+    the forcing projection at the step's end, which the next step reuses as
+    its start.  The substep-matrix pair is formed from the banded M and K on
+    every step, so any increasing time grid runs the same code.  The time
+    loop itself is sequential, but distinct runs sharing the same space are
+    independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
         self.space = space
         self.params = params
         self.forcing = forcing
-        self._matrices: tuple | None = None     # (k, a_theta, a_tilde)
 
-    def _substep_matrices(self, k: float, t_new: float):
-        cached = self._matrices
-        if cached is None or \
-                abs(k - cached[0]) > _STEP_MATCH_ULPS * np.spacing(abs(t_new)):
-            p = self.params
-            M, K = self.space.mass, self.space.stiffness
-            # P1 couples the same vertex pairs in M and K, so both bands have
-            # the same offsets and the pair is formed diagonal by diagonal
-            a_theta = sp.dia_matrix(
-                (M.data * (1.0 / (p.theta * k)) + K.data * p.alpha1, M.offsets),
-                shape=M.shape)
-            a_tilde = sp.dia_matrix(
-                (M.data * (1.0 / (p.theta_tilde * k)) + K.data * p.beta1, M.offsets),
-                shape=M.shape)
-            self._matrices = (k, a_theta, a_tilde)
-        return self._matrices[1:]
+    def _substep_matrices(self, k: float):
+        p = self.params
+        M, K = self.space.mass, self.space.stiffness
+        # P1 couples the same vertex pairs in M and K, so both bands have the
+        # same offsets and the pair is formed diagonal by diagonal
+        a_theta = sp.dia_matrix(
+            (M.data * (1.0 / (p.theta * k)) + K.data * p.alpha1, M.offsets),
+            shape=M.shape)
+        a_tilde = sp.dia_matrix(
+            (M.data * (1.0 / (p.theta_tilde * k)) + K.data * p.beta1, M.offsets),
+            shape=M.shape)
+        return a_theta, a_tilde
 
     def initial_state(self, u0: ScalarField | None = None) -> FeFunction:
         """L2 projection of the initial datum (zero field when omitted)."""
@@ -228,64 +215,73 @@ class ThetaScheme:
         sp_ = self.space
         fq0 = sp_.eval_field_q4(self.forcing, self.params.time(0))
         b0 = sp_.load_from_quad_values(fq0)
-        lap0 = sp_.function(self._solve(sp_.mass, sp_.stiffness @ U0.coeffs, 1,
-                                        "laplacian at t^{n-1}"))
-        pf0 = sp_.function(self._solve(sp_.mass, b0, 1,
-                                       "forcing projection at t^{n-1}"))
-        return fq0, b0, lap0, pf0
+        return (fq0, b0) + self._node_fields(U0.coeffs, b0, 1, "t^{n-1}")
 
-    def _step(self, prev: FeFunction, n: int, carry):
-        """Solve the three substeps taking U^{n-1} to U^n; ``carry`` holds the
-        forcing samples, load, Laplacian and forcing projection at t^{n-1}.
-        Returns the step record and the same four quantities at t^n."""
+    def _node_fields(self, u: np.ndarray, b: np.ndarray, n: int, node: str):
+        """Discrete Laplacian of the state ``u`` and L2 projection of the load
+        ``b`` at one time node of step n."""
+        sp_ = self.space
+        lap = sp_.function(self._solve(sp_.mass, sp_.stiffness @ u, n,
+                                       f"laplacian at {node}"))
+        pf = sp_.function(self._solve(sp_.mass, b, n,
+                                      f"forcing projection at {node}"))
+        return lap, pf
+
+    def _substeps(self, prev: FeFunction, n: int, fq0: np.ndarray,
+                  b0: np.ndarray):
+        """Sample the forcing at t_theta, t_{1-theta} and t^n and solve the
+        three substeps from U^{n-1}, given the forcing samples ``fq0`` and
+        load ``b0`` at t^{n-1}.  Returns the three states, the three sample
+        arrays and the three loads, each in time order."""
         sp_, p = self.space, self.params
-        t0, t1 = p.time(n - 1), p.time(n)
         t_a, t_m = p.intermediate_times(n)
-        k = t1 - t0
-        a_theta, a_tilde = self._substep_matrices(k, t1)
+        k = p.step_size(n)
+        a_theta, a_tilde = self._substep_matrices(k)
         M, K = sp_.mass, sp_.stiffness
 
-        def _solve(matrix, rhs, tag):
-            return self._solve(matrix, rhs, n, tag)
-
-        fq0, b0, lap0, pf0 = carry
-        fqa = sp_.eval_field_q4(self.forcing, t_a)
-        fqm = sp_.eval_field_q4(self.forcing, t_m)
-        fq1 = sp_.eval_field_q4(self.forcing, t1)
-        ba = sp_.load_from_quad_values(fqa)
-        bm = sp_.load_from_quad_values(fqm)
-        b1 = sp_.load_from_quad_values(fq1)
+        fqs = tuple(sp_.eval_field_q4(self.forcing, t)
+                    for t in (t_a, t_m, p.time(n)))
+        ba, bm, b1 = loads = tuple(sp_.load_from_quad_values(fq) for fq in fqs)
 
         al1, be1, al2, be2 = p.alpha1, p.beta1, p.alpha2, p.beta2
         rhs = (M @ prev.coeffs) / (p.theta * k) - be1 * (K @ prev.coeffs) \
             + al2 * ba + be2 * b0
-        u_a = _solve(a_theta, rhs, "first substep")
+        u_a = self._solve(a_theta, rhs, n, "first substep")
 
         rhs = (M @ u_a) / (p.theta_tilde * k) - al1 * (K @ u_a) \
             + be2 * bm + al2 * ba
-        u_m = _solve(a_tilde, rhs, "second substep")
+        u_m = self._solve(a_tilde, rhs, n, "second substep")
 
         rhs = (M @ u_m) / (p.theta * k) - be1 * (K @ u_m) \
             + al2 * b1 + be2 * bm
-        u_1 = _solve(a_theta, rhs, "third substep")
+        u_1 = self._solve(a_theta, rhs, n, "third substep")
+        return (u_a, u_m, u_1), fqs, loads
+
+    def _step(self, prev: FeFunction, n: int, carry):
+        """Take U^{n-1} to U^n; ``carry`` holds the forcing samples, load,
+        Laplacian and forcing projection at t^{n-1}.  Returns the step record
+        and the same four quantities at t^n."""
+        sp_, p = self.space, self.params
+        fq0, b0, lap0, pf0 = carry
+        states, fqs, loads = self._substeps(prev, n, fq0, b0)
+        u_1, fq1, b1 = states[-1], fqs[-1], loads[-1]
+        lap_1, pf1 = self._node_fields(u_1, b1, n, "t^n")
 
         # the discrete Laplacian and the projection are linear, so each
         # substep-defect correction takes one mass solve of the same
         # combination of stiffness products or loads
-        lap_1 = sp_.function(_solve(M, K @ u_1, "laplacian at t^n"))
-        pf1 = sp_.function(_solve(M, b1, "forcing projection at t^n"))
-        defect = substep_defect(p.theta, al1, prev.coeffs, u_a, u_m, u_1)
-        xi_theta = sp_.function(_solve(M, K @ defect,
-                                       "laplacian substep defect"))
-        xi_phi_load = substep_defect(p.theta, al2, b0, ba, bm, b1)
-        proj_xi_phi = sp_.function(_solve(M, xi_phi_load,
-                                          "forcing projection substep defect"))
+        defect = substep_defect(p.theta, p.alpha1, prev.coeffs, *states)
+        xi_theta = sp_.function(self._solve(sp_.mass, sp_.stiffness @ defect, n,
+                                            "laplacian substep defect"))
+        xi_phi_load = substep_defect(p.theta, p.alpha2, b0, *loads)
+        proj_xi_phi = sp_.function(self._solve(sp_.mass, xi_phi_load, n,
+                                               "forcing projection substep defect"))
 
         return StepRecord(
-            n=n, t_prev=t0, t_new=t1,
-            U_prev=prev, U_theta=sp_.function(u_a),
-            U_onemtheta=sp_.function(u_m), U_new=sp_.function(u_1),
+            n=n, t_prev=p.time(n - 1), t_new=p.time(n),
+            U_prev=prev, U_new=sp_.function(u_1),
             lap_prev=lap0, lap_new=lap_1, proj_f_prev=pf0, proj_f_new=pf1,
             xi_theta=xi_theta, proj_xi_phi=proj_xi_phi,
-            fq_prev=fq0, fq_theta=fqa, fq_onemtheta=fqm, fq_new=fq1,
+            xi_phi_q4=substep_defect(p.theta, p.alpha2, fq0, *fqs),
+            fq_prev=fq0, fq_new=fq1,
         ), (fq1, b1, lap_1, pf1)

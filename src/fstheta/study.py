@@ -196,9 +196,7 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
     engine = EstimatorEngine(space, params, case.forcing_f, consts)
 
     U0 = scheme.initial_state(case.u0)
-    eta0 = elliptic_estimator(space, U0, consts)
-    rho0 = space.field_error_l2(case.u0, params.time(0), U0) + eta0
-    acc = EstimatorAccumulator(params, initial_elliptic=eta0, rho0=rho0)
+    acc = None
 
     def evaluate(rec, prev):
         se = engine.step_estimates(rec, prev)
@@ -220,6 +218,12 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
                     max_compact = max(max_compact, se.compact_residual)
                     max_err = max(max_err, err)
                     sum_k_grad2 += k_grad2
+                if rec is not None and rec.n == 1:
+                    # step 1 carries the discrete Laplacian at t^0
+                    eta0 = elliptic_estimator(space, U0, consts, lap=rec.lap_prev)
+                    rho0 = space.field_error_l2(case.u0, params.time(0), U0) + eta0
+                    acc = EstimatorAccumulator(params, initial_elliptic=eta0,
+                                               rho0=rho0)
                 pending = None if rec is None else submit(evaluate, rec, prev)
                 prev = rec
         except Exception as exc:

@@ -82,24 +82,22 @@ def summed_weighted_quad_norm(space, vals, power: float) -> float:
     return float(np.sqrt((w[:, None] * space._q4_wa * vals ** 2).sum()))
 
 
-def synthetic_record(space, n, t_prev, t_new, states, laps=None, projs=None,
-                     fqs=None) -> StepRecord:
-    """StepRecord from prescribed endpoint data (interior substep states
-    reuse the endpoints and both substep-defect corrections are zero; fine
-    for quantities that ignore them)."""
+def synthetic_record(space, n, t_prev, t_new, states, laps=None,
+                     projs=None) -> StepRecord:
+    """StepRecord from prescribed endpoint data (the three substep-defect
+    corrections and the forcing samples are zero; fine for quantities that
+    ignore them)."""
     zero = space.function()
     laps = laps if laps is not None else (zero, zero)
     projs = projs if projs is not None else (zero, zero)
     fq = np.zeros_like(space.eval_q4(zero))
-    fqs = fqs if fqs is not None else (fq, fq, fq, fq)
     return StepRecord(
         n=n, t_prev=t_prev, t_new=t_new,
-        U_prev=states[0], U_theta=states[0], U_onemtheta=states[1],
-        U_new=states[1],
+        U_prev=states[0], U_new=states[1],
         lap_prev=laps[0], lap_new=laps[1],
         proj_f_prev=projs[0], proj_f_new=projs[1],
-        xi_theta=zero, proj_xi_phi=zero,
-        fq_prev=fqs[0], fq_theta=fqs[1], fq_onemtheta=fqs[2], fq_new=fqs[3],
+        xi_theta=zero, proj_xi_phi=zero, xi_phi_q4=fq,
+        fq_prev=fq, fq_new=fq,
     )
 
 
@@ -114,22 +112,33 @@ def project_quad_values(space, vals) -> FeFunction:
     return space.project_load(space.load_from_quad_values(vals))
 
 
-def four_laplacian_xi_theta(space, params, rec: StepRecord) -> FeFunction:
+def substep_states(scheme, rec: StepRecord):
+    """The four substep states of ``rec``'s step, U^{n-1}, U_theta,
+    U_{1-theta} and U^n, rebuilt by the scheme's substep stage from U^{n-1}
+    and the forcing samples at t^{n-1}; U^n must equal ``rec.U_new`` bit
+    for bit."""
+    b0 = scheme.space.load_from_quad_values(rec.fq_prev)
+    (u_a, u_m, u_1), _, _ = scheme._substeps(rec.U_prev, rec.n, rec.fq_prev, b0)
+    assert np.array_equal(u_1, rec.U_new.coeffs)
+    return rec.U_prev.coeffs, u_a, u_m, u_1
+
+
+def four_laplacian_xi_theta(scheme, rec: StepRecord) -> FeFunction:
     """Substep-defect correction of the discrete Laplacians formed from one
     mass solve per substep state (weights alpha1/beta1)."""
-    laps = [space.discrete_laplacian(v)
-            for v in (rec.U_prev, rec.U_theta, rec.U_onemtheta, rec.U_new)]
-    return substep_defect(params.theta, params.alpha1, *laps)
+    sp_, p = scheme.space, scheme.params
+    laps = [sp_.discrete_laplacian(sp_.function(u))
+            for u in substep_states(scheme, rec)]
+    return substep_defect(p.theta, p.alpha1, *laps)
 
 
-def direct_xi_theta(space, params, rec: StepRecord) -> FeFunction:
+def direct_xi_theta(scheme, rec: StepRecord) -> FeFunction:
     """M^{-1} K applied to the substep-defect combination of the states, by a
     sparse LU factorization of the mass matrix instead of CG."""
-    defect = substep_defect(params.theta, params.alpha1, rec.U_prev.coeffs,
-                            rec.U_theta.coeffs, rec.U_onemtheta.coeffs,
-                            rec.U_new.coeffs)
-    lu = spla.splu(space.mass.tocsc())
-    return space.function(lu.solve(space.stiffness @ defect))
+    sp_, p = scheme.space, scheme.params
+    defect = substep_defect(p.theta, p.alpha1, *substep_states(scheme, rec))
+    lu = spla.splu(sp_.mass.tocsc())
+    return sp_.function(lu.solve(sp_.stiffness @ defect))
 
 
 def scaled_case(case: CaseSpec, lam: float) -> CaseSpec:

@@ -14,7 +14,7 @@ from fstheta import (ConstantsConfig, EstimatorAccumulator,
                      recon_coeff_two_level, step_difference_estimator,
                      time_weight, verify_forcing, zero_field)
 from fstheta.estimators import REPORT_COLUMNS, StepEstimates
-from fstheta.scheme import THETA_DEFAULT, correction_coeffs
+from fstheta.scheme import THETA_DEFAULT, correction_coeffs, substep_defect
 
 from helpers import (corrected_forcing_interpolant, direct_xi_theta,
                      fe_as_field, forcing_interpolant, forcing_substep_defect,
@@ -312,19 +312,17 @@ def test_data_errors_vanish_for_time_linear_fe_forcing(space2):
     field = fe_as_field(base)
     f = ScalarField("lin", lambda x, y, t: (1.0 + 2.0 * t) * field(x, y, t))
     engine, rec, _ = _engine_record(space2, f)
-    xi_vals = engine.xi_phi_quad_values(rec)
-    assert np.abs(xi_vals).max() <= 1e-12
+    assert np.abs(rec.xi_phi_q4).max() <= 1e-12
     assert engine.data_time_error(rec) <= 1e-12
-    assert engine.data_projection_error(rec, xi_vals) <= 1e-9
+    assert engine.data_projection_error(rec) <= 1e-9
 
 
 def test_data_projection_error_positive_for_rough_forcing(space2):
     f = ScalarField("rough", lambda x, y, t: (1.0 + 2.0 * t)
                     * np.sin(3 * PI * x) * np.sin(2 * PI * y))
     engine, rec, _ = _engine_record(space2, f)
-    xi_vals = engine.xi_phi_quad_values(rec)
     assert engine.data_time_error(rec) <= 1e-12
-    assert engine.data_projection_error(rec, xi_vals) > 1e-3
+    assert engine.data_projection_error(rec) > 1e-3
 
 
 def test_data_time_error_second_order_in_k(space2):
@@ -531,7 +529,7 @@ def varstep_run(space3):
     p = SchemeParams(_random_grid(4, 8))
     scheme = ThetaScheme(space3, p, case.forcing_f)
     records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
-    return EstimatorEngine(space3, p, case.forcing_f), records
+    return scheme, EstimatorEngine(space3, p, case.forcing_f), records
 
 
 def _rel_diff(space, got, want):
@@ -542,22 +540,32 @@ def test_varstep_case_forcing_matches_solution():
     assert verify_forcing(varstep_case()) <= 1e-5
 
 
+def test_forcing_defect_at_quadrature_points_from_four_samples(varstep_run):
+    scheme, _, records = varstep_run
+    sp_, p, f = scheme.space, scheme.params, scheme.forcing
+    for rec in records:
+        t_a, t_m = p.intermediate_times(rec.n)
+        samples = [sp_.eval_field_q4(f, t)
+                   for t in (rec.t_prev, t_a, t_m, rec.t_new)]
+        assert np.array_equal(rec.xi_phi_q4,
+                              substep_defect(p.theta, p.alpha2, *samples))
+
+
 def test_projected_forcing_defect_identity(varstep_run):
-    engine, records = varstep_run
+    _, engine, records = varstep_run
     sp_ = engine.space
     for rec in records:
-        want = project_quad_values(sp_, engine.xi_phi_quad_values(rec))
+        want = project_quad_values(sp_, rec.xi_phi_q4)
         assert _rel_diff(sp_, rec.proj_xi_phi, want) <= 1e-10
 
 
 def test_laplacian_defect_identity_against_four_laplacians(varstep_run):
     # xi_theta is one mass solve of K times the state defect; the four
     # discrete Laplacians of the substep states combine to the same field
-    engine, records = varstep_run
-    sp_ = engine.space
+    scheme, _, records = varstep_run
     for rec in records:
-        want = four_laplacian_xi_theta(sp_, engine.params, rec)
-        assert _rel_diff(sp_, rec.xi_theta, want) <= 1e-9
+        want = four_laplacian_xi_theta(scheme, rec)
+        assert _rel_diff(scheme.space, rec.xi_theta, want) <= 1e-9
 
 
 def test_laplacian_defect_identity_against_direct_solve():
@@ -566,12 +574,12 @@ def test_laplacian_defect_identity_against_direct_solve():
     p = _params(n_steps=32)
     scheme = ThetaScheme(space, p, case.forcing_f)
     for rec in scheme.iter_steps(scheme.initial_state(case.u0)):
-        want = direct_xi_theta(space, p, rec)
+        want = direct_xi_theta(scheme, rec)
         assert _rel_diff(space, rec.xi_theta, want) <= 1e-10
 
 
 def test_three_level_laplacian_identity(varstep_run):
-    engine, records = varstep_run
+    _, engine, records = varstep_run
     sp_ = engine.space
     assert len({round(rec.k, 12) for rec in records}) == len(records)
     for prev, rec in zip(records, records[1:]):

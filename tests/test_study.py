@@ -5,11 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fstheta import (CaseSpec, ConfigurationError, EstimatorEngine, P1Space,
-                     RunReport, ScalarField, SchemeParams, SolverError,
-                     ThetaScheme, build_uniform_mesh, emit, eoc, make_case,
-                     make_uniform_grid, run_single, run_study, verify_forcing,
-                     zero_field)
+import fstheta.fem
+import fstheta.scheme
+from fstheta import (CaseSpec, ConfigurationError, ConstantsConfig,
+                     EstimatorAccumulator, EstimatorEngine, P1Space, RunReport,
+                     ScalarField, SchemeParams, SolverError, ThetaScheme,
+                     build_uniform_mesh, elliptic_estimator, emit, eoc,
+                     make_case, make_uniform_grid, run_single, run_study,
+                     verify_forcing, zero_field)
 from fstheta import study
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
@@ -104,6 +107,40 @@ def test_error_metrics_zero_everything():
     scheme = ThetaScheme(space, params, zero_case.forcing_f)
     records = list(scheme.iter_steps(scheme.initial_state()))
     assert error_metrics(space, zero_case, records) == (0.0, 0.0)
+
+
+def test_the_laplacian_at_t0_is_solved_once(monkeypatch):
+    # run_single takes the initial elliptic indicator from the Laplacian at
+    # t^0 that step 1 carries: 1 initial projection, 10 solves in step 1 and
+    # 8 in each later step.  A plain loop whose indicator solves its own
+    # Laplacian at t^0 gives the same report bit for bit.
+    case = varstep_case()
+    space = P1Space(build_uniform_mesh(3))
+    params = SchemeParams(make_uniform_grid(8, 1.0))
+    scheme = ThetaScheme(space, params, case.forcing_f)
+    engine = EstimatorEngine(space, params, case.forcing_f)
+    U0 = scheme.initial_state(case.u0)
+    eta0 = elliptic_estimator(space, U0, ConstantsConfig())
+    rho0 = space.field_error_l2(case.u0, 0.0, U0) + eta0
+    acc = EstimatorAccumulator(params, initial_elliptic=eta0, rho0=rho0)
+    prev = None
+    for rec in scheme.iter_steps(U0):
+        acc.add(engine.step_estimates(rec, prev))
+        prev = rec
+
+    calls = []
+
+    def counting(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for module in (fstheta.scheme, fstheta.fem):
+        monkeypatch.setattr(module, "solve_spd", counting(module.solve_spd))
+    rep = run_single(case, 3)
+    assert len(calls) == 1 + 10 + 8 * 7
+    assert rep.report.rows == acc.rows
 
 
 def test_repeated_runs_are_bit_identical():
