@@ -176,25 +176,19 @@ def _scatter(mesh: Mesh, tris, local, dirichlet: bool) -> sp.csr_matrix:
 
 class P1Space:
     """Dirichlet P1 space on a fixed mesh with cached matrices and
-    quadrature data.  ``mass`` and ``stiffness`` are stored as 7-diagonal
-    ``dia_matrix`` operators, the band of the uniform mesh.  Every element
-    of that mesh has the one diameter ``h``, so the h-weighted norms are
-    powers of ``h`` times the plain ones; a mesh whose diameters differ
-    raises ``ValueError``.
+    quadrature data, all built in the constructor.  ``mass`` and
+    ``stiffness`` are stored as 7-diagonal ``dia_matrix`` operators, the
+    band of the uniform mesh.  Every element of that mesh has the one
+    diameter ``h``, so the h-weighted norms are powers of ``h`` times the
+    plain ones; a mesh whose diameters differ raises ``ValueError``.  The
+    quadrature points are held as two per-line tables per rule (x by cell
+    column, y by cell row) and the facet jumps are read off the vertex grid,
+    so the space stores no per-point coordinates and no facet data.
 
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs, and ``run_single`` evaluates a step's
     indicators and error norms on a worker thread while its scheme thread
-    solves the next step.  Built on first use, never in the constructor:
-    the coordinates of a rule's points on the first evaluation of a field
-    without factors at them; the distinct coordinates and their intp gather
-    indices, one row per cell column for x and per cell row for y, on the
-    first evaluation of a field with factors at them, so a run whose fields
-    all have factors stores no full coordinate or index array; and the
-    facet-jump operator on the first ``jump_norm``.  Such a first build may
-    race between two threads, harmlessly: both build the same table or
-    operator, and either stored copy serves every later call.  Methods
-    taking an ``FeFunction`` raise
+    solves the next step.  Methods taking an ``FeFunction`` raise
     ``ValueError`` for a function on another mesh, and methods taking
     degree-4 quadrature values raise it for an array not of shape
     (n_triangles, 6).
@@ -214,9 +208,9 @@ class P1Space:
         self._grads = _basis_gradients(mesh)
         self._q4_wa = mesh.tri_areas[:, None] * _Q4_W[None, :]
         self._q5_wa = mesh.tri_areas[:, None] * _Q5_W[None, :]
-        self._coords: dict[str, tuple] = {}     # rule -> (x, y)
-        self._distinct: dict[str, tuple] = {}   # rule -> (xu, ix, yu, iy)
-        self._jump: sp.csr_matrix | None = None
+        # rule -> (x of one cell row's points, y of one cell column's points)
+        self._lines = {rule: _cell_lines(*self._points(rule), mesh.n_cells)
+                       for rule in ("q4", "q5")}
 
     def _check(self, v: FeFunction) -> None:
         if v.mesh is not self.mesh:
@@ -252,29 +246,23 @@ class P1Space:
 
     def _quad_field(self, g: ScalarField, rule: str, t: float) -> np.ndarray:
         """g(., t) at the points of the degree-4 ("q4") or degree-5 ("q5")
-        rule.  A field with factors is evaluated on the distinct x and y
-        coordinates of the points and gathered back, grouped as
-        ``ScalarField.separable`` groups it, so the values equal g's own bit
-        for bit.  c(t) scales the distinct X values before the gather, which
-        gives the same products as scaling the gathered ones; X is gathered
-        once per cell column and Y once per cell row, and their broadcast
-        product is laid out in triangle order."""
-        if g.factors is None:
-            if rule not in self._coords:
-                self._coords[rule] = self._points(rule)
-            return _values(g, *self._coords[rule], t)
-        if rule not in self._distinct:
-            x, y = self._points(rule)
-            n = self.mesh.n_cells
-            self._distinct[rule] = (*_distinct_by_line(x, n, "column"),
-                                    *_distinct_by_line(y, n, "row"))
-        xu, ix, yu, iy = self._distinct[rule]
-        c, fx, fy = g.factors
+        rule.  A field with factors evaluates X on the x table and Y on the
+        y table, grouped as ``ScalarField.separable`` groups it, so the
+        values equal g's own bit for bit; c(t) scales the X values before
+        the broadcast, which gives the same products as scaling the
+        broadcast ones.  A field without factors is called on the full
+        coordinates, broadcast from the two tables."""
+        xs, ys = self._lines[rule]
         # (cell row, cell column, triangle type and point) is the triangle
-        # order, so the product reshapes to (n_triangles, points) in place
-        gx = np.take(c(t) * fx(xu), ix)
-        gy = np.take(fy(yu), iy)
-        return (gx[None] * gy[:, None]).reshape(self.mesh.n_triangles, -1)
+        # order, so the broadcast reshapes to (n_triangles, points) in place
+        shape = (self.mesh.n_triangles, -1)
+        if g.factors is None:
+            cells = (ys.shape[0], *xs.shape)
+            x = np.broadcast_to(xs[None], cells).reshape(shape)
+            y = np.broadcast_to(ys[:, None], cells).reshape(shape)
+            return _values(g, x, y, t)
+        c, fx, fy = g.factors
+        return ((c(t) * fx(xs))[None] * fy(ys)[:, None]).reshape(shape)
 
     def _points(self, rule: str) -> tuple[np.ndarray, np.ndarray]:
         """x and y of the points of the degree-4 ("q4") or degree-5 ("q5")
@@ -343,13 +331,30 @@ class P1Space:
 
     def jump_norm(self, v: FeFunction, power: float) -> float:
         """(sum_e h_e^{2 power} J_e^2 |e|)^{1/2} with J_e the jump of the
-        normal gradient component across interior facet e."""
+        normal gradient component across interior facet e.
+
+        On the uniform grid every interior facet is a cell diagonal (length
+        h), a horizontal or a vertical edge (length h / sqrt 2), and the
+        gradients are differences of the vertex values V[row, column]."""
         self._check(v)
-        if self._jump is None:
-            self._jump = _facet_jump_operator(self.mesh, self._grads)
-        jump = self._jump @ v.coeffs
-        weights = self.mesh.facet_lengths ** (2.0 * power + 1.0)
-        return float(np.sqrt(weights @ (jump * jump)))
+        n = self.mesh.n_cells
+        V = v.vertex_values().reshape(n + 1, n + 1) * n
+        # gradients of the lower and upper triangle of every cell, (n, n)
+        dx_low = V[:-1, 1:] - V[:-1, :-1]
+        dy_low = V[1:, 1:] - V[:-1, 1:]
+        dx_up = V[1:, 1:] - V[1:, :-1]
+        dy_up = V[1:, :-1] - V[:-1, :-1]
+        # sqrt 2 times the jumps across the diagonals; the jumps across the
+        # horizontal edges between cell rows and the vertical edges between
+        # cell columns
+        diag = (dx_low - dx_up) - (dy_low - dy_up)
+        horizontal = dy_up[:-1] - dy_low[1:]
+        vertical = dx_low[:, :-1] - dx_up[:, 1:]
+        weight = 2.0 * power + 1.0
+        axis = (horizontal * horizontal).sum() + (vertical * vertical).sum()
+        total = ((1.0 / n) ** weight * axis
+                 + self._h ** weight * 0.5 * (diag * diag).sum())
+        return float(np.sqrt(total))
 
     # -- errors against exact fields ------------------------------------------
 
@@ -379,63 +384,21 @@ class P1Space:
         return float(np.sqrt(dx.sum()))
 
 
-def _facet_jump_operator(mesh: Mesh, grads: np.ndarray) -> sp.csr_matrix:
-    """n_interior_facets x n_dofs matrix whose row e maps the dof values of v
-    to (grad v|_L - grad v|_R) . n_e across facet e, with L, R =
-    ``facet_tris[e]`` and n_e = ``facet_normals[e]``.
-
-    Row e stores four entries: the facet's two vertices and the vertex of
-    each triangle opposite to it.  A boundary vertex carries no dof; its
-    entry is stored as a zero in column 0, so every row has the same length
-    and the CSR arrays are written directly, with int32 indices.
-    """
-    rows = np.arange(mesh.facet_tris.shape[0])
-    a, b = mesh.facet_vertices[:, 0], mesh.facet_vertices[:, 1]
-
-    def normal_derivative(tri, i):
-        # grad phi_i . n_e on triangle tri, i its local vertex index
-        return (grads[tri, i] * mesh.facet_normals).sum(axis=1)
-
-    verts, coeffs = [a, b], [0.0, 0.0]
-    for side, sign in ((0, 1.0), (1, -1.0)):
-        tri = mesh.facet_tris[:, side]
-        local = mesh.triangles[tri]
-        ia = np.argmax(local == a[:, None], axis=1)
-        ib = np.argmax(local == b[:, None], axis=1)
-        io = 3 - ia - ib                            # the vertex opposite the facet
-        coeffs[0] = coeffs[0] + sign * normal_derivative(tri, ia)
-        coeffs[1] = coeffs[1] + sign * normal_derivative(tri, ib)
-        verts.append(local[rows, io])
-        coeffs.append(sign * normal_derivative(tri, io))
-    dofs = mesh.dof_map[np.column_stack(verts)].astype(np.int32)
-    data = np.column_stack(coeffs)
-    on_boundary = dofs < 0
-    data[on_boundary] = 0.0
-    dofs[on_boundary] = 0
-    indptr = np.arange(0, dofs.size + 1, 4, dtype=np.int32)
-    return sp.csr_matrix((data.ravel(), dofs.ravel(), indptr),
-                         shape=(rows.size, mesh.n_dofs))
-
-
-def _distinct_by_line(coords: np.ndarray, n: int, line: str):
-    """Sorted distinct values of the (n_triangles, points) array ``coords``
-    and an (n, 2 * points) index that gathers them for one cell ``line``:
-    "column" for x, which depends only on the cell column, or "row" for y,
-    which depends only on the cell row, given the triangle type and the
-    point.  Triangle 2 * (row * n + column) + type is the uniform mesh's
-    row-major cell layout; coordinates that vary along the other axis raise
-    ``ValueError``.  The index is intp, the dtype ``np.take`` gathers with;
-    narrower indices would be converted on every gather."""
-    values, inverse = np.unique(coords.ravel(), return_inverse=True)
-    full = inverse.astype(np.intp, copy=False).reshape(n, n, -1)
-    axis, other = (0, "row") if line == "column" else (1, "column")
-    index = full.take(0, axis=axis)          # a copy: ``full`` is not kept
-    if not (full == np.expand_dims(index, axis)).all():
+def _cell_lines(x: np.ndarray, y: np.ndarray, n: int):
+    """x of one cell row's points and y of one cell column's points, each of
+    shape (n, 2 * points), from the (n_triangles, points) coordinates of a
+    rule.  Triangle 2 * (row * n + column) + type is the uniform mesh's
+    row-major cell layout, so x depends only on the cell column and y only
+    on the cell row; coordinates that do not raise ``ValueError``."""
+    x = x.reshape(n, n, -1)
+    y = y.reshape(n, n, -1)
+    xs, ys = x[0], y[:, 0]
+    if not ((x == xs).all() and (y == ys[:, None]).all()):
         raise ValueError(
-            f"quadrature coordinates of one cell {line} vary with the cell "
-            f"{other}: the points do not follow the row-major cell layout "
-            f"(triangle 2 * (row * n + column) + type) of the uniform mesh")
-    return values, index
+            "quadrature coordinates vary along the other cell axis: the points "
+            "do not follow the row-major cell layout (triangle "
+            "2 * (row * n + column) + type) of the uniform mesh")
+    return xs.copy(), ys.copy()
 
 
 def _values(g, x, y, t) -> np.ndarray:

@@ -18,7 +18,11 @@ class Mesh:
 
     Every cell is split into two triangles along its diagonal of positive
     slope (orientation fixed for reproducibility), so all elements share
-    the diameter ``sqrt(2) / 2**level``.  ``dof_map`` enumerates interior
+    the diameter ``sqrt(2) / 2**level``.  Vertex ``row * (n + 1) + column``
+    lies at (column / n, row / n), and cell (row, column) holds triangles
+    ``2 * (row * n + column)`` (lower) and ``+ 1`` (upper): ``P1Space``
+    reads its quadrature tables and facet jumps off this row-major layout,
+    so the mesh stores no facet data.  ``dof_map`` enumerates interior
     vertices only; boundary vertices carry the value zero (homogeneous
     Dirichlet data).
     """
@@ -62,46 +66,6 @@ class Mesh:
         self.dof_map = np.full((n + 1) ** 2, -1, dtype=np.int64)
         self.dof_map[self.interior_vertices] = np.arange(self.interior_vertices.size)
         self.n_dofs = int(self.interior_vertices.size)
-
-        self._build_facets()
-
-    def _build_facets(self):
-        """Interior facets as arrays: ``facet_vertices`` (endpoints),
-        ``facet_lengths``, ``facet_normals`` (unit length, pointing from
-        ``facet_tris[:, 0]`` toward ``facet_tris[:, 1]``)."""
-        tris = self.triangles
-        nt = tris.shape[0]
-        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        tri_of_edge = np.tile(np.arange(nt), 3)
-        edges = np.sort(edges, axis=1)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-        tri_of_edge = tri_of_edge[order]
-
-        # interior edges occur exactly twice and end up adjacent after sorting
-        dup = np.flatnonzero((edges[1:] == edges[:-1]).all(axis=1))
-        verts = edges[dup]
-        left = tri_of_edge[dup].copy()
-        right = tri_of_edge[dup + 1].copy()
-        self.n_boundary_facets = int(edges.shape[0] - 2 * dup.size)
-
-        pa = self.vertices[verts[:, 0]]
-        pb = self.vertices[verts[:, 1]]
-        d = pb - pa
-        lengths = np.hypot(d[:, 0], d[:, 1])
-        normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-
-        # orient so the normal points from the left triangle toward the right
-        mid = 0.5 * (pa + pb)
-        centroids = self.vertices[tris].mean(axis=1)
-        side = ((centroids[left] - mid) * normals).sum(axis=1)
-        swap = side > 0
-        left[swap], right[swap] = right[swap], left[swap]
-
-        self.facet_vertices = verts
-        self.facet_lengths = lengths
-        self.facet_normals = normals
-        self.facet_tris = np.column_stack([left, right])
 
     @property
     def n_triangles(self) -> int:

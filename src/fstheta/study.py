@@ -120,14 +120,15 @@ def eoc(values, meshsizes) -> list[float]:
 # From this many dofs on, ``run_single`` evaluates each step's indicators and
 # error norms on a worker thread while the scheme solves the next step.
 # Below it they run inline: under the interpreter lock, handing small arrays
-# to a thread costs more than the overlap saves.  Measured on a 2-core x86_64
-# host with one BLAS thread, alternating in-process runs with identical
-# outputs, inline -> overlapped: the level-4 sweep of 18 runs (225 dofs)
-# 2.13 -> 3.30 s, level 5 (961 dofs) 0.34 -> 0.53 s, level 6 (3,969 dofs)
-# 1.82 -> 1.59 s, level 7 (16,129 dofs) 19.4 -> 13.4 s, CPU time 17-19 s
-# throughout.  A second set, on this code: 1.92 -> 3.29 s, 0.45 -> 0.63 s,
-# 2.45 -> 2.27 s and 21.1 -> 17.3 s.  So the cutoff lies between 961 and
-# 3,969 dofs.
+# to a thread costs more than the overlap saves.  On a 2-core x86_64 host
+# with one BLAS thread, inline -> overlapped read 1.92 -> 3.29 s for the
+# level-4 sweep of 18 runs (225 dofs), 0.45 -> 0.63 s at level 5 (961 dofs)
+# and 2.45 -> 2.27 s at level 6 (3,969 dofs), so the cutoff lies between
+# 961 and 3,969 dofs.  Ten alternating pairs of the benchmark's study-c1
+# workload (levels 3..7, seeds 1-10) read run_s 17.7 -> 15.4 s (overlap
+# faster in 8 of 10) and run_ref_s 17.3 -> 13.5 s (10 of 10), at a peak RSS
+# of 93.0 -> 99.1 MB; run_ref_s overstates a threaded gain, because the
+# pacer's calibration slices compete with the worker thread.
 OVERLAP_MIN_DOFS = 2000
 
 
@@ -171,10 +172,10 @@ class RunReport:
 
 def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
                alpha1: float | None = None, alpha2: float | None = None,
-               consts: ConstantsConfig | None = None,
-               final_time: float = 1.0, n_steps: int | None = None) -> RunReport:
-    """Run one level with k = 2^-level (so k equals the grid spacing) and
-    accumulate both estimator variants alongside the error metrics.
+               consts: ConstantsConfig | None = None) -> RunReport:
+    """Run one level on [0, 1] with k = 2^-level (so k equals the grid
+    spacing) and accumulate both estimator variants alongside the error
+    metrics.
 
     The time loop is sequential, but the indicators and error norms of step
     n read only the records of steps n and n-1 and feed nothing back.  From
@@ -189,8 +190,8 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
     consts = consts or ConstantsConfig()
     mesh = build_uniform_mesh(level)
     space = P1Space(mesh)
-    steps = n_steps if n_steps is not None else 2 ** level
-    params = SchemeParams(make_uniform_grid(steps, final_time),
+    steps = 2 ** level
+    params = SchemeParams(make_uniform_grid(steps, 1.0),
                           theta=theta, alpha1=alpha1, alpha2=alpha2)
     scheme = ThetaScheme(space, params, case.forcing_f)
     engine = EstimatorEngine(space, params, case.forcing_f, consts)
@@ -273,7 +274,6 @@ class StudyResult:
 def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
               alpha1: float | None = None, alpha2: float | None = None,
               consts: ConstantsConfig | None = None,
-              final_time: float = 1.0,
               out_dir=None, fmt: str = "csv", variant: str = "both") -> StudyResult:
     """Run a sweep of levels for one case.
 
@@ -286,7 +286,7 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
         for level in levels:
             reports.append(run_single(
                 case, level, theta=theta, alpha1=alpha1, alpha2=alpha2,
-                consts=consts, final_time=final_time))
+                consts=consts))
     except Exception:
         if out_dir is not None and reports:
             emit(reports, fmt=fmt, out_dir=out_dir, variant=variant)

@@ -2,6 +2,7 @@
 from the library code paths they check."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -11,8 +12,8 @@ from fstheta.scheme import correction_coeffs, substep_defect
 
 
 def enumerate_edges(triangles):
-    """Brute-force edge -> adjacent-triangle map (independent of the mesh
-    module's facet construction)."""
+    """Brute-force edge -> adjacent-triangle map (independent of the sorted
+    construction in ``interior_facets``)."""
     edges = {}
     for t, (a, b, c) in enumerate(np.asarray(triangles)):
         for u, v in ((a, b), (b, c), (c, a)):
@@ -63,15 +64,66 @@ def gathered_element_norm(space, v: FeFunction, power: float) -> float:
     return float(np.sqrt((mesh.tri_diameters ** (2.0 * power) * integ).sum()))
 
 
+class Facets(NamedTuple):
+    """Interior facets as arrays: ``vertices`` (endpoints), ``lengths``,
+    ``normals`` (unit length, pointing from ``tris[:, 0]`` toward
+    ``tris[:, 1]``), and the number of boundary facets."""
+
+    vertices: np.ndarray
+    tris: np.ndarray
+    normals: np.ndarray
+    lengths: np.ndarray
+    n_boundary: int
+
+
+def interior_facets(mesh: Mesh) -> Facets:
+    """The interior facets of any triangulation, found by sorting its edges:
+    interior edges occur exactly twice and end up adjacent."""
+    tris = mesh.triangles
+    nt = tris.shape[0]
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    tri_of_edge = np.tile(np.arange(nt), 3)
+    edges = np.sort(edges, axis=1)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    edges = edges[order]
+    tri_of_edge = tri_of_edge[order]
+
+    dup = np.flatnonzero((edges[1:] == edges[:-1]).all(axis=1))
+    verts = edges[dup]
+    left = tri_of_edge[dup].copy()
+    right = tri_of_edge[dup + 1].copy()
+
+    pa = mesh.vertices[verts[:, 0]]
+    pb = mesh.vertices[verts[:, 1]]
+    d = pb - pa
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+
+    # orient so the normal points from the left triangle toward the right
+    mid = 0.5 * (pa + pb)
+    centroids = mesh.vertices[tris].mean(axis=1)
+    side = ((centroids[left] - mid) * normals).sum(axis=1)
+    swap = side > 0
+    left[swap], right[swap] = right[swap], left[swap]
+    return Facets(verts, np.column_stack([left, right]), normals, lengths,
+                  int(edges.shape[0] - 2 * dup.size))
+
+
+def facet_jumps(space, v: FeFunction, facets: Facets) -> np.ndarray:
+    """(grad v|_L - grad v|_R) . n_e across every interior facet e, from the
+    per-triangle gradients of its two triangles."""
+    grads = space.element_gradients(v)
+    gl = grads[facets.tris[:, 0]]
+    gr = grads[facets.tris[:, 1]]
+    return ((gl - gr) * facets.normals).sum(axis=1)
+
+
 def gathered_jump_norm(space, v: FeFunction, power: float) -> float:
     """(sum_e h_e^{2 power} J_e^2 |e|)^{1/2} from the per-triangle gradients
     of the two triangles at each interior facet."""
-    mesh = space.mesh
-    grads = space.element_gradients(v)
-    gl = grads[mesh.facet_tris[:, 0]]
-    gr = grads[mesh.facet_tris[:, 1]]
-    jump = ((gl - gr) * mesh.facet_normals).sum(axis=1)
-    contrib = mesh.facet_lengths ** (2.0 * power) * jump ** 2 * mesh.facet_lengths
+    facets = interior_facets(space.mesh)
+    jump = facet_jumps(space, v, facets)
+    contrib = facets.lengths ** (2.0 * power) * jump ** 2 * facets.lengths
     return float(np.sqrt(contrib.sum()))
 
 

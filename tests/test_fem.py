@@ -7,14 +7,15 @@ from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams, assemble_ma
                      make_uniform_grid, zero_field)
 from fstheta.fem import _values as fem_values
 
-from helpers import (fe_as_field, gathered_element_norm, gathered_jump_norm,
-                     nodal_interpolant, summed_weighted_quad_norm,
-                     sympy_local_matrices, varstep_case)
+from helpers import (facet_jumps, fe_as_field, gathered_element_norm,
+                     gathered_jump_norm, interior_facets, nodal_interpolant,
+                     summed_weighted_quad_norm, sympy_local_matrices, varstep_case)
 
 PI = np.pi
 SIN2 = ScalarField("sin.sin", lambda x, y, t: np.sin(PI * x) * np.sin(PI * y))
 SIN2_GRAD = (ScalarField("dx", lambda x, y, t: PI * np.cos(PI * x) * np.sin(PI * y)),
              ScalarField("dy", lambda x, y, t: PI * np.sin(PI * x) * np.cos(PI * y)))
+LINEAR = ScalarField("x+2y", lambda x, y, t: x + 2.0 * y)
 
 
 @pytest.fixture(scope="module")
@@ -248,10 +249,11 @@ def test_jump_norm_against_facet_oracle():
         mat = np.column_stack([p[:, 0], p[:, 1], np.ones(3)])
         coeff = np.linalg.solve(mat, vv[tri])
         grads[t] = coeff[:2]
+    facets = interior_facets(mesh)
     for power in (0.5, 1.5):
         total = 0.0
         for (left, right), normal, length in zip(
-                mesh.facet_tris, mesh.facet_normals, mesh.facet_lengths):
+                facets.tris, facets.normals, facets.lengths):
             jump = (grads[left] - grads[right]) @ normal
             total += length ** (2.0 * power) * jump ** 2 * length
         oracle = np.sqrt(total)
@@ -265,16 +267,17 @@ def test_jump_norm_homogeneity(space3):
         assert abs(space3.jump_norm(c * v, 1.5) - abs(c) * base) <= 1e-12 * base
 
 
-@pytest.mark.parametrize("level", [3, 4, 5, 6])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 7])
 def test_operator_norms_match_gathered_oracles(level):
     space = P1Space(build_uniform_mesh(level))
     v = _random_fe(space, seed=level)
     for power in (0, 1, 2):
         want = gathered_element_norm(space, v, power)
         assert abs(space.weighted_element_norm(v, power) - want) <= 1e-12 * want
-    for power in (0.5, 1.5):
-        want = gathered_jump_norm(space, v, power)
-        assert abs(space.jump_norm(v, power) - want) <= 1e-12 * want
+    for w in (v, nodal_interpolant(space, LINEAR, 0.0)):
+        for power in (0.5, 1.5):
+            want = gathered_jump_norm(space, w, power)
+            assert abs(space.jump_norm(w, power) - want) <= 1e-12 * want
     vals = _random_quad_values(space, seed=level)
     for power in (0.5, 1.0, 2.0):
         want = summed_weighted_quad_norm(space, vals, power)
@@ -284,29 +287,15 @@ def test_operator_norms_match_gathered_oracles(level):
     assert space.jump_norm(z, 1.5) == 0.0
 
 
-def test_norm_operators_are_built_on_first_use():
-    space = P1Space(build_uniform_mesh(4))
-    assert space._jump is None
-    v = _random_fe(space)
-    space.jump_norm(v, 1.5)
-    jump = space._jump
-    assert jump.shape == (space.mesh.facet_tris.shape[0], space.n_dofs)
-    assert jump.nnz == 4 * jump.shape[0]
-    assert np.array_equal(np.diff(jump.indptr), np.full(jump.shape[0], 4))
-    assert jump.indices.dtype == np.int32 and jump.indptr.dtype == np.int32
-    space.jump_norm(v, 0.5)
-    assert space._jump is jump
-
-
 @pytest.mark.parametrize("level", [3, 4, 5])
 def test_jumps_of_a_linear_interpolant_vanish_away_from_the_boundary(level):
     space = P1Space(build_uniform_mesh(level))
     mesh = space.mesh
-    v = nodal_interpolant(space, ScalarField("x+2y", lambda x, y, t: x + 2.0 * y), 0.0)
-    space.jump_norm(v, 1.5)
-    jumps = space._jump @ v.coeffs
+    v = nodal_interpolant(space, LINEAR, 0.0)
+    facets = interior_facets(mesh)
+    jumps = facet_jumps(space, v, facets)
     touches_boundary = mesh.boundary_vertex_flags[mesh.triangles].any(axis=1)
-    away = ~touches_boundary[mesh.facet_tris].any(axis=1)
+    away = ~touches_boundary[facets.tris].any(axis=1)
     assert away.sum() > 0 and np.abs(jumps[away]).max() <= 1e-12
     # near the boundary the zero trace bends the function, so jumps appear
     assert np.abs(jumps[~away]).max() > 1.0
@@ -434,6 +423,7 @@ def test_field_without_factors_takes_the_direct_path():
     case = varstep_case()
     v = _random_fe(space)
     (x4, y4), (x5, y5) = space._points("q4"), space._points("q5")
+    stored = dict(vars(space))
     for field in _case_fields(case):
         assert field.factors is None
         for t in (0.0, 0.3):
@@ -443,13 +433,15 @@ def test_field_without_factors_takes_the_direct_path():
                                   fem_values(field, x5, y5, t))
             space.field_error_l2(field, t, v)
         space.field_error_h1(case.exact_grad_u, 0.3, v)
-    assert space._distinct == {}
-    assert set(space._coords) == {"q4", "q5"}
+    # the full coordinates are broadcast on each call and never stored
+    assert vars(space).keys() == stored.keys()
+    assert all(vars(space)[name] is value for name, value in stored.items())
 
 
-def test_factors_see_only_distinct_coordinates_and_tables_are_lazy():
-    space = P1Space(build_uniform_mesh(5))
-    assert space._distinct == {} and space._coords == {}
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_factors_see_each_line_coordinate_once(level):
+    space = P1Space(build_uniform_mesh(level))
+    n = space.mesh.n_cells
     sizes = []
 
     def counting(fn):
@@ -461,65 +453,48 @@ def test_factors_see_only_distinct_coordinates_and_tables_are_lazy():
     c, fx, fy = make_case(1).forcing_f.factors
     field = ScalarField.separable("f", c, counting(fx), counting(fy))
     space.eval_field_q4(field, 0.25)
-    assert set(space._distinct) == {"q4"}
     space.field_error_l2(field, 0.25, space.function())
-    assert set(space._distinct) == {"q4", "q5"}
-    coords = (*space._points("q4"), *space._points("q5"))
-    n_distinct = max(np.unique(a).size for a in coords)
-    assert len(sizes) == 4
-    assert max(sizes) <= n_distinct < coords[0].size // 10
-    # a field with factors keeps only the distinct tables, no full coordinates
-    assert space._coords == {}
-
-
-def _gathered(index_x, index_y, xu, yu, shape):
-    """The coordinates the (n, 2 * points) indices gather: x follows the cell
-    column, y the cell row of triangle 2 * (row * n + column) + type."""
-    n, width = index_x.shape
-    cells = (n, n, width)
-    x = np.broadcast_to(xu[index_x][None], cells).reshape(shape)
-    y = np.broadcast_to(yu[index_y][:, None], cells).reshape(shape)
-    return x, y
+    # X on one cell row's points, Y on one cell column's, for q4 then q5
+    assert sizes == [n * 12, n * 12, n * 14, n * 14]
 
 
 def test_distinct_indices_are_intp_and_gather_the_coordinates():
-    # np.take converts narrower indices to intp on every gather; one index row
-    # per cell column (x) or cell row (y), not one entry per point
+    # no index array is left to convert: the per-line tables are the distinct
+    # coordinates themselves, float64 and contiguous, one row per cell column
+    # (x) or cell row (y), and broadcasting them gives every point
     space = P1Space(build_uniform_mesh(4))
-    field = make_case(1).forcing_f
-    space.eval_field_q4(field, 0.25)
-    space.field_error_l2(field, 0.25, space.function())
     for rule, n_points in (("q4", 6), ("q5", 7)):
         x, y = space._points(rule)
-        xu, ix, yu, iy = space._distinct[rule]
-        assert ix.dtype == np.intp and iy.dtype == np.intp
-        assert ix.shape == iy.shape == (16, 2 * n_points)
-        gx, gy = _gathered(ix, iy, xu, yu, x.shape)
-        assert np.array_equal(gx, x) and np.array_equal(gy, y)
+        xs, ys = space._lines[rule]
+        for table in (xs, ys):
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            assert table.shape == (16, 2 * n_points)
+        cells = (16, 16, 2 * n_points)
+        assert np.array_equal(np.broadcast_to(xs[None], cells).reshape(x.shape), x)
+        assert np.array_equal(np.broadcast_to(ys[:, None], cells).reshape(y.shape), y)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
 def test_gather_indices_follow_the_cell_columns_and_rows(level):
+    # the per-line tables: x by cell column and y by cell row, broadcast over
+    # the other axis, give every point's coordinates
     space = P1Space(build_uniform_mesh(level))
     n = space.mesh.n_cells
-    case = make_case(2)
-    for field in _case_fields(case):
-        space.eval_field_q4(field, 0.3)
-        space._quad_field(field, "q5", 0.3)
     for rule in ("q4", "q5"):
         x, y = space._points(rule)
-        xu, ix, yu, iy = space._distinct[rule]
-        assert ix.shape == iy.shape == (n, 2 * x.shape[1])
-        gx, gy = _gathered(ix, iy, xu, yu, x.shape)
-        assert np.array_equal(gx, x) and np.array_equal(gy, y)
+        xs, ys = space._lines[rule]
+        assert xs.shape == ys.shape == (n, 2 * x.shape[1])
+        cells = (n, n, 2 * x.shape[1])
+        assert np.array_equal(np.broadcast_to(xs[None], cells).reshape(x.shape), x)
+        assert np.array_equal(np.broadcast_to(ys[:, None], cells).reshape(y.shape), y)
 
 
-def test_gather_indices_reject_another_cell_layout():
+def test_gather_indices_reject_another_cell_layout(monkeypatch):
     # with x and y swapped, x follows the cell row: the table build refuses
-    space = P1Space(build_uniform_mesh(3))
-    space._points = lambda rule: P1Space._points(space, rule)[::-1]
+    points = P1Space._points
+    monkeypatch.setattr(P1Space, "_points", lambda space, rule: points(space, rule)[::-1])
     with pytest.raises(ValueError, match="row-major cell layout"):
-        space.eval_field_q4(make_case(1).forcing_f, 0.25)
+        P1Space(build_uniform_mesh(3))
 
 
 def test_separable_constructor_groups_the_products():

@@ -3,7 +3,7 @@ import pytest
 
 from fstheta import ConfigurationError, build_uniform_mesh
 
-from helpers import enumerate_edges
+from helpers import enumerate_edges, interior_facets
 
 
 @pytest.mark.parametrize("level", [0, -1, 13, 2.5, "3"])
@@ -44,12 +44,13 @@ def test_facets_against_edge_enumeration_oracle(level):
     boundary = {e for e, tris in edges.items() if len(tris) == 1}
     assert all(len(tris) in (1, 2) for tris in edges.values())
     assert interior | boundary == set(edges)
-    assert len(m.facet_vertices) == len(interior)
-    assert m.n_boundary_facets == len(boundary)
-    got = {tuple(sorted(map(int, ends))) for ends in m.facet_vertices}
+    facets = interior_facets(m)
+    assert len(facets.vertices) == len(interior)
+    assert facets.n_boundary == len(boundary)
+    got = {tuple(sorted(map(int, ends))) for ends in facets.vertices}
     assert got == interior
     # every interior facet lists exactly the two triangles the oracle found
-    for ends, tris in zip(m.facet_vertices, m.facet_tris):
+    for ends, tris in zip(facets.vertices, facets.tris):
         key = tuple(sorted(map(int, ends)))
         assert set(map(int, tris)) == set(edges[key])
 
@@ -57,10 +58,10 @@ def test_facets_against_edge_enumeration_oracle(level):
 def test_level1_interior_facet_count():
     # frozen from the enumeration oracle: 4 diagonals + 2 vertical + 2
     # horizontal interior edges
-    m = build_uniform_mesh(1)
-    assert len(m.facet_vertices) == 8
-    assert m.facet_tris.shape == (8, 2)
-    assert (m.facet_tris >= 0).all()
+    facets = interior_facets(build_uniform_mesh(1))
+    assert len(facets.vertices) == 8
+    assert facets.tris.shape == (8, 2)
+    assert (facets.tris >= 0).all()
 
 
 def test_level2_interior_count_from_boundary_count():
@@ -68,7 +69,7 @@ def test_level2_interior_count_from_boundary_count():
     edges = enumerate_edges(m.triangles)
     n_boundary = sum(1 for tris in edges.values() if len(tris) == 1)
     assert n_boundary == 4 * m.n_cells == 16
-    assert len(m.facet_vertices) == len(edges) - n_boundary
+    assert len(interior_facets(m).vertices) == len(edges) - n_boundary
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -81,21 +82,22 @@ def test_euler_relation(level):
 @pytest.mark.parametrize("level", [1, 3, 5])
 def test_unit_normals_and_orientation(level):
     m = build_uniform_mesh(level)
-    norms = np.hypot(m.facet_normals[:, 0], m.facet_normals[:, 1])
+    f = interior_facets(m)
+    norms = np.hypot(f.normals[:, 0], f.normals[:, 1])
     assert np.abs(norms - 1.0).max() <= 1e-14
     # normal points from left_tri toward right_tri
     centroids = m.vertices[m.triangles].mean(axis=1)
-    mid = 0.5 * (m.vertices[m.facet_vertices[:, 0]]
-                 + m.vertices[m.facet_vertices[:, 1]])
-    to_right = ((centroids[m.facet_tris[:, 1]] - mid) * m.facet_normals).sum(1)
-    to_left = ((centroids[m.facet_tris[:, 0]] - mid) * m.facet_normals).sum(1)
+    mid = 0.5 * (m.vertices[f.vertices[:, 0]] + m.vertices[f.vertices[:, 1]])
+    to_right = ((centroids[f.tris[:, 1]] - mid) * f.normals).sum(1)
+    to_left = ((centroids[f.tris[:, 0]] - mid) * f.normals).sum(1)
     assert (to_right > 0).all()
     assert (to_left < 0).all()
 
 
 def test_facet_adjacency_symmetric():
     m = build_uniform_mesh(2)
-    for ends, tris in zip(m.facet_vertices, m.facet_tris):
+    facets = interior_facets(m)
+    for ends, tris in zip(facets.vertices, facets.tris):
         for tri in tris:
             assert set(ends) <= set(m.triangles[tri])
 
@@ -131,9 +133,9 @@ def test_dof_map_enumerates_interior_vertices():
 
 
 def test_facet_arrays_agree_in_length_and_are_positive():
-    m = build_uniform_mesh(2)
-    nf = len(m.facet_vertices)
-    assert m.facet_vertices.shape == m.facet_tris.shape == (nf, 2)
-    assert m.facet_normals.shape == (nf, 2)
-    assert m.facet_lengths.shape == (nf,)
-    assert (m.facet_lengths > 0).all()
+    f = interior_facets(build_uniform_mesh(2))
+    nf = len(f.vertices)
+    assert f.vertices.shape == f.tris.shape == (nf, 2)
+    assert f.normals.shape == (nf, 2)
+    assert f.lengths.shape == (nf,)
+    assert (f.lengths > 0).all()
