@@ -7,8 +7,7 @@ from .estimators import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
                          elliptic_estimator, quadrature_exactness_check,
                          recon_coeff_three_level, recon_coeff_two_level,
                          step_difference_estimator, time_weight)
-from .fem import (FeFunction, P1Space, ScalarField, assemble_mass,
-                  assemble_stiffness, zero_field)
+from .fem import FeFunction, P1Space, ScalarField, zero_field
 from .mesh import Mesh, build_uniform_mesh
 from .scheme import (THETA_DEFAULT, SchemeParams, StepRecord, ThetaScheme,
                      glowinski_alpha, make_uniform_grid)
@@ -25,8 +24,7 @@ __all__ = [
     "elliptic_estimator", "quadrature_exactness_check",
     "recon_coeff_three_level", "recon_coeff_two_level",
     "step_difference_estimator", "time_weight",
-    "FeFunction", "P1Space", "ScalarField", "assemble_mass",
-    "assemble_stiffness", "zero_field",
+    "FeFunction", "P1Space", "ScalarField", "zero_field",
     "Mesh", "build_uniform_mesh",
     "THETA_DEFAULT", "SchemeParams", "StepRecord", "ThetaScheme",
     "glowinski_alpha", "make_uniform_grid",

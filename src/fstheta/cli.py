@@ -109,12 +109,11 @@ def _run_checks(result, case: int) -> list[str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    consts = ConstantsConfig(**dict(args.const))
     try:
         result = run_study(
             args.case, args.levels,
             theta=args.theta, alpha1=args.alpha1, alpha2=args.alpha2,
-            consts=consts,
+            consts=ConstantsConfig(**dict(args.const)),
             out_dir=args.out, fmt=args.format, variant=args.variant)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)

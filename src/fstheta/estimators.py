@@ -41,8 +41,10 @@ class ConstantsConfig:
 
     def __post_init__(self):
         for name in ("c1", "c11", "C11", "C12", "C22"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"constant {name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(
+                    f"constant {name} must be finite and positive, got {value!r}")
 
 
 def quadrature_exactness_check(alpha: float, theta: float = THETA_DEFAULT) -> float:

@@ -1,6 +1,7 @@
-"""P1 Lagrange finite elements on a fixed mesh.
+"""P1 Lagrange finite elements on the uniform mesh.
 
-Matrices are assembled exactly (consistent mass, no lumping); loads and
+The mass and stiffness matrices are exact (consistent mass, no lumping)
+and written directly from the mesh's 7-point stencil; loads and
 projections of general fields use a degree-4 triangle rule, error norms
 against exact solutions a degree-5 rule, so quadrature error stays well
 below the O(h^2) signals measured by the study harness.
@@ -87,7 +88,7 @@ def zero_field(name: str = "zero") -> ScalarField:
 class FeFunction:
     """Continuous piecewise-linear field with zero boundary trace.
 
-    ``coeffs`` holds the interior-dof values in ``mesh.dof_map`` order.
+    ``coeffs`` holds the values at ``mesh.interior_vertices``, in order.
     """
 
     mesh: Mesh
@@ -130,60 +131,43 @@ class FeFunction:
         return FeFunction(self.mesh, -self.coeffs)
 
 
-def _local_mass_pattern() -> np.ndarray:
-    # exact P1 mass on a triangle of unit area
-    return (np.ones((3, 3)) + np.eye(3)) / 12.0
+# the 7-point stencil of the uniform mesh: (row, column) shifts between
+# neighbouring interior dofs, in ascending offset order
+_BAND = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _basis_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients of the three barycentric basis functions per triangle,
-    shape (n_triangles, 3, 2)."""
-    pts = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
-    g = np.empty((mesh.n_triangles, 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        g[:, i, 0] = pts[:, j, 1] - pts[:, k, 1]
-        g[:, i, 1] = pts[:, k, 0] - pts[:, j, 0]
-    g /= (2.0 * mesh.tri_areas)[:, None, None]
-    return g
-
-
-def assemble_mass(mesh: Mesh, dirichlet: bool = True) -> sp.csr_matrix:
-    """Exact P1 mass matrix; restricted to interior dofs when ``dirichlet``."""
-    tris = mesh.triangles
-    local = mesh.tri_areas[:, None, None] * _local_mass_pattern()[None, :, :]
-    return _scatter(mesh, tris, local, dirichlet)
-
-
-def assemble_stiffness(mesh: Mesh, dirichlet: bool = True) -> sp.csr_matrix:
-    """Exact P1 stiffness matrix; restricted to interior dofs when
-    ``dirichlet``."""
-    grads = _basis_gradients(mesh)
-    local = np.einsum("tid,tjd->tij", grads, grads) * mesh.tri_areas[:, None, None]
-    return _scatter(mesh, mesh.triangles, local, dirichlet)
-
-
-def _scatter(mesh: Mesh, tris, local, dirichlet: bool) -> sp.csr_matrix:
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
-    if dirichlet:
-        idx = mesh.interior_vertices
-        mat = mat[idx][:, idx].tocsr()
-    return mat
+def _band(n: int, diagonal: float, axis: float, skew: float) -> sp.dia_matrix:
+    """A P1 operator on the (n-1)^2 interior dofs of the uniform mesh,
+    m = n - 1 per row, with ``diagonal`` at offset 0, ``axis`` at +-1 and
+    +-m and ``skew`` at +-(m+1).  Entry j of the band at offset dr * m + dc
+    couples dof j = (row, column) with the dof at (row - dr, column - dc),
+    and is 0 where that lies off the grid."""
+    m = n - 1
+    if m == 1:  # one dof: the offsets +-1 and +-m would coincide
+        return sp.dia_matrix((np.array([[diagonal]]), [0]), shape=(1, 1))
+    idx = np.arange(m)
+    data = np.empty((len(_BAND), m, m))
+    for band, (dr, dc) in enumerate(_BAND):
+        value = diagonal if dr == dc == 0 else skew if dr == dc else axis
+        rows = (idx >= dr) & (idx < m + dr)
+        cols = (idx >= dc) & (idx < m + dc)
+        data[band] = np.where(rows[:, None] & cols, value, 0.0)
+    offsets = [dr * m + dc for dr, dc in _BAND]
+    return sp.dia_matrix((data.reshape(len(_BAND), -1), offsets), shape=(m * m, m * m))
 
 
 class P1Space:
-    """Dirichlet P1 space on a fixed mesh with cached matrices and
+    """Dirichlet P1 space on the uniform mesh with its matrices and
     quadrature data, all built in the constructor.  ``mass`` and
-    ``stiffness`` are stored as 7-diagonal ``dia_matrix`` operators, the
-    band of the uniform mesh.  Every element of that mesh has the one
-    diameter ``h``, so the h-weighted norms are powers of ``h`` times the
-    plain ones; a mesh whose diameters differ raises ``ValueError``.  The
-    quadrature points are held as two per-line tables per rule (x by cell
-    column, y by cell row) and the facet jumps are read off the vertex grid,
-    so the space stores no per-point coordinates and no facet data.
+    ``stiffness`` are written directly as 7-diagonal ``dia_matrix``
+    operators from the stencil of the mesh.  Every element has the area
+    ``h^2 / 4`` and the diameter ``h``, so each rule keeps the weights of
+    one cell row and the h-weighted norms are powers of ``h`` times the
+    plain ones.  The quadrature points are held as two per-line tables per
+    rule (x by cell column, y by cell row), and the element gradients and
+    facet jumps are differences of the vertex values on the grid, so the
+    space stores no per-triangle geometry, per-point coordinates or facet
+    data.
 
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs, and ``run_single`` evaluates a step's
@@ -195,21 +179,24 @@ class P1Space:
     """
 
     def __init__(self, mesh: Mesh):
-        h = mesh.tri_diameters[0]
-        if not (mesh.tri_diameters == h).all():
-            raise ValueError(
-                "element diameters differ: the h-weighted norms need the "
-                "uniform mesh, whose elements all have one diameter")
+        n = mesh.n_cells
+        cell = 1.0 / n
+        area = 0.5 * cell * cell
         self.mesh = mesh
-        self._h = float(h)
-        self.mass = assemble_mass(mesh).todia()
-        self.stiffness = assemble_stiffness(mesh).todia()
+        self._h = float(np.sqrt(2.0) * cell)
+        # element values area / 12 * (1 + delta_ij) of the mass and
+        # area * grad phi_i . grad phi_j of the stiffness, summed over the six
+        # triangles at a vertex and the two at an edge; the mass diagonal is
+        # summed left to right, the order of element-by-element assembly
+        x, y = area * (2.0 / 12.0), area * (1.0 / 12.0)
+        self.mass = _band(n, x + x + x + x + x + x, y + y, y + y)
+        self.stiffness = _band(n, 4.0, -1.0, 0.0)
 
-        self._grads = _basis_gradients(mesh)
-        self._q4_wa = mesh.tri_areas[:, None] * _Q4_W[None, :]
-        self._q5_wa = mesh.tri_areas[:, None] * _Q5_W[None, :]
+        # area * w_q for the 2n triangles of a cell row (see ``_weighted``)
+        self._q4_wa = np.tile(area * _Q4_W, 2 * n)
+        self._q5_wa = np.tile(area * _Q5_W, 2 * n)
         # rule -> (x of one cell row's points, y of one cell column's points)
-        self._lines = {rule: _cell_lines(*self._points(rule), mesh.n_cells)
+        self._lines = {rule: _cell_lines(*self._points(rule), n)
                        for rule in ("q4", "q5")}
 
     def _check(self, v: FeFunction) -> None:
@@ -217,7 +204,7 @@ class P1Space:
             raise ValueError("function lives on a different mesh than the space")
 
     def _check_quad(self, vals: np.ndarray) -> None:
-        expected = self._q4_wa.shape
+        expected = (self.mesh.n_triangles, 6)
         if np.shape(vals) != expected:
             raise ValueError(
                 f"expected degree-4 quadrature values of shape (n_triangles, 6) "
@@ -271,10 +258,16 @@ class P1Space:
         pts = self.mesh.vertices[self.mesh.triangles]      # (nt, 3, 2)
         return pts[:, :, 0] @ bary.T, pts[:, :, 1] @ bary.T
 
+    def _weighted(self, wa: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """|K| w_q times values of shape (n_triangles, q), the products
+        formed one cell row at a time; against the q weights alone they
+        would run in inner loops of q elements, about twice as slow."""
+        return (wa * vals.reshape(self.mesh.n_cells, -1)).reshape(vals.shape)
+
     def quad_norm(self, vals: np.ndarray) -> float:
         """L2 norm of a field given by its degree-4 quadrature values."""
         self._check_quad(vals)
-        return float(np.sqrt((self._q4_wa * vals ** 2).sum()))
+        return float(np.sqrt(self._weighted(self._q4_wa, vals ** 2).sum()))
 
     def weighted_quad_norm(self, vals: np.ndarray, power: float) -> float:
         """Broken norm (sum_K h_K^{2 power} ||.||_K^2)^{1/2} from degree-4
@@ -289,7 +282,7 @@ class P1Space:
 
     def load_from_quad_values(self, vals: np.ndarray) -> np.ndarray:
         self._check_quad(vals)
-        contrib = (self._q4_wa * vals) @ _Q4_BARY          # (nt, 3)
+        contrib = self._weighted(self._q4_wa, vals) @ _Q4_BARY      # (nt, 3)
         b = np.bincount(self.mesh.triangles.ravel(),
                         weights=contrib.ravel(),
                         minlength=self.mesh.n_vertices)
@@ -326,8 +319,16 @@ class P1Space:
     def element_gradients(self, v: FeFunction) -> np.ndarray:
         """Constant gradient of v per triangle, shape (nt, 2)."""
         self._check(v)
-        loc = v.vertex_values()[self.mesh.triangles]
-        return np.einsum("ti,tid->td", loc, self._grads)
+        return np.stack(self._cell_gradients(v), axis=-1).reshape(-1, 2)
+
+    def _cell_gradients(self, v: FeFunction) -> tuple[np.ndarray, ...]:
+        """x and y gradients of the lower and then the upper triangle of
+        every cell, each of shape (n, n): differences of the vertex values
+        V[row, column] times n."""
+        n = self.mesh.n_cells
+        V = v.vertex_values().reshape(n + 1, n + 1) * n
+        return (V[:-1, 1:] - V[:-1, :-1], V[1:, 1:] - V[:-1, 1:],
+                V[1:, 1:] - V[1:, :-1], V[1:, :-1] - V[:-1, :-1])
 
     def jump_norm(self, v: FeFunction, power: float) -> float:
         """(sum_e h_e^{2 power} J_e^2 |e|)^{1/2} with J_e the jump of the
@@ -335,15 +336,10 @@ class P1Space:
 
         On the uniform grid every interior facet is a cell diagonal (length
         h), a horizontal or a vertical edge (length h / sqrt 2), and the
-        gradients are differences of the vertex values V[row, column]."""
+        gradients are differences of the vertex values."""
         self._check(v)
         n = self.mesh.n_cells
-        V = v.vertex_values().reshape(n + 1, n + 1) * n
-        # gradients of the lower and upper triangle of every cell, (n, n)
-        dx_low = V[:-1, 1:] - V[:-1, :-1]
-        dy_low = V[1:, 1:] - V[:-1, 1:]
-        dx_up = V[1:, 1:] - V[1:, :-1]
-        dy_up = V[1:, :-1] - V[:-1, :-1]
+        dx_low, dy_low, dx_up, dy_up = self._cell_gradients(v)
         # sqrt 2 times the jumps across the diagonals; the jumps across the
         # horizontal edges between cell rows and the vertical edges between
         # cell columns
@@ -363,7 +359,7 @@ class P1Space:
         self._check(v)
         gq = self._quad_field(g, "q5", t)
         vq = v.vertex_values()[self.mesh.triangles] @ _Q5_BARY.T
-        return float(np.sqrt((self._q5_wa * (gq - vq) ** 2).sum()))
+        return float(np.sqrt(self._weighted(self._q5_wa, (gq - vq) ** 2).sum()))
 
     def field_error_h1(self, g_grad, t: float, v: FeFunction) -> float:
         """||grad g(.,t) - grad v|| by the degree-5 rule; ``g_grad`` is a
@@ -380,8 +376,7 @@ class P1Space:
         np.square(dx, out=dx)
         np.square(dy, out=dy)
         dx += dy
-        dx *= self._q5_wa
-        return float(np.sqrt(dx.sum()))
+        return float(np.sqrt(self._weighted(self._q5_wa, dx).sum()))
 
 
 def _cell_lines(x: np.ndarray, y: np.ndarray, n: int):

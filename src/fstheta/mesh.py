@@ -21,10 +21,11 @@ class Mesh:
     the diameter ``sqrt(2) / 2**level``.  Vertex ``row * (n + 1) + column``
     lies at (column / n, row / n), and cell (row, column) holds triangles
     ``2 * (row * n + column)`` (lower) and ``+ 1`` (upper): ``P1Space``
-    reads its quadrature tables and facet jumps off this row-major layout,
-    so the mesh stores no facet data.  ``dof_map`` enumerates interior
-    vertices only; boundary vertices carry the value zero (homogeneous
-    Dirichlet data).
+    reads its operators, quadrature tables, gradients and facet jumps off
+    this row-major layout, so the mesh stores no per-triangle geometry and
+    no facet data.  The dofs are the ``interior_vertices`` in ascending
+    order; boundary vertices carry the value zero (homogeneous Dirichlet
+    data).
     """
 
     def __init__(self, level: int):
@@ -53,18 +54,8 @@ class Mesh:
         tris[1::2] = np.column_stack([v00, v11, v01])
         self.triangles = tris
 
-        cell = 1.0 / n
-        nt = tris.shape[0]
-        self.tri_areas = np.full(nt, 0.5 * cell * cell)
-        self.tri_diameters = np.full(nt, np.sqrt(2.0) * cell)
-
-        gi = np.arange((n + 1) ** 2)
-        col = gi % (n + 1)
-        row = gi // (n + 1)
-        self.boundary_vertex_flags = (col == 0) | (col == n) | (row == 0) | (row == n)
-        self.interior_vertices = np.flatnonzero(~self.boundary_vertex_flags)
-        self.dof_map = np.full((n + 1) ** 2, -1, dtype=np.int64)
-        self.dof_map[self.interior_vertices] = np.arange(self.interior_vertices.size)
+        inner = (np.arange(n + 1) > 0) & (np.arange(n + 1) < n)
+        self.interior_vertices = np.flatnonzero(inner[:, None] & inner)
         self.n_dofs = int(self.interior_vertices.size)
 
     @property

@@ -278,8 +278,12 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
     """Run a sweep of levels for one case.
 
     On failure partway through, any completed levels are flushed to
-    ``out_dir`` (when given) before the exception propagates.
+    ``out_dir`` (when given) before the exception propagates.  An empty
+    level list raises ``ConfigurationError`` before anything is written.
     """
+    levels = list(levels)
+    if not levels:
+        raise ConfigurationError("a study needs at least one level")
     case = case_id if isinstance(case_id, CaseSpec) else make_case(case_id)
     reports: list[RunReport] = []
     try:

@@ -5,9 +5,11 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fstheta import CaseSpec, FeFunction, Mesh, ScalarField, StepRecord
+from fstheta.fem import _Q4_W
 from fstheta.scheme import correction_coeffs, substep_defect
 
 
@@ -54,14 +56,75 @@ def fe_as_field(fe: FeFunction) -> ScalarField:
     return ScalarField("fe", fn)
 
 
+class TriangleGeometry(NamedTuple):
+    """Per-triangle ``areas`` and ``diameters`` (longest edge)."""
+
+    areas: np.ndarray
+    diameters: np.ndarray
+
+
+def triangle_geometry(mesh: Mesh) -> TriangleGeometry:
+    """Areas and diameters of every triangle, from its vertices."""
+    pts = mesh.vertices[mesh.triangles]                     # (nt, 3, 2)
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
+    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1])
+    edges = pts - np.roll(pts, 1, axis=1)
+    diameters = np.sqrt((edges ** 2).sum(axis=2).max(axis=1))
+    return TriangleGeometry(areas, diameters)
+
+
+def basis_gradients(mesh: Mesh) -> np.ndarray:
+    """Gradients of the three barycentric basis functions per triangle,
+    shape (n_triangles, 3, 2)."""
+    pts = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
+    g = np.empty((mesh.n_triangles, 3, 2))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        g[:, i, 0] = pts[:, j, 1] - pts[:, k, 1]
+        g[:, i, 1] = pts[:, k, 0] - pts[:, j, 0]
+    g /= (2.0 * triangle_geometry(mesh).areas)[:, None, None]
+    return g
+
+
+def assemble_mass(mesh: Mesh, dirichlet: bool = True) -> sp.csr_matrix:
+    """Exact P1 mass matrix assembled element by element; restricted to
+    interior dofs when ``dirichlet``."""
+    pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    local = triangle_geometry(mesh).areas[:, None, None] * pattern[None, :, :]
+    return _scatter(mesh, local, dirichlet)
+
+
+def assemble_stiffness(mesh: Mesh, dirichlet: bool = True) -> sp.csr_matrix:
+    """Exact P1 stiffness matrix assembled element by element; restricted
+    to interior dofs when ``dirichlet``."""
+    grads = basis_gradients(mesh)
+    areas = triangle_geometry(mesh).areas
+    local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
+    return _scatter(mesh, local, dirichlet)
+
+
+def _scatter(mesh: Mesh, local, dirichlet: bool) -> sp.csr_matrix:
+    tris = mesh.triangles
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
+                        shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+    if dirichlet:
+        idx = mesh.interior_vertices
+        mat = mat[idx][:, idx].tocsr()
+    return mat
+
+
 def gathered_element_norm(space, v: FeFunction, power: float) -> float:
     """(sum_K ||h_K^power v||_K^2)^{1/2} element by element from the gathered
     vertex values: the exact P1 integral |K|/12 (sum_i v_i^2 + (sum_i v_i)^2)
     per triangle."""
     mesh = space.mesh
+    geom = triangle_geometry(mesh)
     loc = v.vertex_values()[mesh.triangles]                 # (nt, 3)
-    integ = mesh.tri_areas / 12.0 * ((loc ** 2).sum(axis=1) + loc.sum(axis=1) ** 2)
-    return float(np.sqrt((mesh.tri_diameters ** (2.0 * power) * integ).sum()))
+    integ = geom.areas / 12.0 * ((loc ** 2).sum(axis=1) + loc.sum(axis=1) ** 2)
+    return float(np.sqrt((geom.diameters ** (2.0 * power) * integ).sum()))
 
 
 class Facets(NamedTuple):
@@ -130,8 +193,10 @@ def gathered_jump_norm(space, v: FeFunction, power: float) -> float:
 def summed_weighted_quad_norm(space, vals, power: float) -> float:
     """(sum_K h_K^{2 power} ||.||_K^2)^{1/2} from degree-4 quadrature values,
     summed with the per-point weights h_K^{2 power} |K| w_q."""
-    w = space.mesh.tri_diameters ** (2.0 * power)
-    return float(np.sqrt((w[:, None] * space._q4_wa * vals ** 2).sum()))
+    geom = triangle_geometry(space.mesh)
+    w = geom.diameters ** (2.0 * power)
+    wa = geom.areas[:, None] * _Q4_W[None, :]
+    return float(np.sqrt((w[:, None] * wa * vals ** 2).sum()))
 
 
 def synthetic_record(space, n, t_prev, t_new, states, laps=None,

@@ -262,7 +262,7 @@ def test_criterion_6_three_level_coeff_vanishes_on_linear_trajectories():
 
 def test_criterion_6_local_matrices_symbolic():
     mesh = build_uniform_mesh(1)
-    from fstheta.fem import assemble_mass, assemble_stiffness
+    from helpers import assemble_mass, assemble_stiffness
     nv = mesh.n_vertices
     m_oracle = np.zeros((nv, nv))
     k_oracle = np.zeros((nv, nv))

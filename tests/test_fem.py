@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
-from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams, assemble_mass,
-                     assemble_stiffness, build_uniform_mesh, eoc, make_case,
-                     make_uniform_grid, zero_field)
-from fstheta.fem import _values as fem_values
+from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams,
+                     build_uniform_mesh, eoc, make_case, make_uniform_grid,
+                     zero_field)
+from fstheta.fem import _Q4_W as fem_Q4_W, _values as fem_values
 
-from helpers import (facet_jumps, fe_as_field, gathered_element_norm,
+from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
+                     facet_jumps, fe_as_field, gathered_element_norm,
                      gathered_jump_norm, interior_facets, nodal_interpolant,
-                     summed_weighted_quad_norm, sympy_local_matrices, varstep_case)
+                     summed_weighted_quad_norm, sympy_local_matrices,
+                     triangle_geometry, varstep_case)
 
 PI = np.pi
 SIN2 = ScalarField("sin.sin", lambda x, y, t: np.sin(PI * x) * np.sin(PI * y))
@@ -71,6 +74,36 @@ def test_global_assembly_matches_symbolic_oracle():
     assert np.abs(k - k_oracle).max() <= 1e-13
 
 
+@pytest.mark.parametrize("level", range(1, 10))
+def test_stencil_operators_equal_the_assembled_band_bit_for_bit(level):
+    # M and K are written from the stencil; the element-by-element assembly
+    # restricted to the interior dofs is the oracle, band data and padding
+    # included, so every product and solve keeps its bits.
+    mesh = build_uniform_mesh(level)
+    space = P1Space(mesh)
+    x = np.random.default_rng(level).standard_normal(space.n_dofs)
+    for got, oracle in ((space.mass, assemble_mass(mesh)),
+                        (space.stiffness, assemble_stiffness(mesh))):
+        want = oracle.todia()
+        assert isinstance(got, sp.dia_matrix)
+        assert got.offsets.tolist() == want.offsets.tolist()
+        assert got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.nnz == want.nnz
+        assert (got @ x).tobytes() == (oracle @ x).tobytes()
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_element_gradients_equal_the_basis_gradient_contraction_bit_for_bit(level):
+    space = P1Space(build_uniform_mesh(level))
+    v = _random_fe(space, seed=level)
+    loc = v.vertex_values()[space.mesh.triangles]
+    want = np.einsum("ti,tid->td", loc, basis_gradients(space.mesh))
+    got = space.element_gradients(v)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_mass_row_sums_total_one(space3):
     m = assemble_mass(space3.mesh, dirichlet=False)
     assert abs(m.sum() - 1.0) <= 1e-13
@@ -110,7 +143,7 @@ def test_load_constant_one_level1():
     # oracle: integral of the center hat equals its support area / 3
     center = mesh.interior_vertices[0]
     support = [t for t, tri in enumerate(mesh.triangles) if center in tri]
-    support_area = mesh.tri_areas[support].sum()
+    support_area = triangle_geometry(mesh).areas[support].sum()
     assert len(support) == 6
     assert abs(b[0] - support_area / 3.0) <= 1e-14
     assert abs(b[0] - 0.25) <= 1e-14
@@ -210,7 +243,7 @@ def test_weighted_element_norm_uniform_h_factor():
         space = P1Space(build_uniform_mesh(level))
         v = _random_fe(space, seed=11)
         vals = _random_quad_values(space, seed=12)
-        h = space.mesh.tri_diameters[0]
+        h = triangle_geometry(space.mesh).diameters[0]
         for power in (1.0, 2.0):
             got = space.weighted_element_norm(v, power)
             assert abs(got - h ** power * space.l2_norm(v)) <= 1e-12 * got
@@ -218,22 +251,15 @@ def test_weighted_element_norm_uniform_h_factor():
             assert abs(got - h ** power * space.quad_norm(vals)) <= 1e-12 * got
 
 
-def test_a_mesh_of_unequal_element_diameters_is_rejected():
-    mesh = build_uniform_mesh(3)
-    mesh.tri_diameters = mesh.tri_diameters.copy()
-    mesh.tri_diameters[5] *= 1.5
-    with pytest.raises(ValueError, match="uniform mesh"):
-        P1Space(mesh)
-
-
 def test_weighted_element_norm_against_quadrature_oracle():
     space = P1Space(build_uniform_mesh(2))
     v = _random_fe(space, seed=13)
     vals = space.eval_q4(v)
     # independent path: numerical quadrature element by element
-    per_elem = (space._q4_wa * vals ** 2).sum(axis=1)
+    geom = triangle_geometry(space.mesh)
+    per_elem = geom.areas * (vals ** 2 @ fem_Q4_W)
     for power in (0.0, 2.0):
-        oracle = np.sqrt((space.mesh.tri_diameters ** (2 * power) * per_elem).sum())
+        oracle = np.sqrt((geom.diameters ** (2 * power) * per_elem).sum())
         assert abs(space.weighted_element_norm(v, power) - oracle) <= 1e-12
 
 
@@ -294,7 +320,8 @@ def test_jumps_of_a_linear_interpolant_vanish_away_from_the_boundary(level):
     v = nodal_interpolant(space, LINEAR, 0.0)
     facets = interior_facets(mesh)
     jumps = facet_jumps(space, v, facets)
-    touches_boundary = mesh.boundary_vertex_flags[mesh.triangles].any(axis=1)
+    on_boundary = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
+    touches_boundary = on_boundary[mesh.triangles].any(axis=1)
     away = ~touches_boundary[facets.tris].any(axis=1)
     assert away.sum() > 0 and np.abs(jumps[away]).max() <= 1e-12
     # near the boundary the zero trace bends the function, so jumps appear
@@ -318,7 +345,7 @@ def test_functions_from_another_mesh_are_rejected():
 # -- norms and loads of quadrature values -------------------------------------------
 
 def _random_quad_values(space, seed=0):
-    return np.random.default_rng(seed).standard_normal(space._q4_wa.shape)
+    return np.random.default_rng(seed).standard_normal((space.mesh.n_triangles, 6))
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
@@ -328,7 +355,7 @@ def test_weighted_quad_norm_equals_summed_oracle_bit_for_bit(level):
     # agrees to rounding (test_operator_norms_match_gathered_oracles).
     space = P1Space(build_uniform_mesh(level))
     vals = _random_quad_values(space, seed=level)
-    h = float(space.mesh.tri_diameters[0])
+    h = float(triangle_geometry(space.mesh).diameters[0])
     for power in (0.5, 1.0, 2.0):
         assert space.weighted_quad_norm(vals, power) == \
             h ** power * summed_weighted_quad_norm(space, vals, 0.0)

@@ -3,7 +3,7 @@ import pytest
 
 from fstheta import ConfigurationError, build_uniform_mesh
 
-from helpers import enumerate_edges, interior_facets
+from helpers import enumerate_edges, interior_facets, triangle_geometry
 
 
 @pytest.mark.parametrize("level", [0, -1, 13, 2.5, "3"])
@@ -18,7 +18,7 @@ def test_level1_counts():
     assert m.n_vertices == 9
     assert m.n_triangles == 2 * m.n_cells ** 2 == 8
     assert m.n_dofs == 1
-    assert m.tri_diameters.max() == np.sqrt(2.0) / 2.0
+    assert triangle_geometry(m).diameters.max() == np.sqrt(2.0) / 2.0
 
 
 def test_level3_counts_by_grid_enumeration():
@@ -33,7 +33,7 @@ def test_level3_counts_by_grid_enumeration():
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_triangle_areas_partition_unit_square(level):
     m = build_uniform_mesh(level)
-    assert abs(m.tri_areas.sum() - 1.0) <= 1e-12
+    assert abs(triangle_geometry(m).areas.sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -105,7 +105,7 @@ def test_facet_adjacency_symmetric():
 @pytest.mark.parametrize("level", [1, 2, 3, 6])
 def test_max_diameter_exact(level):
     m = build_uniform_mesh(level)
-    assert m.tri_diameters.max() == np.sqrt(2.0) * 2.0 ** (-level)
+    assert triangle_geometry(m).diameters.max() == np.sqrt(2.0) * 2.0 ** (-level)
 
 
 def test_vertex_nesting():
@@ -125,11 +125,12 @@ def test_triangles_counterclockwise():
     assert (cross > 0).all()
 
 
-def test_dof_map_enumerates_interior_vertices():
-    m = build_uniform_mesh(2)
-    assert (m.dof_map[m.boundary_vertex_flags] == -1).all()
-    inner = m.dof_map[~m.boundary_vertex_flags]
-    assert sorted(inner) == list(range(m.n_dofs))
+def test_interior_vertices_are_the_vertices_off_the_boundary():
+    for level in (1, 2, 3):
+        m = build_uniform_mesh(level)
+        on_boundary = ((m.vertices == 0.0) | (m.vertices == 1.0)).any(axis=1)
+        assert m.interior_vertices.tolist() == np.flatnonzero(~on_boundary).tolist()
+        assert m.n_dofs == (m.n_cells - 1) ** 2
 
 
 def test_facet_arrays_agree_in_length_and_are_positive():

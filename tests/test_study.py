@@ -361,6 +361,20 @@ def test_run_study_flushes_partial_results(tmp_path):
     assert len(lines) == 2  # header plus the completed level
 
 
+def test_a_study_without_levels_is_rejected_before_anything_is_written(tmp_path):
+    out = tmp_path / "res"
+    with pytest.raises(ConfigurationError, match="at least one level"):
+        run_study(2, [], out_dir=out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_constants_must_be_finite_and_positive(value):
+    for field in dataclasses.fields(ConstantsConfig):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            ConstantsConfig(**{field.name: value})
+
+
 # -- emission ---------------------------------------------------------------------
 
 def _numbers_in(text):
@@ -436,6 +450,16 @@ def test_cli_constant_overrides(tmp_path):
 def test_cli_rejects_bad_flags(args):
     with pytest.raises(SystemExit):
         cli_main(["--case", "1"] + args)
+
+
+@pytest.mark.parametrize("const", ["c1=-1", "C12=nan", "C22=inf"])
+def test_cli_reports_a_bad_constant_as_a_configuration_error(tmp_path, capsys, const):
+    out = tmp_path / "res"
+    code = cli_main(["--case", "1", "--levels", "2", "--const", const,
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: constant")
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_theta_value():
