@@ -9,6 +9,7 @@ A-stable for alpha1 > 1/2.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +125,28 @@ class SchemeParams:
         return t0 + self.theta * k, t0 + (self.theta + self.theta_tilde) * k
 
 
+class Deferred:
+    """A tuple of values computed once, on the first ``get()`` from any
+    thread, under a lock; later calls return the same objects.  A failed
+    computation keeps nothing, so the next ``get()`` runs it again."""
+
+    def __init__(self, compute=None, values: tuple = ()):
+        self._compute = compute
+        self._values = values
+        self._lock = threading.Lock()
+
+    @classmethod
+    def done(cls, *values) -> "Deferred":
+        return cls(values=values)
+
+    def get(self) -> tuple:
+        with self._lock:
+            if self._compute is not None:
+                self._values = self._compute()
+                self._compute = None        # drops the inputs
+            return self._values
+
+
 @dataclass
 class StepRecord:
     """What the estimators read of one time step: the states, discrete
@@ -133,38 +156,67 @@ class StepRecord:
     ``xi_theta`` is the correction of the discrete Laplacians (weights
     alpha1/beta1), ``xi_phi_q4`` the correction of the forcing at the
     degree-4 quadrature points and ``proj_xi_phi`` its L2 projection
-    (weights alpha2/beta2)."""
+    (weights alpha2/beta2).
+
+    The mass-solved fields come from two ``Deferred`` stages: ``end`` gives
+    (``lap_new``, ``proj_f_new``, ``xi_theta``, ``proj_xi_phi``), solved on
+    the first read of any of them, and ``start`` is the previous step's
+    ``end`` (for step 1, the Laplacian and projection at t^0), so
+    ``rec.lap_prev is prev.lap_new``.  The states and forcing samples are
+    plain arrays."""
 
     n: int
     t_prev: float
     t_new: float
     U_prev: FeFunction
     U_new: FeFunction
-    lap_prev: FeFunction
-    lap_new: FeFunction
-    proj_f_prev: FeFunction
-    proj_f_new: FeFunction
-    xi_theta: FeFunction
-    proj_xi_phi: FeFunction
     xi_phi_q4: np.ndarray = field(repr=False)
     fq_prev: np.ndarray = field(repr=False)
     fq_new: np.ndarray = field(repr=False)
+    start: Deferred = field(repr=False)
+    end: Deferred = field(repr=False)
 
     @property
     def k(self) -> float:
         return self.t_new - self.t_prev
+
+    @property
+    def lap_prev(self) -> FeFunction:
+        return self.start.get()[0]
+
+    @property
+    def proj_f_prev(self) -> FeFunction:
+        return self.start.get()[1]
+
+    @property
+    def lap_new(self) -> FeFunction:
+        return self.end.get()[0]
+
+    @property
+    def proj_f_new(self) -> FeFunction:
+        return self.end.get()[1]
+
+    @property
+    def xi_theta(self) -> FeFunction:
+        return self.end.get()[2]
+
+    @property
+    def proj_xi_phi(self) -> FeFunction:
+        return self.end.get()[3]
 
 
 class ThetaScheme:
     """Advance the discrete solution through the three substeps per step.
 
     A step has two stages: ``_substeps`` samples the forcing and solves the
-    three substeps, and ``_node_fields`` gives the discrete Laplacian and
+    three substeps, and ``_end_of_step`` gives the discrete Laplacian and
     the forcing projection at the step's end, which the next step reuses as
-    its start.  The substep-matrix pair is formed from the banded M and K on
-    every step, so any increasing time grid runs the same code.  The time
-    loop itself is sequential, but distinct runs sharing the same space are
-    independent.
+    its start, and the two mass-solved corrections.  Only the estimators
+    read the second stage, so it is deferred until they do (see
+    ``iter_steps``).  The substep-matrix pair is formed from the banded M
+    and K on every step, so any increasing time grid runs the same code.
+    The time loop itself is sequential, but distinct runs sharing the same
+    space are independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
@@ -203,8 +255,15 @@ class ThetaScheme:
 
     def iter_steps(self, U0: FeFunction):
         """Yield the N step records in order.  Each step starts from the
-        previous step's end-of-step forcing samples, load vector, discrete
-        Laplacian and forcing projection; step 1 computes them from U0 once."""
+        previous step's end-of-step forcing samples and load; step 1
+        computes them, the discrete Laplacian and the forcing projection at
+        t^0 from U0 once, before its first record.
+
+        ``next()`` makes only the three substep solves.  The four mass
+        solves of a record's end-of-step stage run once, on the first read
+        of ``lap_new``, ``proj_f_new``, ``xi_theta`` or ``proj_xi_phi`` (or
+        of the next record's ``lap_prev``/``proj_f_prev``), in the reading
+        thread, so a failure of that stage raises at that read."""
         state, carry = U0, self._initial_carry(U0)
         for n in range(1, self.params.n_steps + 1):
             rec, carry = self._step(state, n, carry)
@@ -215,7 +274,8 @@ class ThetaScheme:
         sp_ = self.space
         fq0 = sp_.eval_field_q4(self.forcing, self.params.time(0))
         b0 = sp_.load_from_quad_values(fq0)
-        return (fq0, b0) + self._node_fields(U0.coeffs, b0, 1, "t^{n-1}")
+        return fq0, b0, Deferred.done(*self._node_fields(U0.coeffs, b0, 1,
+                                                          "t^{n-1}"))
 
     def _node_fields(self, u: np.ndarray, b: np.ndarray, n: int, node: str):
         """Discrete Laplacian of the state ``u`` and L2 projection of the load
@@ -258,30 +318,35 @@ class ThetaScheme:
         return (u_a, u_m, u_1), fqs, loads
 
     def _step(self, prev: FeFunction, n: int, carry):
-        """Take U^{n-1} to U^n; ``carry`` holds the forcing samples, load,
-        Laplacian and forcing projection at t^{n-1}.  Returns the step record
-        and the same four quantities at t^n."""
-        sp_, p = self.space, self.params
-        fq0, b0, lap0, pf0 = carry
+        """Take U^{n-1} to U^n; ``carry`` holds the forcing samples, load and
+        ``Deferred`` node fields at t^{n-1}.  Returns the step record and
+        the same three quantities at t^n."""
+        p = self.params
+        fq0, b0, start = carry
         states, fqs, loads = self._substeps(prev, n, fq0, b0)
         u_1, fq1, b1 = states[-1], fqs[-1], loads[-1]
-        lap_1, pf1 = self._node_fields(u_1, b1, n, "t^n")
-
         # the discrete Laplacian and the projection are linear, so each
         # substep-defect correction takes one mass solve of the same
-        # combination of stiffness products or loads
+        # combination of states or loads
         defect = substep_defect(p.theta, p.alpha1, prev.coeffs, *states)
-        xi_theta = sp_.function(self._solve(sp_.mass, sp_.stiffness @ defect, n,
-                                            "laplacian substep defect"))
         xi_phi_load = substep_defect(p.theta, p.alpha2, b0, *loads)
-        proj_xi_phi = sp_.function(self._solve(sp_.mass, xi_phi_load, n,
-                                               "forcing projection substep defect"))
-
+        end = Deferred(lambda: self._end_of_step(n, u_1, b1, defect, xi_phi_load))
         return StepRecord(
             n=n, t_prev=p.time(n - 1), t_new=p.time(n),
-            U_prev=prev, U_new=sp_.function(u_1),
-            lap_prev=lap0, lap_new=lap_1, proj_f_prev=pf0, proj_f_new=pf1,
-            xi_theta=xi_theta, proj_xi_phi=proj_xi_phi,
+            U_prev=prev, U_new=self.space.function(u_1),
             xi_phi_q4=substep_defect(p.theta, p.alpha2, fq0, *fqs),
-            fq_prev=fq0, fq_new=fq1,
-        ), (fq1, b1, lap_1, pf1)
+            fq_prev=fq0, fq_new=fq1, start=start, end=end,
+        ), (fq1, b1, end)
+
+    def _end_of_step(self, n: int, u: np.ndarray, b: np.ndarray,
+                     defect: np.ndarray, xi_phi_load: np.ndarray):
+        """The four mass solves of step n's end: the Laplacian of U^n, the
+        projection of its load ``b``, and the two corrections from the state
+        ``defect`` and the load defect ``xi_phi_load``."""
+        sp_ = self.space
+        lap, pf = self._node_fields(u, b, n, "t^n")
+        xi_theta = sp_.function(self._solve(sp_.mass, sp_.stiffness @ defect, n,
+                                            "laplacian substep defect"))
+        proj_xi_phi = sp_.function(self._solve(sp_.mass, xi_phi_load, n,
+                                               "forcing projection substep defect"))
+        return lap, pf, xi_theta, proj_xi_phi

@@ -38,7 +38,10 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     SolverError after MAX_ITERATIONS_PER_DOF * n iterations without
     convergence.  The iteration is deterministic (fixed summation order), a
     zero right-hand side returns an exact zero vector without iterating, and
-    a non-finite one raises without iterating.
+    a non-finite one raises without iterating.  Apart from the product
+    ``matrix @ p`` it allocates nothing per iteration: the updates run in
+    place and give the bits of the loop that forms every scaled vector,
+    z and p afresh.
     """
     b = np.asarray(rhs, dtype=float)
     if b.ndim != 1:
@@ -65,6 +68,7 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     r = b.copy()
     z = r * inv_diag
     p = z.copy()
+    scaled = np.empty(n)
     rz = float(r @ z)
     res = b_norm
     for it in range(1, max_it + 1):
@@ -75,9 +79,9 @@ def solve_spd(matrix, rhs) -> np.ndarray:
                 "search direction with nonpositive curvature; matrix is not SPD",
                 residual=res / b_norm, iterations=it)
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        res = float(np.linalg.norm(r))
+        x += np.multiply(alpha, p, out=scaled)
+        r -= np.multiply(alpha, Ap, out=scaled)
+        res = math.sqrt(r @ r)
         if res <= tol:
             true_res = float(np.linalg.norm(matrix @ x - b))
             if not true_res <= 10.0 * tol + 1e-300:
@@ -86,9 +90,11 @@ def solve_spd(matrix, rhs) -> np.ndarray:
                     f"residual {true_res:.3e}",
                     residual=true_res / b_norm, iterations=it)
             return x
-        z = r * inv_diag
+        np.multiply(r, inv_diag, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        # beta * p + z has the bits of z + beta * p: IEEE addition commutes
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(
         f"no convergence within {max_it} iterations "

@@ -181,7 +181,10 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
     n read only the records of steps n and n-1 and feed nothing back.  From
     ``OVERLAP_MIN_DOFS`` dofs on they are therefore evaluated on one worker
     thread while the scheme solves step n+1; below it they run inline and
-    no thread starts.  At most one step is in flight, the worker lives only
+    no thread starts.  The evaluation is the first reader of step n's
+    end-of-step fields, so their four mass solves run there too and the
+    scheme thread makes only the substep solves after step 1's carry at
+    t^0.  At most one step is in flight, the worker lives only
     inside this call, and the results are folded in step order, so the
     report is the same bit for bit either way.  Errors are raised as the
     sequential loop raises them: a failed evaluation of step n wins over a

@@ -8,9 +8,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fstheta import CaseSpec, FeFunction, Mesh, ScalarField, StepRecord
+from fstheta import (CaseSpec, FeFunction, Mesh, ScalarField, StepRecord,
+                     ThetaScheme, solve_spd)
 from fstheta.fem import _Q4_W
-from fstheta.scheme import correction_coeffs, substep_defect
+from fstheta.solver import MAX_ITERATIONS_PER_DOF, REL_TOLERANCE
+from fstheta.scheme import Deferred, correction_coeffs, substep_defect
 
 
 def enumerate_edges(triangles):
@@ -211,10 +213,9 @@ def synthetic_record(space, n, t_prev, t_new, states, laps=None,
     return StepRecord(
         n=n, t_prev=t_prev, t_new=t_new,
         U_prev=states[0], U_new=states[1],
-        lap_prev=laps[0], lap_new=laps[1],
-        proj_f_prev=projs[0], proj_f_new=projs[1],
-        xi_theta=zero, proj_xi_phi=zero, xi_phi_q4=fq,
-        fq_prev=fq, fq_new=fq,
+        xi_phi_q4=fq, fq_prev=fq, fq_new=fq,
+        start=Deferred.done(laps[0], projs[0]),
+        end=Deferred.done(laps[1], projs[1], zero, zero),
     )
 
 
@@ -410,3 +411,78 @@ def varstep_case() -> CaseSpec:
         forcing_f=ScalarField("f", f),
         u0=ScalarField("u0", lambda x, y, t: u(x, y, 0.0)),
     )
+
+
+def allocating_pcg(matrix, rhs) -> np.ndarray:
+    """The diagonally preconditioned CG loop of ``solve_spd`` as it was
+    written before its updates went in place: a fresh array for every
+    scaled vector, z and p, and ``np.linalg.norm`` for the residual.  Same
+    tolerance and iteration cap; the input checks and the true-residual
+    re-check are left out, and non-convergence raises AssertionError."""
+    b = np.asarray(rhs, dtype=float)
+    n = b.shape[0]
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros(n)
+    tol = REL_TOLERANCE * b_norm
+    inv_diag = 1.0 / np.asarray(matrix.diagonal(), dtype=float)
+    x = np.zeros(n)
+    r = b.copy()
+    z = r * inv_diag
+    p = z.copy()
+    rz = float(r @ z)
+    for _ in range(MAX_ITERATIONS_PER_DOF * n):
+        Ap = matrix @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        if float(np.linalg.norm(r)) <= tol:
+            return x
+        z = r * inv_diag
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("the reference CG loop did not converge")
+
+
+def single_pass_h1_error(space, g_grad, t: float, v: FeFunction) -> float:
+    """``field_error_h1`` formed in one pass over all triangles, each
+    gradient subtracted as a column broadcast over the (n_triangles, 7)
+    degree-5 values."""
+    gx, gy = g_grad
+    gv = space.element_gradients(v)
+    dx = space._quad_field(gx, "q5", t) - gv[:, 0:1]
+    dy = space._quad_field(gy, "q5", t) - gv[:, 1:2]
+    return float(np.sqrt(space._weighted(space._q5_wa, dx ** 2 + dy ** 2).sum()))
+
+
+def eager_end_of_step(scheme, rec: StepRecord) -> tuple:
+    """``rec``'s Laplacian and forcing projection at t^n, xi_theta and
+    P xi_phi, each by its own mass solve right after the step's substeps, as
+    a step that does not defer them would; the substeps are rerun from
+    U^{n-1} and the forcing samples at t^{n-1}."""
+    sp_, p = scheme.space, scheme.params
+    b0 = sp_.load_from_quad_values(rec.fq_prev)
+    states, _, loads = scheme._substeps(rec.U_prev, rec.n, rec.fq_prev, b0)
+    assert np.array_equal(states[-1], rec.U_new.coeffs)
+    defect = substep_defect(p.theta, p.alpha1, rec.U_prev.coeffs, *states)
+
+    def mass_solve(rhs):
+        return sp_.function(solve_spd(sp_.mass, rhs))
+
+    return (mass_solve(sp_.stiffness @ states[-1]), mass_solve(loads[-1]),
+            mass_solve(sp_.stiffness @ defect),
+            mass_solve(substep_defect(p.theta, p.alpha2, b0, *loads)))
+
+
+def fail_scheme_solve(monkeypatch, n_fail: int, tag_fail: str) -> None:
+    """Make the scheme's solve of ``tag_fail`` in step ``n_fail`` fail, with
+    the tagged ``SolverError`` of a non-finite right-hand side."""
+    solve = ThetaScheme._solve
+
+    def failing(scheme, matrix, rhs, n, tag):
+        if (n, tag) == (n_fail, tag_fail):
+            rhs = np.full_like(rhs, np.nan)
+        return solve(scheme, matrix, rhs, n, tag)
+
+    monkeypatch.setattr(ThetaScheme, "_solve", failing)

@@ -11,7 +11,7 @@ from fstheta.fem import _Q4_W as fem_Q4_W, _values as fem_values
 from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
                      facet_jumps, fe_as_field, gathered_element_norm,
                      gathered_jump_norm, interior_facets, nodal_interpolant,
-                     summed_weighted_quad_norm, sympy_local_matrices,
+                     single_pass_h1_error, summed_weighted_quad_norm, sympy_local_matrices,
                      triangle_geometry, varstep_case)
 
 PI = np.pi
@@ -397,6 +397,17 @@ def test_field_error_h1_analytic(space4):
     z = space4.function()
     got = space4.field_error_h1(SIN2_GRAD, 0.0, z)
     assert abs(got - PI / np.sqrt(2.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("level", [1, 2, 5, 7])
+def test_blocked_h1_error_equals_one_pass_bit_for_bit(level):
+    # level 7 takes several blocks of cell rows, the last one partial
+    space = P1Space(build_uniform_mesh(level))
+    v = space.function(np.random.default_rng(level).standard_normal(space.n_dofs))
+    for g_grad in (SIN2_GRAD, make_case(2).exact_grad_u, varstep_case().exact_grad_u):
+        for t in (0.0, 0.3):
+            assert space.field_error_h1(g_grad, t, v) == \
+                single_pass_h1_error(space, g_grad, t, v)
 
 
 def test_interpolant_error_orders():

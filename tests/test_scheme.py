@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,9 +10,10 @@ from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
                      SchemeParams, SolverError, ThetaScheme,
                      build_uniform_mesh, glowinski_alpha, make_case,
                      make_uniform_grid, solve_spd, zero_field)
-from fstheta.scheme import THETA_DEFAULT
+from fstheta.scheme import THETA_DEFAULT, Deferred
 
-from helpers import scalar_substep_factor
+from helpers import (eager_end_of_step, fail_scheme_solve,
+                     scalar_substep_factor)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +112,78 @@ def test_iter_steps_chains_states_and_end_of_step_fields(space3):
     # a second pass repeats the first bit for bit
     again = list(scheme.iter_steps(U0))
     assert np.array_equal(again[-1].U_new.coeffs, records[-1].U_new.coeffs)
+
+
+END_FIELDS = ("lap_new", "proj_f_new", "xi_theta", "proj_xi_phi")
+
+
+@pytest.mark.parametrize("first", END_FIELDS + ("next lap_prev",))
+def test_end_of_step_fields_equal_an_eager_oracle_whichever_is_read_first(
+        space3, first):
+    # every record is taken before any end-of-step field is read, and the
+    # records are read last step first
+    case = make_case(1)
+    scheme = ThetaScheme(space3, _params(n_steps=4), case.forcing_f)
+    records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
+    for rec, following in reversed(list(zip(records, records[1:] + [None]))):
+        if first != "next lap_prev":
+            getattr(rec, first)
+        elif following is not None:
+            following.lap_prev
+        want = eager_end_of_step(scheme, rec)
+        for name, fe in zip(END_FIELDS, want):
+            assert getattr(rec, name).coeffs.tobytes() == fe.coeffs.tobytes(), name
+        if following is not None:
+            assert following.lap_prev is rec.lap_new
+            assert following.proj_f_prev is rec.proj_f_new
+
+
+def test_deferred_computes_once_for_concurrent_readers():
+    # more readers than cores, switching threads often; the first reader
+    # holds the computation open until every reader has started
+    calls, entered, release = [], threading.Event(), threading.Event()
+
+    def compute():
+        calls.append(1)
+        entered.set()
+        release.wait(timeout=10)
+        return (object(), object())
+
+    stage = Deferred(compute)
+    got = []
+    readers = [threading.Thread(target=lambda: got.append(stage.get()))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        entered.wait(timeout=10)
+        release.set()
+        for reader in readers:
+            reader.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert len(calls) == 1 and len(got) == 4
+    assert all(values is got[0] for values in got)
+
+
+def test_a_failed_end_of_step_stage_raises_at_every_read(monkeypatch, space3):
+    # next() makes only the substep solves; the failure of a deferred solve
+    # surfaces, tagged, where a field of its stage is read
+    fail_scheme_solve(monkeypatch, 2, "laplacian at t^n")
+    case = make_case(1)
+    scheme = ThetaScheme(space3, _params(), case.forcing_f)
+    steps = scheme.iter_steps(scheme.initial_state(case.u0))
+    first, second, third = next(steps), next(steps), next(steps)
+    first.xi_theta
+    for read in (lambda: second.proj_xi_phi, lambda: third.lap_prev,
+                 lambda: second.lap_new):
+        with pytest.raises(SolverError) as err:
+            read()
+        assert str(err.value) == \
+            "step 2, laplacian at t^n: right-hand side is not finite"
 
 
 def test_eigenmode_decay_matches_scalar_oracle(space3):

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fstheta import SolverError, solve_spd
+from fstheta import (P1Space, SchemeParams, SolverError, ThetaScheme,
+                     build_uniform_mesh, make_case, make_uniform_grid,
+                     solve_spd)
+
+from helpers import allocating_pcg
 
 
 def _random_spd(n, seed):
@@ -114,9 +118,48 @@ def test_residual_recheck_catches_inconsistent_products():
     assert matrix.products == 2     # one iteration plus the one re-check
 
 
+# -- bit-for-bit equality with the allocating loop -----------------------------
+
+def _assert_same_bits(matrix, rhs):
+    got, want = solve_spd(matrix, rhs), allocating_pcg(matrix, rhs)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+@pytest.mark.parametrize("kwargs", [{}, {"theta": 0.25, "alpha1": 0.6}],
+                         ids=["default", "theta0.25"])
+def test_in_place_loop_matches_allocating_loop_on_the_scheme_matrices(level, kwargs):
+    space = P1Space(build_uniform_mesh(level))
+    n_steps = 2 ** level
+    scheme = ThetaScheme(space, SchemeParams(make_uniform_grid(n_steps, 1.0),
+                                             **kwargs),
+                         make_case(1).forcing_f)
+    a_theta, a_tilde = scheme._substep_matrices(1.0 / n_steps)
+    rng = np.random.default_rng(level)
+    smooth = space.load_vector(make_case(1).forcing_f, 0.5)
+    for rhs in (smooth, rng.standard_normal(space.n_dofs)):
+        for matrix in (a_theta, a_tilde, space.mass):
+            _assert_same_bits(matrix, rhs)
+
+
+def test_in_place_loop_matches_allocating_loop_on_dense_and_csr_inputs():
+    _assert_same_bits(np.diag([2.0, 4.0, 0.5]), np.array([1.0, 2.0, 3.0]))
+    _assert_same_bits(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
+    for seed in (0, 1, 2):
+        _assert_same_bits(_random_spd(50, seed),
+                          np.random.default_rng(seed + 100).standard_normal(50))
+    _assert_same_bits(sp.csr_matrix(_random_spd(30, 5)), np.arange(30, dtype=float))
+    _assert_same_bits(sp.csr_matrix(_random_spd(40, 11)),
+                      np.random.default_rng(12).standard_normal(40))
+
+
 _OPTIMIZED_SCRIPT = """
 import numpy as np
-from fstheta import SolverError, solve_spd
+from fstheta import (P1Space, SchemeParams, SolverError, ThetaScheme,
+                     build_uniform_mesh, make_case, make_uniform_grid,
+                     solve_spd)
+
+from helpers import allocating_pcg
 from test_solver import _DriftingDiagonal
 assert not __debug__
 try:

@@ -17,7 +17,8 @@ from fstheta import study
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
 
-from helpers import error_metrics, scaled_case, varstep_case
+from helpers import (error_metrics, fail_scheme_solve, scaled_case,
+                     varstep_case)
 
 PI = np.pi
 
@@ -284,6 +285,52 @@ def _errors_of_both_paths(monkeypatch, run) -> list:
         errors.append((type(info.value), str(info.value)))
         assert set(threading.enumerate()) == before
     return errors
+
+
+def test_the_scheme_thread_makes_only_substep_solves_after_the_t0_carry(
+        monkeypatch):
+    monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", OVERLAPPED)
+    main = threading.current_thread()
+    tags, fem_solves = {True: [], False: []}, {True: 0, False: 0}
+    solve, fem_solve = ThetaScheme._solve, fstheta.fem.solve_spd
+
+    def recording(scheme, matrix, rhs, n, tag):
+        tags[threading.current_thread() is main].append(tag)
+        return solve(scheme, matrix, rhs, n, tag)
+
+    def recording_fem(*args, **kwargs):
+        fem_solves[threading.current_thread() is main] += 1
+        return fem_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ThetaScheme, "_solve", recording)
+    monkeypatch.setattr(fstheta.fem, "solve_spd", recording_fem)
+    run_single(make_case(1), 3)
+    carry = ["initial projection", "laplacian at t^{n-1}",
+             "forcing projection at t^{n-1}"]
+    assert tags[True] == carry + ["first substep", "second substep",
+                                  "third substep"] * 8
+    assert tags[False] == ["laplacian at t^n", "forcing projection at t^n",
+                           "laplacian substep defect",
+                           "forcing projection substep defect"] * 8
+    # the estimators solve one Laplacian (of w) per step
+    assert fem_solves == {True: 0, False: 8}
+
+
+LAPLACIAN_FAILURE = (SolverError,
+                     "step 2, laplacian at t^n: right-hand side is not finite")
+
+
+def test_a_failed_end_of_step_solve_raises_the_same_tagged_error(monkeypatch):
+    fail_scheme_solve(monkeypatch, 2, "laplacian at t^n")
+    errors = _errors_of_both_paths(monkeypatch, lambda: run_single(make_case(1), 3))
+    assert errors == [LAPLACIAN_FAILURE] * 2
+
+
+def test_a_failed_end_of_step_solve_wins_over_the_next_scheme_step(monkeypatch):
+    fail_scheme_solve(monkeypatch, 2, "laplacian at t^n")
+    _fail_scheme_at(monkeypatch, 3)
+    errors = _errors_of_both_paths(monkeypatch, lambda: run_single(make_case(1), 3))
+    assert errors == [LAPLACIAN_FAILURE] * 2
 
 
 def test_a_failed_error_norm_propagates_with_its_type_and_message(monkeypatch):
