@@ -174,7 +174,7 @@ class P1Space:
 
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs, and ``run_single`` evaluates a step's
-    indicators and error norms on a worker thread while its scheme thread
+    indicators and error norms on the calling thread while a worker thread
     solves the next step.  Methods taking an ``FeFunction`` raise
     ``ValueError`` for a function on another mesh, and methods taking
     degree-4 quadrature values raise it for an array not of shape

@@ -31,8 +31,9 @@ def make_uniform_grid(n_steps: int, final_time: float) -> np.ndarray:
     """Time grid t^n = n * T / N."""
     if n_steps < 1:
         raise ConfigurationError(f"need at least one step, got {n_steps}")
-    if final_time <= 0.0:
-        raise ConfigurationError(f"final time must be positive, got {final_time}")
+    if not 0.0 < final_time < math.inf:
+        raise ConfigurationError(
+            f"final time must be finite and positive, got {final_time}")
     return np.arange(n_steps + 1) * (final_time / n_steps)
 
 
@@ -74,6 +75,8 @@ class SchemeParams:
         self.time_grid = np.asarray(self.time_grid, dtype=float)
         if self.time_grid.ndim != 1 or self.time_grid.size < 2:
             raise ConfigurationError("time grid needs at least two nodes")
+        if not np.all(np.isfinite(self.time_grid)):
+            raise ConfigurationError("time grid must be finite")
         if not np.all(np.diff(self.time_grid) > 0.0):
             raise ConfigurationError("time grid must be strictly increasing")
         if not 0.0 < self.theta < 1.0 / 3.0:
@@ -105,10 +108,6 @@ class SchemeParams:
     @property
     def n_steps(self) -> int:
         return self.time_grid.size - 1
-
-    @property
-    def final_time(self) -> float:
-        return float(self.time_grid[-1])
 
     def time(self, n: int) -> float:
         return float(self.time_grid[n])

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,37 +116,36 @@ def eoc(values, meshsizes) -> list[float]:
     return list(np.log(v[1:] / v[:-1]) / np.log(h[1:] / h[:-1]))
 
 
-# From this many dofs on, ``run_single`` evaluates each step's indicators and
-# error norms on a worker thread while the scheme solves the next step.
-# Below it they run inline: under the interpreter lock, handing small arrays
-# to a thread costs more than the overlap saves.  On a 2-core x86_64 host
-# with one BLAS thread, inline -> overlapped read 1.92 -> 3.29 s for the
-# level-4 sweep of 18 runs (225 dofs), 0.45 -> 0.63 s at level 5 (961 dofs)
-# and 2.45 -> 2.27 s at level 6 (3,969 dofs), so the cutoff lies between
-# 961 and 3,969 dofs.  Ten alternating pairs of the benchmark's study-c1
-# workload (levels 3..7, seeds 1-10) read run_s 17.7 -> 15.4 s (overlap
-# faster in 8 of 10) and run_ref_s 17.3 -> 13.5 s (10 of 10), at a peak RSS
-# of 93.0 -> 99.1 MB; run_ref_s overstates a threaded gain, because the
-# pacer's calibration slices compete with the worker thread.
+# From this many dofs on, ``run_single`` lets one worker thread run the scheme
+# one step ahead while the calling thread evaluates each step's indicators and
+# error norms; below it the loop runs on the calling thread alone.  When the
+# worker evaluated and the caller stepped, handing small arrays to a thread
+# under the interpreter lock cost more than the overlap saved: on a 2-core
+# x86_64 host with one BLAS thread, inline -> overlapped read 1.92 -> 3.29 s
+# for the level-4 sweep of 18 runs (225 dofs), 0.45 -> 0.63 s at level 5
+# (961 dofs) and 2.45 -> 2.27 s at level 6 (3,969 dofs).  With the scheme on
+# the worker, five alternating case-1 run_single pairs per level on a loaded
+# host of the same kind read medians of 0.249 -> 0.244 s at level 5 (overlap
+# faster in 3 of 5) and 1.71 -> 1.79 s at level 6 (2 of 5), and repeats at
+# levels 4..6 split as evenly: neither path wins from 225 to 3,969 dofs, so
+# the cutoff stays.
 OVERLAP_MIN_DOFS = 2000
 
 
-@contextlib.contextmanager
-def _step_worker(n_dofs: int):
-    """Yield ``submit(fn, *args) -> Future``: one worker thread, joined on
-    exit, from ``OVERLAP_MIN_DOFS`` dofs on; below that ``fn`` runs inline
-    at submission, as in a plain loop, and no thread starts."""
+def _one_step_ahead(steps, n_dofs: int):
+    """Yield the records of ``steps`` in order.  From ``OVERLAP_MIN_DOFS``
+    dofs on, one worker thread computes record n+1 while the caller works on
+    record n; the worker starts on the first ``next()`` and is joined when
+    the generator closes.  Below the cutoff ``steps`` runs in the caller and
+    no thread starts."""
     if n_dofs < OVERLAP_MIN_DOFS:
-        yield _run_inline
-    else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            yield pool.submit
-
-
-def _run_inline(fn, *args) -> Future:
-    future = Future()
-    future.set_result(fn(*args))
-    return future
+        yield from steps
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(next, steps, None)
+        while (rec := ahead.result()) is not None:
+            ahead = pool.submit(next, steps, None)
+            yield rec
 
 
 @dataclass
@@ -179,16 +177,15 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
 
     The time loop is sequential, but the indicators and error norms of step
     n read only the records of steps n and n-1 and feed nothing back.  From
-    ``OVERLAP_MIN_DOFS`` dofs on they are therefore evaluated on one worker
-    thread while the scheme solves step n+1; below it they run inline and
-    no thread starts.  The evaluation is the first reader of step n's
-    end-of-step fields, so their four mass solves run there too and the
-    scheme thread makes only the substep solves after step 1's carry at
-    t^0.  At most one step is in flight, the worker lives only
-    inside this call, and the results are folded in step order, so the
-    report is the same bit for bit either way.  Errors are raised as the
-    sequential loop raises them: a failed evaluation of step n wins over a
-    failure of the scheme in step n+1.
+    ``OVERLAP_MIN_DOFS`` dofs on, one worker thread therefore runs the
+    scheme one step ahead: it solves step n+1 while this thread evaluates
+    step n.  The worker makes step 1's carry at t^0 and then only the
+    substep solves; this thread makes the projection of the initial datum
+    and, as the first reader of each step's end-of-step fields, their four
+    mass solves.  This thread asks for record n+1 only after it has
+    evaluated record n, so at most one step is in flight, the report is the
+    same bit for bit as without the worker, and errors are raised in the
+    order of the plain loop.  The worker lives only inside this call.
     """
     consts = consts or ConstantsConfig()
     mesh = build_uniform_mesh(level)
@@ -200,43 +197,28 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
     engine = EstimatorEngine(space, params, case.forcing_f, consts)
 
     U0 = scheme.initial_state(case.u0)
-    acc = None
-
-    def evaluate(rec, prev):
-        se = engine.step_estimates(rec, prev)
-        err = space.field_error_l2(case.exact_u, rec.t_new, rec.U_new)
-        grad_err = space.field_error_h1(case.exact_grad_u, rec.t_new, rec.U_new)
-        return se, err, rec.k * grad_err ** 2
-
     max_err = space.field_error_l2(case.exact_u, params.time(0), U0)
     sum_k_grad2 = 0.0
     max_compact = 0.0
-    prev = pending = None
-    with _step_worker(space.n_dofs) as submit:
-        try:
-            # the trailing None folds the last step
-            for rec in itertools.chain(scheme.iter_steps(U0), [None]):
-                if pending is not None:
-                    se, err, k_grad2 = pending.result()
-                    acc.add(se)
-                    max_compact = max(max_compact, se.compact_residual)
-                    max_err = max(max_err, err)
-                    sum_k_grad2 += k_grad2
-                if rec is not None and rec.n == 1:
-                    # step 1 carries the discrete Laplacian at t^0
-                    eta0 = elliptic_estimator(space, U0, consts, lap=rec.lap_prev)
-                    rho0 = space.field_error_l2(case.u0, params.time(0), U0) + eta0
-                    acc = EstimatorAccumulator(params, initial_elliptic=eta0,
-                                               rho0=rho0)
-                pending = None if rec is None else submit(evaluate, rec, prev)
-                prev = rec
-        except Exception as exc:
-            # the sequential loop stops in the evaluation of step n before the
-            # scheme runs step n+1, so an error of the step in flight wins
-            failed = None if pending is None else pending.exception()
-            if failed is None or failed is exc:
-                raise
-            raise failed from None
+    prev = None
+    with contextlib.closing(_one_step_ahead(scheme.iter_steps(U0),
+                                            space.n_dofs)) as records:
+        for rec in records:
+            if rec.n == 1:
+                # step 1 carries the discrete Laplacian at t^0
+                eta0 = elliptic_estimator(space, U0, consts, lap=rec.lap_prev)
+                rho0 = space.field_error_l2(case.u0, params.time(0), U0) + eta0
+                acc = EstimatorAccumulator(params, initial_elliptic=eta0,
+                                           rho0=rho0)
+            se = engine.step_estimates(rec, prev)
+            acc.add(se)
+            max_compact = max(max_compact, se.compact_residual)
+            err = space.field_error_l2(case.exact_u, rec.t_new, rec.U_new)
+            max_err = max(max_err, err)
+            grad_err = space.field_error_h1(case.exact_grad_u, rec.t_new,
+                                            rec.U_new)
+            sum_k_grad2 += rec.k * grad_err ** 2
+            prev = rec
 
     report = acc.report()
     e_total = math.sqrt(max_err ** 2 + sum_k_grad2)
@@ -280,9 +262,10 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
               out_dir=None, fmt: str = "csv", variant: str = "both") -> StudyResult:
     """Run a sweep of levels for one case.
 
-    On failure partway through, any completed levels are flushed to
-    ``out_dir`` (when given) before the exception propagates.  An empty
-    level list raises ``ConfigurationError`` before anything is written.
+    The completed levels are written to ``out_dir`` (when given) also when
+    the study stops partway, by an error or an interrupt, before the
+    exception propagates.  An empty level list raises
+    ``ConfigurationError`` before anything is written.
     """
     levels = list(levels)
     if not levels:
@@ -294,12 +277,9 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
             reports.append(run_single(
                 case, level, theta=theta, alpha1=alpha1, alpha2=alpha2,
                 consts=consts))
-    except Exception:
+    finally:
         if out_dir is not None and reports:
             emit(reports, fmt=fmt, out_dir=out_dir, variant=variant)
-        raise
-    if out_dir is not None:
-        emit(reports, fmt=fmt, out_dir=out_dir, variant=variant)
     return StudyResult(case.case_id, reports)
 
 

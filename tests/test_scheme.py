@@ -80,6 +80,19 @@ def test_params_reject_bad_grid():
         SchemeParams(np.array([0.0]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SchemeParams(np.array([0.0, 0.5, np.inf])),
+    lambda: SchemeParams(np.array([0.0, np.nan, 1.0])),
+    lambda: make_uniform_grid(4, np.inf),
+    lambda: make_uniform_grid(4, np.nan)],
+    ids=["grid-inf", "grid-nan", "final-inf", "final-nan"])
+def test_a_non_finite_time_grid_is_rejected(make):
+    # np.diff of [0, 0.5, inf] is positive, so without this check the run
+    # would go on with k = inf
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        make()
+
+
 # -- trajectories --------------------------------------------------------------
 
 def test_zero_data_gives_zero_trajectory(space3):

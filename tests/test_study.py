@@ -289,6 +289,9 @@ def _errors_of_both_paths(monkeypatch, run) -> list:
 
 def test_the_scheme_thread_makes_only_substep_solves_after_the_t0_carry(
         monkeypatch):
+    # the worker runs the scheme one step ahead; the calling thread projects
+    # the initial datum and, as their first reader, makes each step's
+    # end-of-step solves and the estimators' Laplacian of w
     monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", OVERLAPPED)
     main = threading.current_thread()
     tags, fem_solves = {True: [], False: []}, {True: 0, False: 0}
@@ -305,15 +308,29 @@ def test_the_scheme_thread_makes_only_substep_solves_after_the_t0_carry(
     monkeypatch.setattr(ThetaScheme, "_solve", recording)
     monkeypatch.setattr(fstheta.fem, "solve_spd", recording_fem)
     run_single(make_case(1), 3)
-    carry = ["initial projection", "laplacian at t^{n-1}",
-             "forcing projection at t^{n-1}"]
-    assert tags[True] == carry + ["first substep", "second substep",
-                                  "third substep"] * 8
-    assert tags[False] == ["laplacian at t^n", "forcing projection at t^n",
-                           "laplacian substep defect",
-                           "forcing projection substep defect"] * 8
+    carry = ["laplacian at t^{n-1}", "forcing projection at t^{n-1}"]
+    assert tags[False] == carry + ["first substep", "second substep",
+                                   "third substep"] * 8
+    assert tags[True] == ["initial projection"] + [
+        "laplacian at t^n", "forcing projection at t^n",
+        "laplacian substep defect", "forcing projection substep defect"] * 8
     # the estimators solve one Laplacian (of w) per step
-    assert fem_solves == {True: 0, False: 8}
+    assert fem_solves == {True: 8, False: 0}
+
+
+def test_a_failed_carry_at_t0_raises_the_same_tagged_error(monkeypatch):
+    # the carry at t^0 is the first thing the scheme thread solves
+    case = make_case(1)
+    forcing = case.forcing_f
+
+    def nan_at_t0(x, y, t):
+        values = forcing(x, y, t)
+        return np.full(np.shape(values), np.nan) if t == 0.0 else values
+
+    failing = dataclasses.replace(case, forcing_f=ScalarField("f", nan_at_t0))
+    errors = _errors_of_both_paths(monkeypatch, lambda: run_single(failing, 3))
+    assert errors == [(SolverError, "step 1, forcing projection at t^{n-1}: "
+                                    "right-hand side is not finite")] * 2
 
 
 LAPLACIAN_FAILURE = (SolverError,
@@ -406,6 +423,24 @@ def test_run_study_flushes_partial_results(tmp_path):
     assert (tmp_path / "case1_errors.csv").exists()
     lines = (tmp_path / "case1_errors.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header plus the completed level
+
+
+def test_run_study_writes_the_completed_levels_when_interrupted(monkeypatch,
+                                                               tmp_path):
+    run = study.run_single
+
+    def interrupted_at_level_3(case, level, **kwargs):
+        if level == 3:
+            raise KeyboardInterrupt
+        return run(case, level, **kwargs)
+
+    monkeypatch.setattr(study, "run_single", interrupted_at_level_3)
+    with pytest.raises(KeyboardInterrupt):
+        run_study(1, [2, 3], out_dir=tmp_path)
+    for name in ("errors", "reconstruction_estimators", "time_estimators",
+                 "space_estimators"):
+        lines = (tmp_path / f"case1_{name}.csv").read_text().strip().splitlines()
+        assert len(lines) == 2, name  # header plus the completed level
 
 
 def test_a_study_without_levels_is_rejected_before_anything_is_written(tmp_path):
