@@ -59,28 +59,18 @@ _BLOCK_VALUES = 2 ** 15
 class ScalarField:
     """Scalar function of (x, y, t), vectorized over numpy arrays.
 
-    ``factors``, when set, is a triple (c, X, Y) of vectorized functions with
-    ``fn(x, y, t) == (c(t) * X(x)) * Y(y)`` bit for bit; ``P1Space`` then
-    evaluates X and Y on the distinct quadrature coordinates only.  Build
-    such a field with ``ScalarField.separable``, which derives ``fn`` from
-    the factors so that the two cannot disagree.
+    ``fn`` gets x and y as arrays that broadcast together, not as arrays of
+    one shape: ``P1Space`` passes x by cell column and y by cell row, so an
+    x-only or y-only part of ``fn`` runs on the distinct coordinates alone.
+    It returns values that broadcast with x and y, as a numpy expression in
+    them does; a constant, or a function of t alone, may return a scalar.
     """
 
     name: str
     fn: Callable
-    factors: tuple[Callable, Callable, Callable] | None = None
 
     def __call__(self, x, y, t):
         return self.fn(x, y, t)
-
-    @classmethod
-    def separable(cls, name: str, c: Callable, X: Callable, Y: Callable) -> "ScalarField":
-        """The field (c(t) * X(x)) * Y(y), with the products grouped exactly
-        so."""
-        def fn(x, y, t):
-            return (c(t) * X(x)) * Y(y)
-
-        return cls(name, fn, (c, X, Y))
 
 
 def zero_field(name: str = "zero") -> ScalarField:
@@ -236,23 +226,26 @@ class P1Space:
 
     def _quad_field(self, g: ScalarField, rule: str, t: float) -> np.ndarray:
         """g(., t) at the points of the degree-4 ("q4") or degree-5 ("q5")
-        rule.  A field with factors evaluates X on the x table and Y on the
-        y table, grouped as ``ScalarField.separable`` groups it, so the
-        values equal g's own bit for bit; c(t) scales the X values before
-        the broadcast, which gives the same products as scaling the
-        broadcast ones.  A field without factors is called on the full
-        coordinates, broadcast from the two tables."""
+        rule, one call of g on the per-line tables: x of shape (1, n, 2q)
+        and y of shape (n, 1, 2q).  Each value is the one g gives at that
+        point's own coordinates, bit for bit.  A result of a smaller
+        broadcastable shape is broadcast and copied, so the returned array
+        is writable either way; one that does not broadcast to (n, n, 2q)
+        raises ``ValueError``."""
         xs, ys = self._lines[rule]
+        cells = (ys.shape[0], *xs.shape)
+        out = np.asarray(g(xs[None], ys[:, None], t), dtype=float)
+        if out.shape != cells:
+            try:
+                out = np.broadcast_to(out, cells).copy()
+            except ValueError:
+                raise ValueError(
+                    f"field {g.name!r} returned values of shape {out.shape} at "
+                    f"the {rule} points, which do not broadcast to the "
+                    f"(cell row, cell column, point) shape {cells}") from None
         # (cell row, cell column, triangle type and point) is the triangle
-        # order, so the broadcast reshapes to (n_triangles, points) in place
-        shape = (self.mesh.n_triangles, -1)
-        if g.factors is None:
-            cells = (ys.shape[0], *xs.shape)
-            x = np.broadcast_to(xs[None], cells).reshape(shape)
-            y = np.broadcast_to(ys[:, None], cells).reshape(shape)
-            return _values(g, x, y, t)
-        c, fx, fy = g.factors
-        return ((c(t) * fx(xs))[None] * fy(ys)[:, None]).reshape(shape)
+        # order, so this reshapes in place
+        return out.reshape(self.mesh.n_triangles, -1)
 
     def _points(self, rule: str) -> tuple[np.ndarray, np.ndarray]:
         """x and y of the points of the degree-4 ("q4") or degree-5 ("q5")
@@ -408,9 +401,3 @@ def _cell_lines(x: np.ndarray, y: np.ndarray, n: int):
             "2 * (row * n + column) + type) of the uniform mesh")
     return xs.copy(), ys.copy()
 
-
-def _values(g, x, y, t) -> np.ndarray:
-    out = np.asarray(g(x, y, t), dtype=float)
-    if out.shape != np.shape(x):
-        out = np.broadcast_to(out, np.shape(x)).copy()
-    return out

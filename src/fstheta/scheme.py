@@ -29,6 +29,8 @@ def glowinski_alpha(theta: float) -> float:
 
 def make_uniform_grid(n_steps: int, final_time: float) -> np.ndarray:
     """Time grid t^n = n * T / N."""
+    if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool):
+        raise ConfigurationError(f"step count must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ConfigurationError(f"need at least one step, got {n_steps}")
     if not 0.0 < final_time < math.inf:

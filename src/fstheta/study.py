@@ -55,7 +55,9 @@ def _separable_case(case_id: int, time_factor, time_factor_dt, freq: float) -> C
     def forcing_factor(t):
         return time_factor_dt(t) + 2.0 * a * a * time_factor(t)
 
-    separable = ScalarField.separable
+    def separable(name, c, X, Y):
+        return ScalarField(name, lambda x, y, t: (c(t) * X(x)) * Y(y))
+
     return CaseSpec(
         case_id=case_id,
         exact_u=separable("u", time_factor, sin_a, sin_a),

@@ -48,14 +48,39 @@ def fe_as_field(fe: FeFunction) -> ScalarField:
     vv = fe.vertex_values()
 
     def fn(x, y, t):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        ya = np.broadcast_to(np.asarray(y, dtype=float), xa.shape)
+        xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                     np.asarray(y, dtype=float))
         out = np.empty(xa.shape)
         for idx in np.ndindex(xa.shape):
             out[idx] = eval_p1(mesh, vv, xa[idx], ya[idx])
-        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
+        return out if out.ndim else float(out)
 
     return ScalarField("fe", fn)
+
+
+def full_coordinate_field(field: ScalarField) -> ScalarField:
+    """``field`` called on x and y first broadcast to one full shape and
+    copied, so that every value is formed from full coordinate arrays: the
+    reference for ``P1Space``'s evaluation on the per-line tables."""
+    def fn(x, y, t):
+        xa, ya = np.broadcast_arrays(x, y)
+        return field(xa.copy(), ya.copy(), t)
+
+    return ScalarField(field.name, fn)
+
+
+def full_coordinate_case(case: CaseSpec) -> CaseSpec:
+    """The case with every field a ``full_coordinate_field``."""
+    return CaseSpec(case.case_id, full_coordinate_field(case.exact_u),
+                    tuple(map(full_coordinate_field, case.exact_grad_u)),
+                    full_coordinate_field(case.forcing_f),
+                    full_coordinate_field(case.u0))
+
+
+def random_grid(seed, n_steps):
+    """Grid on [0, 1] whose step sizes vary by up to +-50 % about 1/n_steps."""
+    k = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps)
+    return np.concatenate([[0.0], np.cumsum(k / k.sum())])
 
 
 class TriangleGeometry(NamedTuple):
@@ -378,7 +403,7 @@ def sympy_local_matrices(coords):
 
 def varstep_case() -> CaseSpec:
     """u = sin(pi x) sin(pi y) sin(pi (x + 2y - 3t)): not of the form
-    g(t) s(x, y), so no separable shortcut applies."""
+    g(t) s(x, y), so its phase is formed at every quadrature point."""
     pi = math.pi
     pi2 = pi * pi
 

@@ -19,7 +19,7 @@ from fstheta.scheme import THETA_DEFAULT, correction_coeffs, substep_defect
 from helpers import (corrected_forcing_interpolant, direct_xi_theta,
                      fe_as_field, forcing_interpolant, forcing_substep_defect,
                      four_laplacian_xi_theta, lap_time_interpolant,
-                     nodal_interpolant, project_quad_values,
+                     nodal_interpolant, project_quad_values, random_grid,
                      synthetic_record as _synthetic_record, varstep_case)
 
 PI = np.pi
@@ -517,16 +517,10 @@ def test_engine_is_stateless(space2):
 
 # -- linear identities in place of solves -----------------------------------------
 
-def _random_grid(seed, n_steps):
-    """Grid on [0, 1] whose step sizes vary by up to +-50 % about 1/n_steps."""
-    k = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps)
-    return np.concatenate([[0.0], np.cumsum(k / k.sum())])
-
-
 @pytest.fixture(scope="module")
 def varstep_run(space3):
     case = varstep_case()
-    p = SchemeParams(_random_grid(4, 8))
+    p = SchemeParams(random_grid(4, 8))
     scheme = ThetaScheme(space3, p, case.forcing_f)
     records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
     return scheme, EstimatorEngine(space3, p, case.forcing_f), records
@@ -603,7 +597,7 @@ def test_eight_solves_per_step_from_step_two(monkeypatch, space3):
     for module in (fstheta.scheme, fstheta.fem):
         monkeypatch.setattr(module, "solve_spd", counting(module.solve_spd))
     case = varstep_case()
-    p = SchemeParams(_random_grid(4, 8))
+    p = SchemeParams(random_grid(4, 8))
     scheme = ThetaScheme(space3, p, case.forcing_f)
     engine = EstimatorEngine(space3, p, case.forcing_f)
     per_step, prev = [], None

@@ -6,10 +6,11 @@ import scipy.sparse as sp
 from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams,
                      build_uniform_mesh, eoc, make_case, make_uniform_grid,
                      zero_field)
-from fstheta.fem import _Q4_W as fem_Q4_W, _values as fem_values
+from fstheta.fem import _Q4_W as fem_Q4_W
 
 from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
-                     facet_jumps, fe_as_field, gathered_element_norm,
+                     facet_jumps, fe_as_field, full_coordinate_field,
+                     gathered_element_norm,
                      gathered_jump_norm, interior_facets, nodal_interpolant,
                      single_pass_h1_error, summed_weighted_quad_norm, sympy_local_matrices,
                      triangle_geometry, varstep_case)
@@ -422,62 +423,46 @@ def test_interpolant_error_orders():
     assert abs(eoc(h1s, hs)[-1] - 1.0) <= 0.1
 
 
-# -- fields with factors -----------------------------------------------------------
+# -- fields on the per-line tables ----------------------------------------------
 
 def _case_fields(case):
     return (case.exact_u, *case.exact_grad_u, case.forcing_f, case.u0)
 
 
-def _direct(field):
-    """The same field without its factors."""
-    return ScalarField(field.name, field.fn)
-
-
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
 def test_factored_evaluation_equals_fn_bit_for_bit(level):
+    # every field is called once on the per-line tables, x by cell column and
+    # y by cell row; its values, and the error norms read from them, equal
+    # fn at the full coordinates of every point, for the separable built-in
+    # cases and the non-separable varstep case alike
     space = P1Space(build_uniform_mesh(level))
     params = SchemeParams(make_uniform_grid(2 ** level, 1.0))
     n = params.n_steps // 2 + 1
     times = (params.time(0), *params.intermediate_times(n), params.time(n))
     v = space.function(np.random.default_rng(level).standard_normal(space.n_dofs))
     (x4, y4), (x5, y5) = space._points("q4"), space._points("q5")
-    for cid in (1, 2, 3):
-        case = make_case(cid)
+    stored = dict(vars(space))
+    for case in (make_case(1), make_case(2), make_case(3), varstep_case()):
         for field in _case_fields(case):
-            assert field.factors is not None
+            full = full_coordinate_field(field)
             for t in times:
                 assert np.array_equal(space.eval_field_q4(field, t), field(x4, y4, t))
                 assert np.array_equal(space._quad_field(field, "q5", t),
                                       field(x5, y5, t))
                 assert space.field_error_l2(field, t, v) == \
-                    space.field_error_l2(_direct(field), t, v)
+                    space.field_error_l2(full, t, v)
         for t in times:
             assert space.field_error_h1(case.exact_grad_u, t, v) == \
-                space.field_error_h1(tuple(map(_direct, case.exact_grad_u)), t, v)
-
-
-def test_field_without_factors_takes_the_direct_path():
-    space = P1Space(build_uniform_mesh(3))
-    case = varstep_case()
-    v = _random_fe(space)
-    (x4, y4), (x5, y5) = space._points("q4"), space._points("q5")
-    stored = dict(vars(space))
-    for field in _case_fields(case):
-        assert field.factors is None
-        for t in (0.0, 0.3):
-            assert np.array_equal(space.eval_field_q4(field, t),
-                                  fem_values(field, x4, y4, t))
-            assert np.array_equal(space._quad_field(field, "q5", t),
-                                  fem_values(field, x5, y5, t))
-            space.field_error_l2(field, t, v)
-        space.field_error_h1(case.exact_grad_u, 0.3, v)
-    # the full coordinates are broadcast on each call and never stored
+                space.field_error_h1(tuple(map(full_coordinate_field,
+                                               case.exact_grad_u)), t, v)
+    # the space stores nothing per call
     assert vars(space).keys() == stored.keys()
     assert all(vars(space)[name] is value for name, value in stored.items())
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
 def test_factors_see_each_line_coordinate_once(level):
+    # the x-part and the y-part of a plain ScalarField run on the tables only
     space = P1Space(build_uniform_mesh(level))
     n = space.mesh.n_cells
     sizes = []
@@ -488,12 +473,33 @@ def test_factors_see_each_line_coordinate_once(level):
             return fn(s)
         return wrapped
 
-    c, fx, fy = make_case(1).forcing_f.factors
-    field = ScalarField.separable("f", c, counting(fx), counting(fy))
+    sin_x, sin_y = counting(lambda s: np.sin(PI * s)), counting(lambda s: np.sin(PI * s))
+    field = ScalarField("f", lambda x, y, t: (np.cos(PI * t) * sin_x(x)) * sin_y(y))
     space.eval_field_q4(field, 0.25)
     space.field_error_l2(field, 0.25, space.function())
     # X on one cell row's points, Y on one cell column's, for q4 then q5
     assert sizes == [n * 12, n * 12, n * 14, n * 14]
+
+
+@pytest.mark.parametrize("field", [
+    zero_field(), ScalarField("t", lambda x, y, t: 2.0 * t),
+    ScalarField("x", lambda x, y, t: x), ScalarField("int", lambda x, y, t: 3)],
+    ids=["zero", "t", "x", "int"])
+def test_smaller_results_broadcast_to_full_writable_arrays(space3, field):
+    for rule, n_points in (("q4", 6), ("q5", 7)):
+        x, y = space3._points(rule)
+        vals = space3._quad_field(field, rule, 0.5)
+        assert vals.shape == (space3.mesh.n_triangles, n_points)
+        assert vals.dtype == np.float64 and vals.flags.writeable
+        assert np.array_equal(vals, np.broadcast_to(field(x, y, 0.5), x.shape))
+
+
+def test_badly_shaped_field_fails_fast(space3):
+    field = ScalarField("flat", lambda x, y, t: x.ravel())
+    with pytest.raises(ValueError, match=r"'flat'.*\(96,\).*q4.*\(8, 8, 12\)"):
+        space3.eval_field_q4(field, 0.0)
+    with pytest.raises(ValueError, match=r"'flat'.*\(112,\).*q5.*\(8, 8, 14\)"):
+        space3.field_error_l2(field, 0.0, space3.function())
 
 
 def test_distinct_indices_are_intp_and_gather_the_coordinates():
@@ -536,9 +542,15 @@ def test_gather_indices_reject_another_cell_layout(monkeypatch):
 
 
 def test_separable_constructor_groups_the_products():
-    field = ScalarField.separable("g", lambda t: 3.0 * t, np.exp, np.cos)
-    x, y = np.linspace(0.0, 1.0, 7), np.linspace(1.0, 2.0, 7)
-    assert np.array_equal(field(x, y, 0.7), ((3.0 * 0.7) * np.exp(x)) * np.cos(y))
+    # the built-in cases form (c(t) * X(x)) * Y(y), grouped exactly so
+    a, t = PI, 0.7
+    x, y = np.linspace(0.0, 1.0, 7)[None], np.linspace(1.0, 2.0, 7)[:, None]
+    case = make_case(1)
+    c = PI * np.cos(PI * t) + 2.0 * a * a * np.sin(PI * t)
+    assert np.array_equal(case.forcing_f(x, y, t),
+                          (c * np.sin(a * x)) * np.sin(a * y))
+    assert np.array_equal(case.exact_grad_u[0](x, y, t),
+                          (a * np.sin(PI * t) * np.cos(a * x)) * np.sin(a * y))
 
 
 # -- FeFunction plumbing ---------------------------------------------------------

@@ -37,12 +37,17 @@ def test_uniform_grid_single_step():
     assert np.array_equal(make_uniform_grid(1, 2.5), [0.0, 2.5])
 
 
+def test_uniform_grid_accepts_numpy_integers():
+    assert np.array_equal(make_uniform_grid(np.int64(4), 1.0), make_uniform_grid(4, 1.0))
+
+
 def test_uniform_grid_steps_sum_to_final_time():
     grid = make_uniform_grid(7, 1.0)
     assert abs(np.diff(grid).sum() - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("bad", [(0, 1.0), (-3, 1.0), (4, 0.0), (4, -1.0)])
+@pytest.mark.parametrize("bad", [(0, 1.0), (-3, 1.0), (4, 0.0), (4, -1.0),
+                                 (2.5, 1.0), (True, 1.0)])
 def test_uniform_grid_validation(bad):
     with pytest.raises(ConfigurationError):
         make_uniform_grid(*bad)

@@ -17,8 +17,8 @@ from fstheta import study
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
 
-from helpers import (error_metrics, fail_scheme_solve, scaled_case,
-                     varstep_case)
+from helpers import (error_metrics, fail_scheme_solve, full_coordinate_case,
+                     random_grid, scaled_case, varstep_case)
 
 PI = np.pi
 
@@ -142,6 +142,32 @@ def test_the_laplacian_at_t0_is_solved_once(monkeypatch):
     rep = run_single(case, 3)
     assert len(calls) == 1 + 10 + 8 * 7
     assert rep.report.rows == acc.rows
+
+
+def _grid_run(case, level, grid):
+    """Per-step report rows and error metrics of a plain loop on ``grid``."""
+    space = P1Space(build_uniform_mesh(level))
+    params = SchemeParams(grid)
+    scheme = ThetaScheme(space, params, case.forcing_f)
+    engine = EstimatorEngine(space, params, case.forcing_f)
+    U0 = scheme.initial_state(case.u0)
+    eta0 = elliptic_estimator(space, U0, ConstantsConfig())
+    rho0 = space.field_error_l2(case.u0, 0.0, U0) + eta0
+    acc = EstimatorAccumulator(params, initial_elliptic=eta0, rho0=rho0)
+    records, prev = [], None
+    for rec in scheme.iter_steps(U0):
+        acc.add(engine.step_estimates(rec, prev))
+        records.append(prev := rec)
+    return acc.rows, error_metrics(space, case, records, U0)
+
+
+def test_table_evaluation_gives_the_full_coordinate_run_bit_for_bit():
+    # the fields of the varstep case called on the per-line tables and on
+    # the full coordinates give the same report on a variable time grid
+    grid = random_grid(11, 12)
+    got = _grid_run(varstep_case(), 3, grid)
+    want = _grid_run(full_coordinate_case(varstep_case()), 3, grid)
+    assert got == want
 
 
 def test_repeated_runs_are_bit_identical():
