@@ -460,6 +460,30 @@ def test_factored_evaluation_equals_fn_bit_for_bit(level):
     assert all(vars(space)[name] is value for name, value in stored.items())
 
 
+def test_field_without_factors_takes_the_direct_path():
+    # the varstep fields are not products of 1-D parts; on the per-line tables
+    # they give exactly what they give on the full coordinates, and no
+    # coordinate array is kept on the space
+    space = P1Space(build_uniform_mesh(3))
+    case = varstep_case()
+    v = _random_fe(space)
+    (x4, y4), (x5, y5) = space._points("q4"), space._points("q5")
+    stored = dict(vars(space))
+    for field in _case_fields(case):
+        full = full_coordinate_field(field)
+        for t in (0.0, 0.3):
+            assert np.array_equal(space.eval_field_q4(field, t), full(x4, y4, t))
+            assert np.array_equal(space._quad_field(field, "q5", t),
+                                  full(x5, y5, t))
+            assert space.field_error_l2(field, t, v) == \
+                space.field_error_l2(full, t, v)
+    assert space.field_error_h1(case.exact_grad_u, 0.3, v) == \
+        space.field_error_h1(tuple(map(full_coordinate_field, case.exact_grad_u)),
+                             0.3, v)
+    assert vars(space).keys() == stored.keys()
+    assert all(vars(space)[name] is value for name, value in stored.items())
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
 def test_factors_see_each_line_coordinate_once(level):
     # the x-part and the y-part of a plain ScalarField run on the tables only
