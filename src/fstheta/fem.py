@@ -163,12 +163,11 @@ class P1Space:
     data.
 
     All operations are pure given the immutable mesh, so one instance can
-    be shared across concurrent runs, and ``run_single`` evaluates a step's
-    indicators and error norms on the calling thread while a worker thread
-    solves the next step.  Methods taking an ``FeFunction`` raise
-    ``ValueError`` for a function on another mesh, and methods taking
-    degree-4 quadrature values raise it for an array not of shape
-    (n_triangles, 6).
+    be shared across concurrent runs and used by the substep worker of
+    ``ThetaScheme.iter_steps`` beside the caller's thread.  Methods taking
+    an ``FeFunction`` raise ``ValueError`` for a function on another mesh,
+    and methods taking degree-4 quadrature values raise it for an array
+    not of shape (n_triangles, 6).
     """
 
     def __init__(self, mesh: Mesh):

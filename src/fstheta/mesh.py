@@ -13,6 +13,16 @@ from .errors import ConfigurationError
 MAX_LEVEL = 12
 
 
+def check_level(level) -> None:
+    """Raise ``ConfigurationError`` unless ``level`` is an integer in
+    [1, MAX_LEVEL]."""
+    if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
+        raise ConfigurationError(f"mesh level must be an integer, got {level!r}")
+    if not 1 <= level <= MAX_LEVEL:
+        raise ConfigurationError(
+            f"mesh level must lie in [1, {MAX_LEVEL}], got {level}")
+
+
 class Mesh:
     """Triangulation of [0,1]^2 with ``2**level`` square cells per side.
 
@@ -29,12 +39,7 @@ class Mesh:
     """
 
     def __init__(self, level: int):
-        if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
-            raise ConfigurationError(f"mesh level must be an integer, got {level!r}")
-        if not 1 <= level <= MAX_LEVEL:
-            raise ConfigurationError(
-                f"mesh level must lie in [1, {MAX_LEVEL}], got {level}")
-
+        check_level(level)
         n = 2 ** int(level)
         self.level = int(level)
         self.n_cells = n

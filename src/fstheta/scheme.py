@@ -8,8 +8,9 @@ A-stable for alpha1 > 1/2.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,28 +127,6 @@ class SchemeParams:
         return t0 + self.theta * k, t0 + (self.theta + self.theta_tilde) * k
 
 
-class Deferred:
-    """A tuple of values computed once, on the first ``get()`` from any
-    thread, under a lock; later calls return the same objects.  A failed
-    computation keeps nothing, so the next ``get()`` runs it again."""
-
-    def __init__(self, compute=None, values: tuple = ()):
-        self._compute = compute
-        self._values = values
-        self._lock = threading.Lock()
-
-    @classmethod
-    def done(cls, *values) -> "Deferred":
-        return cls(values=values)
-
-    def get(self) -> tuple:
-        with self._lock:
-            if self._compute is not None:
-                self._values = self._compute()
-                self._compute = None        # drops the inputs
-            return self._values
-
-
 @dataclass
 class StepRecord:
     """What the estimators read of one time step: the states, discrete
@@ -157,67 +136,68 @@ class StepRecord:
     ``xi_theta`` is the correction of the discrete Laplacians (weights
     alpha1/beta1), ``xi_phi_q4`` the correction of the forcing at the
     degree-4 quadrature points and ``proj_xi_phi`` its L2 projection
-    (weights alpha2/beta2).
-
-    The mass-solved fields come from two ``Deferred`` stages: ``end`` gives
-    (``lap_new``, ``proj_f_new``, ``xi_theta``, ``proj_xi_phi``), solved on
-    the first read of any of them, and ``start`` is the previous step's
-    ``end`` (for step 1, the Laplacian and projection at t^0), so
-    ``rec.lap_prev is prev.lap_new``.  The states and forcing samples are
-    plain arrays."""
+    (weights alpha2/beta2).  A step's start is the previous step's end, so
+    ``rec.lap_prev is prev.lap_new`` and ``rec.proj_f_prev is
+    prev.proj_f_new``."""
 
     n: int
     t_prev: float
     t_new: float
     U_prev: FeFunction
     U_new: FeFunction
+    lap_prev: FeFunction = field(repr=False)
+    proj_f_prev: FeFunction = field(repr=False)
+    lap_new: FeFunction = field(repr=False)
+    proj_f_new: FeFunction = field(repr=False)
+    xi_theta: FeFunction = field(repr=False)
+    proj_xi_phi: FeFunction = field(repr=False)
     xi_phi_q4: np.ndarray = field(repr=False)
     fq_prev: np.ndarray = field(repr=False)
     fq_new: np.ndarray = field(repr=False)
-    start: Deferred = field(repr=False)
-    end: Deferred = field(repr=False)
 
     @property
     def k(self) -> float:
         return self.t_new - self.t_prev
 
-    @property
-    def lap_prev(self) -> FeFunction:
-        return self.start.get()[0]
 
-    @property
-    def proj_f_prev(self) -> FeFunction:
-        return self.start.get()[1]
+# From this many dofs on, ``iter_steps`` solves the substeps one step ahead on
+# a worker thread; below it the overlap does not pay.  On a 2-core x86_64 host
+# with one BLAS thread, six alternating case-1 run_single pairs per level read
+# medians of 0.068 s inline against 0.064 s overlapped at level 4 (225 dofs),
+# 0.210 against 0.211 s at level 5 and 1.53 against 1.57 s at level 6 (3,969
+# dofs).  Where the caller has more to do per step it pays: varstep-L6 (level
+# 6) drops from 3.26 to 2.04 s at reference speed, and study-c1 (case 1,
+# levels 3..7) took 17.1 s without the worker against 10.95 s with it.
+OVERLAP_MIN_DOFS = 2000
 
-    @property
-    def lap_new(self) -> FeFunction:
-        return self.end.get()[0]
 
-    @property
-    def proj_f_new(self) -> FeFunction:
-        return self.end.get()[1]
-
-    @property
-    def xi_theta(self) -> FeFunction:
-        return self.end.get()[2]
-
-    @property
-    def proj_xi_phi(self) -> FeFunction:
-        return self.end.get()[3]
+def _one_step_ahead(steps, n_dofs: int):
+    """Yield the items of ``steps`` in order.  From ``OVERLAP_MIN_DOFS``
+    dofs on, one worker thread computes item n+1 while the caller works on
+    item n; the worker starts on the first ``next()`` and is joined when
+    the generator closes.  Below the cutoff ``steps`` runs in the caller and
+    no thread starts."""
+    if n_dofs < OVERLAP_MIN_DOFS:
+        yield from steps
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(next, steps, None)
+        while (rec := ahead.result()) is not None:
+            ahead = pool.submit(next, steps, None)
+            yield rec
 
 
 class ThetaScheme:
     """Advance the discrete solution through the three substeps per step.
 
     A step has two stages: ``_substeps`` samples the forcing and solves the
-    three substeps, and ``_end_of_step`` gives the discrete Laplacian and
+    three substeps, and ``_end_of_step`` solves the discrete Laplacian and
     the forcing projection at the step's end, which the next step reuses as
-    its start, and the two mass-solved corrections.  Only the estimators
-    read the second stage, so it is deferred until they do (see
-    ``iter_steps``).  The substep-matrix pair is formed from the banded M
-    and K on every step, so any increasing time grid runs the same code.
-    The time loop itself is sequential, but distinct runs sharing the same
-    space are independent.
+    its start, and the two substep-defect corrections.  ``iter_steps`` can
+    run the first stage of step n+1 on a worker thread while the caller
+    runs the second stage of step n.  The substep-matrix pair is formed
+    from the banded M and K on every step, so any increasing time grid runs
+    the same code.  Distinct runs sharing the same space are independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
@@ -255,28 +235,53 @@ class ThetaScheme:
                               iterations=err.iterations) from err
 
     def iter_steps(self, U0: FeFunction):
-        """Yield the N step records in order.  Each step starts from the
-        previous step's end-of-step forcing samples and load; step 1
-        computes them, the discrete Laplacian and the forcing projection at
-        t^0 from U0 once, before its first record.
+        """Yield the N step records in order, every field computed.  Each
+        step starts from the previous step's end-of-step forcing samples,
+        load, Laplacian and projection; step 1 makes them at t^0 from U0.
 
-        ``next()`` makes only the three substep solves.  The four mass
-        solves of a record's end-of-step stage run once, on the first read
-        of ``lap_new``, ``proj_f_new``, ``xi_theta`` or ``proj_xi_phi`` (or
-        of the next record's ``lap_prev``/``proj_f_prev``), in the reading
-        thread, so a failure of that stage raises at that read."""
-        state, carry = U0, self._initial_carry(U0)
-        for n in range(1, self.params.n_steps + 1):
-            rec, carry = self._step(state, n, carry)
-            yield rec
-            state = rec.U_new
-
-    def _initial_carry(self, U0: FeFunction):
-        sp_ = self.space
-        fq0 = sp_.eval_field_q4(self.forcing, self.params.time(0))
+        From ``OVERLAP_MIN_DOFS`` dofs on, a worker thread solves the
+        substeps of step n+1 while the caller's thread makes the four
+        end-of-step mass solves of step n and then works on its record.
+        The worker only reads the arrays it is handed and returns new ones.
+        Below the cutoff no thread starts.  Either way the records are the
+        same bit for bit, at most one step is ahead, a failure raises at
+        the ``next()`` that would yield its step, and closing the generator
+        joins the worker."""
+        sp_, p = self.space, self.params
+        fq0 = sp_.eval_field_q4(self.forcing, p.time(0))
         b0 = sp_.load_from_quad_values(fq0)
-        return fq0, b0, Deferred.done(*self._node_fields(U0.coeffs, b0, 1,
-                                                          "t^{n-1}"))
+        lap_prev, proj_f_prev = self._node_fields(U0.coeffs, b0, 1, "t^{n-1}")
+        prev = U0
+        stages = _one_step_ahead(self._substep_stages(U0, fq0, b0), sp_.n_dofs)
+        with contextlib.closing(stages):
+            for n, (states, fqs, loads) in enumerate(stages, start=1):
+                # the discrete Laplacian and the projection are linear, so
+                # each substep-defect correction takes one mass solve of the
+                # same combination of states or loads
+                lap_new, proj_f_new, xi_theta, proj_xi_phi = self._end_of_step(
+                    n, states[-1], loads[-1],
+                    substep_defect(p.theta, p.alpha1, prev.coeffs, *states),
+                    substep_defect(p.theta, p.alpha2, b0, *loads))
+                rec = StepRecord(
+                    n=n, t_prev=p.time(n - 1), t_new=p.time(n),
+                    U_prev=prev, U_new=sp_.function(states[-1]),
+                    lap_prev=lap_prev, proj_f_prev=proj_f_prev,
+                    lap_new=lap_new, proj_f_new=proj_f_new,
+                    xi_theta=xi_theta, proj_xi_phi=proj_xi_phi,
+                    xi_phi_q4=substep_defect(p.theta, p.alpha2, fq0, *fqs),
+                    fq_prev=fq0, fq_new=fqs[-1])
+                prev, fq0, b0 = rec.U_new, fqs[-1], loads[-1]
+                lap_prev, proj_f_prev = lap_new, proj_f_new
+                yield rec
+
+    def _substep_stages(self, prev: FeFunction, fq0: np.ndarray,
+                        b0: np.ndarray):
+        """``_substeps`` of steps 1..N in order, each step starting from the
+        last state, forcing samples and load of the one before."""
+        for n in range(1, self.params.n_steps + 1):
+            states, fqs, loads = stage = self._substeps(prev, n, fq0, b0)
+            prev, fq0, b0 = self.space.function(states[-1]), fqs[-1], loads[-1]
+            yield stage
 
     def _node_fields(self, u: np.ndarray, b: np.ndarray, n: int, node: str):
         """Discrete Laplacian of the state ``u`` and L2 projection of the load
@@ -317,27 +322,6 @@ class ThetaScheme:
             + al2 * b1 + be2 * bm
         u_1 = self._solve(a_theta, rhs, n, "third substep")
         return (u_a, u_m, u_1), fqs, loads
-
-    def _step(self, prev: FeFunction, n: int, carry):
-        """Take U^{n-1} to U^n; ``carry`` holds the forcing samples, load and
-        ``Deferred`` node fields at t^{n-1}.  Returns the step record and
-        the same three quantities at t^n."""
-        p = self.params
-        fq0, b0, start = carry
-        states, fqs, loads = self._substeps(prev, n, fq0, b0)
-        u_1, fq1, b1 = states[-1], fqs[-1], loads[-1]
-        # the discrete Laplacian and the projection are linear, so each
-        # substep-defect correction takes one mass solve of the same
-        # combination of states or loads
-        defect = substep_defect(p.theta, p.alpha1, prev.coeffs, *states)
-        xi_phi_load = substep_defect(p.theta, p.alpha2, b0, *loads)
-        end = Deferred(lambda: self._end_of_step(n, u_1, b1, defect, xi_phi_load))
-        return StepRecord(
-            n=n, t_prev=p.time(n - 1), t_new=p.time(n),
-            U_prev=prev, U_new=self.space.function(u_1),
-            xi_phi_q4=substep_defect(p.theta, p.alpha2, fq0, *fqs),
-            fq_prev=fq0, fq_new=fq1, start=start, end=end,
-        ), (fq1, b1, end)
 
     def _end_of_step(self, n: int, u: np.ndarray, b: np.ndarray,
                      defect: np.ndarray, xi_phi_load: np.ndarray):

@@ -8,10 +8,8 @@ experimental orders of convergence, and renders the four summary tables
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +19,7 @@ from .errors import ConfigurationError
 from .estimators import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
                          EstimatorReport, elliptic_estimator)
 from .fem import P1Space, ScalarField
-from .mesh import build_uniform_mesh
+from .mesh import build_uniform_mesh, check_level
 from .scheme import (THETA_DEFAULT, SchemeParams, ThetaScheme, make_uniform_grid)
 
 VARIANTS = ("two", "three", "both")
@@ -118,38 +116,6 @@ def eoc(values, meshsizes) -> list[float]:
     return list(np.log(v[1:] / v[:-1]) / np.log(h[1:] / h[:-1]))
 
 
-# From this many dofs on, ``run_single`` lets one worker thread run the scheme
-# one step ahead while the calling thread evaluates each step's indicators and
-# error norms; below it the loop runs on the calling thread alone.  When the
-# worker evaluated and the caller stepped, handing small arrays to a thread
-# under the interpreter lock cost more than the overlap saved: on a 2-core
-# x86_64 host with one BLAS thread, inline -> overlapped read 1.92 -> 3.29 s
-# for the level-4 sweep of 18 runs (225 dofs), 0.45 -> 0.63 s at level 5
-# (961 dofs) and 2.45 -> 2.27 s at level 6 (3,969 dofs).  With the scheme on
-# the worker, five alternating case-1 run_single pairs per level on a loaded
-# host of the same kind read medians of 0.249 -> 0.244 s at level 5 (overlap
-# faster in 3 of 5) and 1.71 -> 1.79 s at level 6 (2 of 5), and repeats at
-# levels 4..6 split as evenly: neither path wins from 225 to 3,969 dofs, so
-# the cutoff stays.
-OVERLAP_MIN_DOFS = 2000
-
-
-def _one_step_ahead(steps, n_dofs: int):
-    """Yield the records of ``steps`` in order.  From ``OVERLAP_MIN_DOFS``
-    dofs on, one worker thread computes record n+1 while the caller works on
-    record n; the worker starts on the first ``next()`` and is joined when
-    the generator closes.  Below the cutoff ``steps`` runs in the caller and
-    no thread starts."""
-    if n_dofs < OVERLAP_MIN_DOFS:
-        yield from steps
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(next, steps, None)
-        while (rec := ahead.result()) is not None:
-            ahead = pool.submit(next, steps, None)
-            yield rec
-
-
 @dataclass
 class RunReport:
     """Everything one (case, level) run produces."""
@@ -177,17 +143,9 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
     spacing) and accumulate both estimator variants alongside the error
     metrics.
 
-    The time loop is sequential, but the indicators and error norms of step
-    n read only the records of steps n and n-1 and feed nothing back.  From
-    ``OVERLAP_MIN_DOFS`` dofs on, one worker thread therefore runs the
-    scheme one step ahead: it solves step n+1 while this thread evaluates
-    step n.  The worker makes step 1's carry at t^0 and then only the
-    substep solves; this thread makes the projection of the initial datum
-    and, as the first reader of each step's end-of-step fields, their four
-    mass solves.  This thread asks for record n+1 only after it has
-    evaluated record n, so at most one step is in flight, the report is the
-    same bit for bit as without the worker, and errors are raised in the
-    order of the plain loop.  The worker lives only inside this call.
+    From ``OVERLAP_MIN_DOFS`` dofs on, ``iter_steps`` solves the substeps
+    of step n+1 on its worker thread while this loop evaluates step n; the
+    report is the same bit for bit either way.
     """
     consts = consts or ConstantsConfig()
     mesh = build_uniform_mesh(level)
@@ -203,24 +161,21 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
     sum_k_grad2 = 0.0
     max_compact = 0.0
     prev = None
-    with contextlib.closing(_one_step_ahead(scheme.iter_steps(U0),
-                                            space.n_dofs)) as records:
-        for rec in records:
-            if rec.n == 1:
-                # step 1 carries the discrete Laplacian at t^0
-                eta0 = elliptic_estimator(space, U0, consts, lap=rec.lap_prev)
-                rho0 = space.field_error_l2(case.u0, params.time(0), U0) + eta0
-                acc = EstimatorAccumulator(params, initial_elliptic=eta0,
-                                           rho0=rho0)
-            se = engine.step_estimates(rec, prev)
-            acc.add(se)
-            max_compact = max(max_compact, se.compact_residual)
-            err = space.field_error_l2(case.exact_u, rec.t_new, rec.U_new)
-            max_err = max(max_err, err)
-            grad_err = space.field_error_h1(case.exact_grad_u, rec.t_new,
-                                            rec.U_new)
-            sum_k_grad2 += rec.k * grad_err ** 2
-            prev = rec
+    for rec in scheme.iter_steps(U0):
+        if rec.n == 1:
+            # step 1 carries the discrete Laplacian at t^0
+            eta0 = elliptic_estimator(space, U0, consts, lap=rec.lap_prev)
+            rho0 = space.field_error_l2(case.u0, params.time(0), U0) + eta0
+            acc = EstimatorAccumulator(params, initial_elliptic=eta0, rho0=rho0)
+        se = engine.step_estimates(rec, prev)
+        acc.add(se)
+        max_compact = max(max_compact, se.compact_residual)
+        err = space.field_error_l2(case.exact_u, rec.t_new, rec.U_new)
+        max_err = max(max_err, err)
+        grad_err = space.field_error_h1(case.exact_grad_u, rec.t_new,
+                                        rec.U_new)
+        sum_k_grad2 += rec.k * grad_err ** 2
+        prev = rec
 
     report = acc.report()
     e_total = math.sqrt(max_err ** 2 + sum_k_grad2)
@@ -266,12 +221,14 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
 
     The completed levels are written to ``out_dir`` (when given) also when
     the study stops partway, by an error or an interrupt, before the
-    exception propagates.  An empty level list raises
-    ``ConfigurationError`` before anything is written.
+    exception propagates.  An empty level list, or one with a level that
+    ``Mesh`` rejects, raises ``ConfigurationError`` before any level runs.
     """
     levels = list(levels)
     if not levels:
         raise ConfigurationError("a study needs at least one level")
+    for level in levels:
+        check_level(level)
     case = case_id if isinstance(case_id, CaseSpec) else make_case(case_id)
     reports: list[RunReport] = []
     try:

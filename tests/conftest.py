@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from fstheta import run_study
@@ -11,6 +13,16 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if SLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running, such as the substep worker
+    of a step loop that was neither finished nor closed."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still alive after the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,12 @@ from fstheta import (CaseSpec, FeFunction, Mesh, ScalarField, StepRecord,
                      ThetaScheme, solve_spd)
 from fstheta.fem import _Q4_W
 from fstheta.solver import MAX_ITERATIONS_PER_DOF, REL_TOLERANCE
-from fstheta.scheme import Deferred, correction_coeffs, substep_defect
+from fstheta.scheme import correction_coeffs, substep_defect
+
+
+# values of ``fstheta.scheme.OVERLAP_MIN_DOFS`` that force either path of the
+# step loop: everything on the caller's thread, or the substep worker
+INLINE, OVERLAPPED = 10 ** 9, 0
 
 
 def enumerate_edges(triangles):
@@ -238,9 +243,9 @@ def synthetic_record(space, n, t_prev, t_new, states, laps=None,
     return StepRecord(
         n=n, t_prev=t_prev, t_new=t_new,
         U_prev=states[0], U_new=states[1],
+        lap_prev=laps[0], proj_f_prev=projs[0],
+        lap_new=laps[1], proj_f_new=projs[1], xi_theta=zero, proj_xi_phi=zero,
         xi_phi_q4=fq, fq_prev=fq, fq_new=fq,
-        start=Deferred.done(laps[0], projs[0]),
-        end=Deferred.done(laps[1], projs[1], zero, zero),
     )
 
 
@@ -483,9 +488,9 @@ def single_pass_h1_error(space, g_grad, t: float, v: FeFunction) -> float:
 
 def eager_end_of_step(scheme, rec: StepRecord) -> tuple:
     """``rec``'s Laplacian and forcing projection at t^n, xi_theta and
-    P xi_phi, each by its own mass solve right after the step's substeps, as
-    a step that does not defer them would; the substeps are rerun from
-    U^{n-1} and the forcing samples at t^{n-1}."""
+    P xi_phi, each by its own plain mass solve right after the step's
+    substeps, which are rerun from U^{n-1} and the forcing samples at
+    t^{n-1}."""
     sp_, p = scheme.space, scheme.params
     b0 = sp_.load_from_quad_values(rec.fq_prev)
     states, _, loads = scheme._substeps(rec.U_prev, rec.n, rec.fq_prev, b0)

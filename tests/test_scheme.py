@@ -1,4 +1,4 @@
-import sys
+import dataclasses
 import threading
 
 import numpy as np
@@ -6,14 +6,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import fstheta.scheme
 from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
-                     SchemeParams, SolverError, ThetaScheme,
+                     SchemeParams, SolverError, StepRecord, ThetaScheme,
                      build_uniform_mesh, glowinski_alpha, make_case,
                      make_uniform_grid, solve_spd, zero_field)
-from fstheta.scheme import THETA_DEFAULT, Deferred
+from fstheta.scheme import THETA_DEFAULT
 
-from helpers import (eager_end_of_step, fail_scheme_solve,
-                     scalar_substep_factor)
+from helpers import (INLINE, OVERLAPPED, eager_end_of_step, fail_scheme_solve,
+                     random_grid, scalar_substep_factor, varstep_case)
 
 
 @pytest.fixture(scope="module")
@@ -135,19 +136,11 @@ def test_iter_steps_chains_states_and_end_of_step_fields(space3):
 END_FIELDS = ("lap_new", "proj_f_new", "xi_theta", "proj_xi_phi")
 
 
-@pytest.mark.parametrize("first", END_FIELDS + ("next lap_prev",))
-def test_end_of_step_fields_equal_an_eager_oracle_whichever_is_read_first(
-        space3, first):
-    # every record is taken before any end-of-step field is read, and the
-    # records are read last step first
+def test_end_of_step_fields_equal_an_eager_oracle(space3):
     case = make_case(1)
     scheme = ThetaScheme(space3, _params(n_steps=4), case.forcing_f)
     records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
-    for rec, following in reversed(list(zip(records, records[1:] + [None]))):
-        if first != "next lap_prev":
-            getattr(rec, first)
-        elif following is not None:
-            following.lap_prev
+    for rec, following in zip(records, records[1:] + [None]):
         want = eager_end_of_step(scheme, rec)
         for name, fe in zip(END_FIELDS, want):
             assert getattr(rec, name).coeffs.tobytes() == fe.coeffs.tobytes(), name
@@ -156,52 +149,82 @@ def test_end_of_step_fields_equal_an_eager_oracle_whichever_is_read_first(
             assert following.proj_f_prev is rec.proj_f_new
 
 
-def test_deferred_computes_once_for_concurrent_readers():
-    # more readers than cores, switching threads often; the first reader
-    # holds the computation open until every reader has started
-    calls, entered, release = [], threading.Event(), threading.Event()
-
-    def compute():
-        calls.append(1)
-        entered.set()
-        release.wait(timeout=10)
-        return (object(), object())
-
-    stage = Deferred(compute)
-    got = []
-    readers = [threading.Thread(target=lambda: got.append(stage.get()))
-               for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for reader in readers:
-            reader.start()
-        entered.wait(timeout=10)
-        release.set()
-        for reader in readers:
-            reader.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(reader.is_alive() for reader in readers)
-    assert len(calls) == 1 and len(got) == 4
-    assert all(values is got[0] for values in got)
-
-
-def test_a_failed_end_of_step_stage_raises_at_every_read(monkeypatch, space3):
-    # next() makes only the substep solves; the failure of a deferred solve
-    # surfaces, tagged, where a field of its stage is read
+@pytest.mark.parametrize("cutoff", [INLINE, OVERLAPPED],
+                         ids=["inline", "overlapped"])
+def test_a_failed_end_of_step_solve_raises_at_the_next_of_its_step(
+        monkeypatch, space3, cutoff):
+    monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", cutoff)
     fail_scheme_solve(monkeypatch, 2, "laplacian at t^n")
     case = make_case(1)
     scheme = ThetaScheme(space3, _params(), case.forcing_f)
     steps = scheme.iter_steps(scheme.initial_state(case.u0))
-    first, second, third = next(steps), next(steps), next(steps)
-    first.xi_theta
-    for read in (lambda: second.proj_xi_phi, lambda: third.lap_prev,
-                 lambda: second.lap_new):
-        with pytest.raises(SolverError) as err:
-            read()
-        assert str(err.value) == \
-            "step 2, laplacian at t^n: right-hand side is not finite"
+    first = next(steps)
+    with pytest.raises(SolverError) as err:
+        next(steps)
+    assert str(err.value) == \
+        "step 2, laplacian at t^n: right-hand side is not finite"
+    assert next(steps, None) is None
+    for name, fe in zip(END_FIELDS, eager_end_of_step(scheme, first)):
+        assert getattr(first, name).coeffs.tobytes() == fe.coeffs.tobytes(), name
+
+
+def _same_record(a: StepRecord, b: StepRecord) -> bool:
+    def raw(value):
+        value = getattr(value, "coeffs", value)
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+
+    return all(raw(getattr(a, f.name)) == raw(getattr(b, f.name))
+               for f in dataclasses.fields(StepRecord))
+
+
+def test_overlapped_and_inline_records_are_bit_identical(monkeypatch):
+    # the varstep case on a random time grid: every step has its own k
+    space = P1Space(build_uniform_mesh(4))
+    case = varstep_case()
+    scheme = ThetaScheme(space, SchemeParams(random_grid(4, 16)), case.forcing_f)
+    U0 = scheme.initial_state(case.u0)
+    runs = []
+    for cutoff in (INLINE, OVERLAPPED):
+        monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", cutoff)
+        runs.append(list(scheme.iter_steps(U0)))
+    inline, overlapped = runs
+    assert len(inline) == len(overlapped) == 16
+    assert all(_same_record(a, b) for a, b in zip(inline, overlapped))
+
+
+def test_closing_a_half_consumed_loop_joins_the_worker(monkeypatch, space3):
+    monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
+    before = set(threading.enumerate())
+    case = make_case(1)
+    scheme = ThetaScheme(space3, _params(n_steps=8), case.forcing_f)
+    steps = scheme.iter_steps(scheme.initial_state(case.u0))
+    next(steps), next(steps)
+    assert len(set(threading.enumerate()) - before) == 1
+    steps.close()
+    assert set(threading.enumerate()) == before
+
+
+def test_a_substep_failure_surfaces_after_the_previous_record_is_taken(
+        monkeypatch, space3):
+    # the worker fails on step 3 while the caller holds record 2; the error
+    # waits for the next() that would yield step 3
+    monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
+    failed, substeps = threading.Event(), ThetaScheme._substeps
+
+    def failing(scheme, prev, n, fq0, b0):
+        if n == 3:
+            failed.set()
+            raise SolverError("step 3, first substep: no convergence")
+        return substeps(scheme, prev, n, fq0, b0)
+
+    monkeypatch.setattr(ThetaScheme, "_substeps", failing)
+    case = make_case(1)
+    scheme = ThetaScheme(space3, _params(), case.forcing_f)
+    steps = scheme.iter_steps(scheme.initial_state(case.u0))
+    assert [next(steps).n, next(steps).n] == [1, 2]
+    assert failed.wait(timeout=10)
+    with pytest.raises(SolverError, match="^step 3, first substep"):
+        next(steps)
 
 
 def test_eigenmode_decay_matches_scalar_oracle(space3):

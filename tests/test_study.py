@@ -17,8 +17,9 @@ from fstheta import study
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
 
-from helpers import (error_metrics, fail_scheme_solve, full_coordinate_case,
-                     random_grid, scaled_case, varstep_case)
+from helpers import (INLINE, OVERLAPPED, error_metrics, fail_scheme_solve,
+                     full_coordinate_case, random_grid, scaled_case,
+                     varstep_case)
 
 PI = np.pi
 
@@ -208,9 +209,6 @@ def test_scaling_the_data_by_minus_two_doubles_every_column_exactly(case):
 
 # -- evaluation overlapped with the time loop ----------------------------------------
 
-INLINE, OVERLAPPED = 10 ** 9, 0     # cutoffs that force either path
-
-
 @pytest.mark.parametrize("case,kwargs", [
     (make_case(1), {}), (make_case(2), {}),
     (make_case(1), {"theta": 0.25, "alpha1": 0.6}), (varstep_case(), {})],
@@ -218,7 +216,7 @@ INLINE, OVERLAPPED = 10 ** 9, 0     # cutoffs that force either path
 def test_inline_and_overlapped_runs_are_bit_identical(monkeypatch, case, kwargs):
     runs = []
     for cutoff in (INLINE, OVERLAPPED):
-        monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", cutoff)
+        monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", cutoff)
         runs.append(run_single(case, 4, **kwargs))
     inline, overlapped = runs
     for f in dataclasses.fields(RunReport):
@@ -239,31 +237,31 @@ def _record_thread_starts(monkeypatch) -> list:
 
 def test_no_thread_below_the_cutoff_and_none_alive_after_return(monkeypatch):
     dofs = [P1Space(build_uniform_mesh(level)).n_dofs for level in (5, 6)]
-    assert dofs[0] < study.OVERLAP_MIN_DOFS <= dofs[1]
+    assert dofs[0] < fstheta.scheme.OVERLAP_MIN_DOFS <= dofs[1]
     before = set(threading.enumerate())
     started = _record_thread_starts(monkeypatch)
     run_single(make_case(1), 5)
     assert started == []
-    monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", OVERLAPPED)
+    monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
     run_single(make_case(1), 3)
     assert len(started) == 1 and not started[0].is_alive()
     assert set(threading.enumerate()) == before
 
 
 def test_at_most_one_step_is_in_flight(monkeypatch):
-    monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", OVERLAPPED)
+    monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
     scheme_steps, evaluated = [], []
-    step, estimate = ThetaScheme._step, EstimatorEngine.step_estimates
+    substeps, estimate = ThetaScheme._substeps, EstimatorEngine.step_estimates
 
-    def recording_step(scheme, prev, n, carry):
+    def recording_substeps(scheme, prev, n, fq0, b0):
         scheme_steps.append(n)
-        return step(scheme, prev, n, carry)
+        return substeps(scheme, prev, n, fq0, b0)
 
     def recording_estimate(engine, rec, prev_rec=None):
         evaluated.append((rec.n, max(scheme_steps)))
         return estimate(engine, rec, prev_rec)
 
-    monkeypatch.setattr(ThetaScheme, "_step", recording_step)
+    monkeypatch.setattr(ThetaScheme, "_substeps", recording_substeps)
     monkeypatch.setattr(EstimatorEngine, "step_estimates", recording_estimate)
     run_single(make_case(1), 4)
     assert [n for n, _ in evaluated] == list(range(1, 17))
@@ -280,14 +278,14 @@ def _failing_from(field: ScalarField, t_fail: float) -> ScalarField:
 
 
 def _fail_scheme_at(monkeypatch, n_fail: int) -> None:
-    step = ThetaScheme._step
+    substeps = ThetaScheme._substeps
 
-    def failing_step(scheme, prev, n, carry):
+    def failing_substeps(scheme, prev, n, fq0, b0):
         if n == n_fail:
             raise SolverError(f"step {n}, first substep: no convergence")
-        return step(scheme, prev, n, carry)
+        return substeps(scheme, prev, n, fq0, b0)
 
-    monkeypatch.setattr(ThetaScheme, "_step", failing_step)
+    monkeypatch.setattr(ThetaScheme, "_substeps", failing_substeps)
 
 
 def _fail_estimate_at(monkeypatch, n_fail: int) -> None:
@@ -305,7 +303,7 @@ def _errors_of_both_paths(monkeypatch, run) -> list:
     before = set(threading.enumerate())
     errors = []
     for cutoff in (INLINE, OVERLAPPED):
-        monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", cutoff)
+        monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", cutoff)
         with pytest.raises(Exception) as info:
             run()
         errors.append((type(info.value), str(info.value)))
@@ -315,10 +313,10 @@ def _errors_of_both_paths(monkeypatch, run) -> list:
 
 def test_the_scheme_thread_makes_only_substep_solves_after_the_t0_carry(
         monkeypatch):
-    # the worker runs the scheme one step ahead; the calling thread projects
-    # the initial datum and, as their first reader, makes each step's
-    # end-of-step solves and the estimators' Laplacian of w
-    monkeypatch.setattr(study, "OVERLAP_MIN_DOFS", OVERLAPPED)
+    # the worker of iter_steps makes the substep solves and nothing else; the
+    # calling thread projects the initial datum, makes the carry at t^0 and
+    # each step's end-of-step solves, and the estimators' Laplacian of w
+    monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
     main = threading.current_thread()
     tags, fem_solves = {True: [], False: []}, {True: 0, False: 0}
     solve, fem_solve = ThetaScheme._solve, fstheta.fem.solve_spd
@@ -334,10 +332,11 @@ def test_the_scheme_thread_makes_only_substep_solves_after_the_t0_carry(
     monkeypatch.setattr(ThetaScheme, "_solve", recording)
     monkeypatch.setattr(fstheta.fem, "solve_spd", recording_fem)
     run_single(make_case(1), 3)
-    carry = ["laplacian at t^{n-1}", "forcing projection at t^{n-1}"]
-    assert tags[False] == carry + ["first substep", "second substep",
-                                   "third substep"] * 8
-    assert tags[True] == ["initial projection"] + [
+    assert tags[False] == ["first substep", "second substep",
+                           "third substep"] * 8
+    assert tags[True] == [
+        "initial projection", "laplacian at t^{n-1}",
+        "forcing projection at t^{n-1}"] + [
         "laplacian at t^n", "forcing projection at t^n",
         "laplacian substep defect", "forcing projection substep defect"] * 8
     # the estimators solve one Laplacian (of w) per step
@@ -345,7 +344,7 @@ def test_the_scheme_thread_makes_only_substep_solves_after_the_t0_carry(
 
 
 def test_a_failed_carry_at_t0_raises_the_same_tagged_error(monkeypatch):
-    # the carry at t^0 is the first thing the scheme thread solves
+    # the carry at t^0 is solved before the first substep
     case = make_case(1)
     forcing = case.forcing_f
 
@@ -444,8 +443,18 @@ def test_case3_runs_and_reports_finite_values():
 
 
 def test_run_study_flushes_partial_results(tmp_path):
-    with pytest.raises(ConfigurationError):
-        run_study(1, [2, 99], out_dir=tmp_path)
+    # level 3 fails at t = 1/8, a time node that level 2 does not have
+    case = make_case(1)
+    u = case.exact_u
+
+    def fn(x, y, t):
+        if t == 0.125:
+            raise ArithmeticError("u has no value at t = 0.125")
+        return u(x, y, t)
+
+    failing = dataclasses.replace(case, exact_u=ScalarField("u", fn))
+    with pytest.raises(ArithmeticError):
+        run_study(failing, [2, 3], out_dir=tmp_path)
     assert (tmp_path / "case1_errors.csv").exists()
     lines = (tmp_path / "case1_errors.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header plus the completed level
@@ -474,6 +483,21 @@ def test_a_study_without_levels_is_rejected_before_anything_is_written(tmp_path)
     with pytest.raises(ConfigurationError, match="at least one level"):
         run_study(2, [], out_dir=out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("levels,message", [
+    ([3, 13], "mesh level must lie in [1, 12], got 13"),
+    ([3, 2.5], "mesh level must be an integer, got 2.5")],
+    ids=["past-the-finest", "not-an-integer"])
+def test_a_bad_level_is_rejected_before_any_level_runs(monkeypatch, tmp_path,
+                                                       levels, message):
+    runs = []
+    monkeypatch.setattr(study, "run_single", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "res"
+    with pytest.raises(ConfigurationError) as err:
+        run_study(1, levels, out_dir=out)
+    assert str(err.value) == message
+    assert runs == [] and not out.exists()
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
@@ -568,6 +592,18 @@ def test_cli_reports_a_bad_constant_as_a_configuration_error(tmp_path, capsys, c
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error: constant")
     assert not out.exists()
+
+
+def test_cli_rejects_a_level_range_past_the_finest_mesh_before_running(
+        monkeypatch, tmp_path, capsys):
+    runs = []
+    monkeypatch.setattr(study, "run_single", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "res"
+    code = cli_main(["--case", "1", "--levels", "3:13", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: mesh level must lie in [1, 12], got 13")
+    assert runs == [] and not out.exists()
 
 
 def test_cli_rejects_bad_theta_value():
