@@ -136,11 +136,19 @@ def test_iter_steps_chains_states_and_end_of_step_fields(space3):
 END_FIELDS = ("lap_new", "proj_f_new", "xi_theta", "proj_xi_phi")
 
 
-def test_end_of_step_fields_equal_an_eager_oracle(space3):
+@pytest.mark.parametrize("first", END_FIELDS + ("next lap_prev",))
+def test_end_of_step_fields_equal_an_eager_oracle_whichever_is_read_first(
+        space3, first):
+    # every record is taken before any field is read, and the records are
+    # read last step first
     case = make_case(1)
     scheme = ThetaScheme(space3, _params(n_steps=4), case.forcing_f)
     records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
-    for rec, following in zip(records, records[1:] + [None]):
+    for rec, following in reversed(list(zip(records, records[1:] + [None]))):
+        if first != "next lap_prev":
+            getattr(rec, first)
+        elif following is not None:
+            following.lap_prev
         want = eager_end_of_step(scheme, rec)
         for name, fe in zip(END_FIELDS, want):
             assert getattr(rec, name).coeffs.tobytes() == fe.coeffs.tobytes(), name
