@@ -14,10 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError
-from .fem import FeFunction, P1Space, ScalarField
+from .fem import BandMatrix, FeFunction, P1Space, ScalarField
 from .solver import SolverError, solve_spd
 
 THETA_DEFAULT = 1.0 - math.sqrt(2.0) / 2.0
@@ -162,12 +161,13 @@ class StepRecord:
 
 # From this many dofs on, ``iter_steps`` solves the substeps one step ahead on
 # a worker thread; below it the overlap does not pay.  On a 2-core x86_64 host
-# with one BLAS thread, six alternating case-1 run_single pairs per level read
-# medians of 0.068 s inline against 0.064 s overlapped at level 4 (225 dofs),
-# 0.210 against 0.211 s at level 5 and 1.53 against 1.57 s at level 6 (3,969
-# dofs).  Where the caller has more to do per step it pays: varstep-L6 (level
-# 6) drops from 3.26 to 2.04 s at reference speed, and study-c1 (case 1,
-# levels 3..7) took 17.1 s without the worker against 10.95 s with it.
+# with one BLAS thread, two runs of six alternating case-1 run_single pairs per
+# level read medians of 0.083 and 0.091 s inline against 0.087 and 0.098 s
+# overlapped at level 4 (225 dofs), 0.304 and 0.236 against 0.307 and 0.272 s
+# at level 5, and 1.74 and 1.57 against 1.74 and 1.61 s at level 6 (3,969
+# dofs).  Where the caller has more to do per step it pays: over three
+# alternating benchmark pairs, varstep-L6 (level 6) drops from 3.01 to 1.88 s
+# at reference speed, and study-c1 (case 1, levels 3..7) from 16.1 to 10.1 s.
 OVERLAP_MIN_DOFS = 2000
 
 
@@ -210,10 +210,10 @@ class ThetaScheme:
         M, K = self.space.mass, self.space.stiffness
         # P1 couples the same vertex pairs in M and K, so both bands have the
         # same offsets and the pair is formed diagonal by diagonal
-        a_theta = sp.dia_matrix(
+        a_theta = BandMatrix(
             (M.data * (1.0 / (p.theta * k)) + K.data * p.alpha1, M.offsets),
             shape=M.shape)
-        a_tilde = sp.dia_matrix(
+        a_tilde = BandMatrix(
             (M.data * (1.0 / (p.theta_tilde * k)) + K.data * p.beta1, M.offsets),
             shape=M.shape)
         return a_theta, a_tilde

@@ -4,7 +4,8 @@ All systems in this package are either a mass matrix or a shifted
 mass-stiffness combination M/c + aK, both symmetric positive definite on
 the Dirichlet space, so plain PCG with a diagonal preconditioner is enough.
 The solver needs only ``shape``, ``diagonal()`` and ``@`` of its matrix.  The
-package passes 7-diagonal ``dia_matrix`` operators: their products add
+package passes 7-diagonal ``fem.BandMatrix`` operators, ``dia_matrix`` whose
+vector products call scipy's DIA kernel directly: their products add
 diagonal by diagonal in ascending offset order, so each entry is the same
 left-to-right sum over ascending columns that the canonical CSR form gives,
 bit for bit (a stored zero of the band adds 0 * x).
@@ -38,7 +39,9 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     SolverError after MAX_ITERATIONS_PER_DOF * n iterations without
     convergence.  The iteration is deterministic (fixed summation order), a
     zero right-hand side returns an exact zero vector without iterating, and
-    a non-finite one raises without iterating.  Apart from the product
+    a non-finite one, or a non-finite or nonpositive diagonal entry, raises
+    without iterating.  A curvature ``p @ matrix @ p`` that is not positive
+    (NaN included) raises at its iteration.  Apart from the product
     ``matrix @ p`` it allocates nothing per iteration: the updates run in
     place and give the bits of the loop that forms every scaled vector,
     z and p afresh.
@@ -60,6 +63,8 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     max_it = MAX_ITERATIONS_PER_DOF * n
 
     diag = np.asarray(matrix.diagonal(), dtype=float)
+    if not np.all(np.isfinite(diag)):
+        raise SolverError("non-finite diagonal entry")
     if np.any(diag <= 0.0):
         raise SolverError("nonpositive diagonal entry; matrix is not SPD")
     inv_diag = 1.0 / diag
@@ -74,9 +79,10 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     for it in range(1, max_it + 1):
         Ap = matrix @ p
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             raise SolverError(
-                "search direction with nonpositive curvature; matrix is not SPD",
+                f"search direction with curvature {pAp:.3e}, not positive; "
+                "matrix is not SPD",
                 residual=res / b_norm, iterations=it)
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=scaled)

@@ -4,9 +4,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams,
-                     build_uniform_mesh, eoc, make_case, make_uniform_grid,
-                     zero_field)
+                     ThetaScheme, build_uniform_mesh, eoc, make_case,
+                     make_uniform_grid, zero_field)
 from fstheta.fem import _Q4_W as fem_Q4_W
+from fstheta.fem import BandMatrix
 
 from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
                      facet_jumps, fe_as_field, full_coordinate_field,
@@ -92,6 +93,62 @@ def test_stencil_operators_equal_the_assembled_band_bit_for_bit(level):
         assert got.data.tobytes() == want.data.tobytes()
         assert got.nnz == want.nnz
         assert (got @ x).tobytes() == (oracle @ x).tobytes()
+
+
+def _band_operators(level):
+    """M, K and the substep pairs at default parameters and at theta = 0.25
+    with alpha1 = 0.6, with the space."""
+    space = P1Space(build_uniform_mesh(level))
+    operators = [space.mass, space.stiffness]
+    for kw in ({}, {"theta": 0.25, "alpha1": 0.6}):
+        params = SchemeParams(make_uniform_grid(2 ** level, 1.0), **kw)
+        scheme = ThetaScheme(space, params, zero_field())
+        operators.extend(scheme._substep_matrices(params.step_size(1)))
+    return space, operators
+
+
+def _scipy_dia(a):
+    return sp.dia_matrix((a.data, a.offsets), shape=a.shape)
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_band_products_equal_scipys_dia_product_bit_for_bit(level):
+    # the vector product calls scipy's DIA kernel directly; it must give the
+    # bytes of scipy's own dia_matrix product (level 1 is the 1x1 band)
+    space, operators = _band_operators(level)
+    smooth = space.load_vector(make_case(1).forcing_f, 0.5)
+    rand = np.random.default_rng(level).standard_normal(space.n_dofs)
+    for a in operators:
+        assert type(a) is BandMatrix and isinstance(a, sp.dia_matrix)
+        for v in (smooth, rand):
+            got = a @ v
+            assert got.shape == v.shape and got.dtype == np.float64
+            assert got.tobytes() == (_scipy_dia(a) @ v).tobytes()
+
+
+@pytest.mark.parametrize("level", [1, 4])
+def test_band_products_with_other_operands_are_scipys(level):
+    space, operators = _band_operators(level)
+    n = space.n_dofs
+    rng = np.random.default_rng(level)
+    other = (rng.standard_normal((n, 2)),                     # a block of vectors
+             rng.standard_normal(2 * n)[::2],                 # a strided vector
+             np.arange(n),                                    # integers
+             rng.standard_normal(n).astype(np.float32),
+             rng.standard_normal(n) * (1.0 + 2.0j))
+    for a in operators:
+        ref = _scipy_dia(a)
+        for x in other:
+            got, want = a @ x, ref @ x
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+        csr = sp.csr_matrix(rng.standard_normal((n, 3)))
+        assert ((a @ csr) != (ref @ csr)).nnz == 0
+        # the kernel reads a vector of the wrong length without complaint,
+        # so the shape check must send it to scipy, which rejects it
+        for x in (np.ones(n + 1), np.ones(n - 1)):
+            with pytest.raises(ValueError):
+                a @ x
 
 
 @pytest.mark.parametrize("level", range(1, 9))

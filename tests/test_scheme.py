@@ -460,3 +460,20 @@ def test_non_finite_forcing_fails_fast_naming_step_and_quantity():
         "step 1, forcing projection at t^{n-1}: right-hand side is not finite")
     assert err.value.iterations == 0
     assert err.value.__cause__.iterations == 0
+
+
+def test_a_subnormal_step_fails_fast_naming_step_and_quantity():
+    # 1 / (theta k) overflows to inf, so the substep matrix has an infinite
+    # diagonal (and NaN padding); the loop itself would meet z = 0 and divide
+    # by rz = 0, an error that names neither the step nor the quantity
+    space = P1Space(build_uniform_mesh(5))
+    case = make_case(1)
+    scheme = ThetaScheme(space, SchemeParams(np.array([0.0, 1e-320, 1.0])),
+                         case.forcing_f)
+    U0 = scheme.initial_state(case.u0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverError) as err:
+        next(scheme.iter_steps(U0))
+    assert str(err.value).startswith(
+        "step 1, first substep: non-finite diagonal entry")
+    assert err.value.iterations == 0

@@ -111,6 +111,44 @@ class _DriftingDiagonal:
         return np.array([2.0, 4.0]) * v * (1.0 if self.products == 1 else 2.0)
 
 
+class _Counting:
+    """Exposes only ``shape``, ``diagonal()`` and ``@`` of a matrix, and
+    counts the products, as the benchmark tracer's stand-in does."""
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+        self.shape = matrix.shape
+        self.products = 0
+
+    def diagonal(self):
+        return self._matrix.diagonal()
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self._matrix @ v
+
+
+def test_nan_curvature_raises_within_one_iteration():
+    # p @ a @ p is NaN, which a "<= 0" test lets through: the loop would run
+    # all 10 n iterations before reporting no convergence
+    a = _Counting(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(SolverError, match="curvature nan") as err:
+        solve_spd(a, np.array([1.0, 1.0]))
+    assert err.value.iterations == 1
+    assert a.products == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_diagonal_raises_without_iterating(bad):
+    m = np.eye(3)
+    m[1, 1] = bad
+    a = _Counting(m)
+    with pytest.raises(SolverError, match="non-finite diagonal") as err:
+        solve_spd(a, np.ones(3))
+    assert err.value.iterations == 0
+    assert a.products == 0
+
+
 def test_residual_recheck_catches_inconsistent_products():
     matrix = _DriftingDiagonal()
     with pytest.raises(SolverError, match="disagrees with true residual"):
@@ -140,6 +178,24 @@ def test_in_place_loop_matches_allocating_loop_on_the_scheme_matrices(level, kwa
     for rhs in (smooth, rng.standard_normal(space.n_dofs)):
         for matrix in (a_theta, a_tilde, space.mass):
             _assert_same_bits(matrix, rhs)
+
+
+@pytest.mark.parametrize("level", [1, 4, 6])
+def test_a_counting_stand_in_solves_to_the_same_bits(level):
+    # the solver uses only shape, diagonal() and @, so a stand-in that
+    # exposes just those (the tracer's) sees every product: one per
+    # iteration, which the allocating loop counts, and the residual re-check
+    space = P1Space(build_uniform_mesh(level))
+    scheme = ThetaScheme(space, SchemeParams(make_uniform_grid(2 ** level, 1.0)),
+                         make_case(1).forcing_f)
+    rhs = np.random.default_rng(level).standard_normal(space.n_dofs)
+    for matrix in (space.mass, *scheme._substep_matrices(2.0 ** -level)):
+        counted, iterations = _Counting(matrix), _Counting(matrix)
+        x = solve_spd(counted, rhs)
+        assert x.tobytes() == solve_spd(matrix, rhs).tobytes()
+        allocating_pcg(iterations, rhs)
+        assert iterations.products >= 1
+        assert counted.products == iterations.products + 1
 
 
 def test_in_place_loop_matches_allocating_loop_on_dense_and_csr_inputs():
