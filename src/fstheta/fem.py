@@ -138,17 +138,26 @@ class BandMatrix(sp.dia_matrix):
     same zeroed output, so every product has scipy's bits.  Any other
     operand (a matrix, another dtype or length, a sparse matrix) goes to
     scipy's ``__matmul__``; the shape check also keeps a vector of the
-    wrong length from the kernel, which does not check it."""
+    wrong length from the kernel, which does not check it.
+    ``matvec_into`` runs the same kernel into a buffer the caller holds."""
 
     def __matmul__(self, other):
         rows, cols = self.shape
         if (isinstance(other, np.ndarray) and other.dtype == np.float64
                 and other.shape == (cols,)):
-            out = np.zeros(rows)
-            dia_matvec(rows, cols, *self.data.shape, self.offsets, self.data,
-                       other, out)
-            return out
+            return self.matvec_into(other, np.empty(rows))
         return super().__matmul__(other)
+
+    def matvec_into(self, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``self @ vector`` into ``out`` and return it, with the bits
+        of ``@``: zero ``out``, then call the kernel.  Both must be float64
+        vectors of the matching lengths, C-contiguous for ``out``; nothing
+        is checked, so only callers that hold such buffers (``solve_spd``)
+        call it."""
+        out.fill(0.0)
+        dia_matvec(*self.shape, *self.data.shape, self.offsets, self.data,
+                   vector, out)
+        return out
 
 
 def _band(n: int, diagonal: float, axis: float, skew: float) -> BandMatrix:

@@ -84,6 +84,19 @@ class SchemeParams:
         if not 0.0 < self.theta < 1.0 / 3.0:
             raise ConfigurationError(
                 f"theta must lie in (0, 1/3), got {self.theta!r}")
+        # the substep matrices scale M by these weights; for a step so small
+        # that one overflows (or theta k underflows to 0) the matrices would
+        # hold inf and NaN
+        steps = np.diff(self.time_grid)
+        with np.errstate(divide="ignore", over="ignore"):
+            weights = 1.0 / (np.array([[self.theta], [self.theta_tilde]]) * steps)
+        finite = np.isfinite(weights).all(axis=0)
+        if not finite.all():
+            n = int(np.argmin(finite)) + 1
+            raise ConfigurationError(
+                f"step {n} of size k = {float(steps[n - 1])!r} is too small: "
+                "the substep weights 1/(theta k) and 1/((1 - 2 theta) k) "
+                "must be finite")
         if self.alpha1 is None:
             self.alpha1 = glowinski_alpha(self.theta)
         if self.alpha2 is None:

@@ -3,12 +3,15 @@
 All systems in this package are either a mass matrix or a shifted
 mass-stiffness combination M/c + aK, both symmetric positive definite on
 the Dirichlet space, so plain PCG with a diagonal preconditioner is enough.
-The solver needs only ``shape``, ``diagonal()`` and ``@`` of its matrix.  The
-package passes 7-diagonal ``fem.BandMatrix`` operators, ``dia_matrix`` whose
-vector products call scipy's DIA kernel directly: their products add
+The solver needs only ``shape``, ``diagonal()`` and ``@`` of its matrix, and
+uses ``matvec_into(vector, out)`` where the matrix has it.  The package
+passes 7-diagonal ``fem.BandMatrix`` operators, ``dia_matrix`` whose vector
+products call scipy's DIA kernel directly, into a fresh output for ``@`` and
+into the solver's held buffer for ``matvec_into``: their products add
 diagonal by diagonal in ascending offset order, so each entry is the same
 left-to-right sum over ascending columns that the canonical CSR form gives,
-bit for bit (a stored zero of the band adds 0 * x).
+bit for bit (a stored zero of the band adds 0 * x).  The solver reads the
+method by name, so it does not import ``fem``.
 """
 
 from __future__ import annotations
@@ -41,10 +44,17 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     zero right-hand side returns an exact zero vector without iterating, and
     a non-finite one, or a non-finite or nonpositive diagonal entry, raises
     without iterating.  A curvature ``p @ matrix @ p`` that is not positive
-    (NaN included) raises at its iteration.  Apart from the product
-    ``matrix @ p`` it allocates nothing per iteration: the updates run in
-    place and give the bits of the loop that forms every scaled vector,
-    z and p afresh.
+    (NaN included) raises at its iteration.  The returned x owns its data.
+
+    The loop holds [x, s] with s = -r and [p, A p] in two buffers of
+    length 2n, so one scaling of [p, A p] by alpha and one addition update
+    x and s together.  A matrix with ``matvec_into(vector, out)``
+    (``fem.BandMatrix``) writes A p into its half of the buffer, and the
+    loop allocates nothing per iteration; any other matrix's
+    ``matrix @ p`` is copied there.  Every operation on s is the exact IEEE negation of the one on
+    r: (-a)(-b) = ab in the dot products, -r + y = -(r - y), and
+    beta p - (-z) = beta p + z.  So the iterates keep the bits of the loop
+    that forms every scaled vector, z and p afresh on r itself.
     """
     b = np.asarray(rhs, dtype=float)
     if b.ndim != 1:
@@ -63,31 +73,37 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     max_it = MAX_ITERATIONS_PER_DOF * n
 
     diag = np.asarray(matrix.diagonal(), dtype=float)
-    if not np.all(np.isfinite(diag)):
-        raise SolverError("non-finite diagonal entry")
-    if np.any(diag <= 0.0):
+    # NaN propagates through min and max, so one test covers every entry
+    if not (diag.min() > 0.0 and diag.max() < math.inf):
+        if not np.all(np.isfinite(diag)):
+            raise SolverError("non-finite diagonal entry")
         raise SolverError("nonpositive diagonal entry; matrix is not SPD")
     inv_diag = 1.0 / diag
 
-    x = np.zeros(n)
-    r = b.copy()
-    z = r * inv_diag
-    p = z.copy()
-    scaled = np.empty(n)
-    rz = float(r @ z)
+    xs = np.zeros(2 * n)
+    x, s = xs[:n], xs[n:]
+    np.negative(b, out=s)
+    pq = np.empty(2 * n)
+    p, q = pq[:n], pq[n:]
+    scaled = np.empty(2 * n)
+    neg_z = np.multiply(s, inv_diag)
+    np.negative(neg_z, out=p)
+    matvec_into = getattr(matrix, "matvec_into", None)
+    rz = float(s @ neg_z)
     res = b_norm
     for it in range(1, max_it + 1):
-        Ap = matrix @ p
-        pAp = float(p @ Ap)
+        if matvec_into is None:
+            q[...] = matrix @ p
+        else:
+            matvec_into(p, q)
+        pAp = float(p @ q)
         if not pAp > 0.0:
             raise SolverError(
                 f"search direction with curvature {pAp:.3e}, not positive; "
                 "matrix is not SPD",
                 residual=res / b_norm, iterations=it)
-        alpha = rz / pAp
-        x += np.multiply(alpha, p, out=scaled)
-        r -= np.multiply(alpha, Ap, out=scaled)
-        res = math.sqrt(r @ r)
+        xs += np.multiply(rz / pAp, pq, out=scaled)
+        res = math.sqrt(s @ s)
         if res <= tol:
             true_res = float(np.linalg.norm(matrix @ x - b))
             if not true_res <= 10.0 * tol + 1e-300:
@@ -95,12 +111,11 @@ def solve_spd(matrix, rhs) -> np.ndarray:
                     f"recurrence residual {res:.3e} disagrees with true "
                     f"residual {true_res:.3e}",
                     residual=true_res / b_norm, iterations=it)
-            return x
-        np.multiply(r, inv_diag, out=z)
-        rz_new = float(r @ z)
-        # beta * p + z has the bits of z + beta * p: IEEE addition commutes
+            return x.copy()
+        np.multiply(s, inv_diag, out=neg_z)
+        rz_new = float(s @ neg_z)
         p *= rz_new / rz
-        p += z
+        p -= neg_z
         rz = rz_new
     raise SolverError(
         f"no convergence within {max_it} iterations "

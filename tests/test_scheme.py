@@ -463,17 +463,12 @@ def test_non_finite_forcing_fails_fast_naming_step_and_quantity():
 
 
 def test_a_subnormal_step_fails_fast_naming_step_and_quantity():
-    # 1 / (theta k) overflows to inf, so the substep matrix has an infinite
-    # diagonal (and NaN padding); the loop itself would meet z = 0 and divide
-    # by rz = 0, an error that names neither the step nor the quantity
-    space = P1Space(build_uniform_mesh(5))
-    case = make_case(1)
-    scheme = ThetaScheme(space, SchemeParams(np.array([0.0, 1e-320, 1.0])),
-                         case.forcing_f)
-    U0 = scheme.initial_state(case.u0)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(SolverError) as err:
-        next(scheme.iter_steps(U0))
-    assert str(err.value).startswith(
-        "step 1, first substep: non-finite diagonal entry")
-    assert err.value.iterations == 0
+    # 1 / (theta k) overflows to inf, so the substep matrix would hold an
+    # infinite diagonal and NaN padding (and 1 / (theta k) raises
+    # ZeroDivisionError once theta k underflows to 0); the grid is rejected
+    # before any matrix is formed, with no numpy warning on the way
+    for grid, step in (([0.0, 1e-320, 1.0], "step 1 of size k = 1e-320"),
+                       ([-1.0, 0.0, 5e-324], "step 2 of size k = 5e-324")):
+        with pytest.raises(ConfigurationError, match="substep weights") as err:
+            SchemeParams(np.array(grid))
+        assert str(err.value).startswith(step + " is too small")

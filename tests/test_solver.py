@@ -163,16 +163,21 @@ def _assert_same_bits(matrix, rhs):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("level", [3, 4, 5, 6])
-@pytest.mark.parametrize("kwargs", [{}, {"theta": 0.25, "alpha1": 0.6}],
-                         ids=["default", "theta0.25"])
-def test_in_place_loop_matches_allocating_loop_on_the_scheme_matrices(level, kwargs):
+def _scheme_matrices(level, **kwargs):
+    """M and the substep pair (a_theta, a_tilde) of a 2^level-step grid."""
     space = P1Space(build_uniform_mesh(level))
     n_steps = 2 ** level
     scheme = ThetaScheme(space, SchemeParams(make_uniform_grid(n_steps, 1.0),
                                              **kwargs),
                          make_case(1).forcing_f)
-    a_theta, a_tilde = scheme._substep_matrices(1.0 / n_steps)
+    return (space, *scheme._substep_matrices(1.0 / n_steps))
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("kwargs", [{}, {"theta": 0.25, "alpha1": 0.6}],
+                         ids=["default", "theta0.25"])
+def test_in_place_loop_matches_allocating_loop_on_the_scheme_matrices(level, kwargs):
+    space, a_theta, a_tilde = _scheme_matrices(level, **kwargs)
     rng = np.random.default_rng(level)
     smooth = space.load_vector(make_case(1).forcing_f, 0.5)
     for rhs in (smooth, rng.standard_normal(space.n_dofs)):
@@ -180,16 +185,40 @@ def test_in_place_loop_matches_allocating_loop_on_the_scheme_matrices(level, kwa
             _assert_same_bits(matrix, rhs)
 
 
-@pytest.mark.parametrize("level", [1, 4, 6])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_degenerate_right_hand_sides_solve_to_the_allocating_loops_bits(level):
+    # the loop iterates on s = -r; its bits equal the loop on r only if every
+    # negation is exact, signed zeros included, which sparse right-hand sides
+    # (exact zeros in r, z and p) put to the test
+    space, a_theta, a_tilde = _scheme_matrices(level)
+    n = space.n_dofs
+    one_hot = np.zeros(n)
+    one_hot[n // 2] = 1.0
+    alternating = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    mostly_zero = np.zeros(n)
+    mostly_zero[::7] = np.random.default_rng(level).standard_normal(
+        mostly_zero[::7].size)
+    mostly_zero[0] = -0.0
+    for rhs in (one_hot, -one_hot, alternating, mostly_zero):
+        for matrix in (space.mass, a_theta, a_tilde):
+            first, second = solve_spd(matrix, rhs), solve_spd(matrix, rhs)
+            assert first.tobytes() == allocating_pcg(matrix, rhs).tobytes()
+            assert first.tobytes() == second.tobytes()
+            # each result owns its data, so no later solve can write into it
+            assert first.base is None and second.base is None
+            assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("level", [1, 4, 6, 7])
 def test_a_counting_stand_in_solves_to_the_same_bits(level):
-    # the solver uses only shape, diagonal() and @, so a stand-in that
-    # exposes just those (the tracer's) sees every product: one per
-    # iteration, which the allocating loop counts, and the residual re-check
-    space = P1Space(build_uniform_mesh(level))
-    scheme = ThetaScheme(space, SchemeParams(make_uniform_grid(2 ** level, 1.0)),
-                         make_case(1).forcing_f)
+    # a stand-in that exposes only shape, diagonal() and @ (as the tracer's
+    # does) has no matvec_into, so the solver copies its products into the
+    # held buffer; that path must give the band path's bytes and make every
+    # product through @: one per iteration, which the allocating loop
+    # counts, and the residual re-check
+    space, a_theta, a_tilde = _scheme_matrices(level)
     rhs = np.random.default_rng(level).standard_normal(space.n_dofs)
-    for matrix in (space.mass, *scheme._substep_matrices(2.0 ** -level)):
+    for matrix in (space.mass, a_theta, a_tilde):
         counted, iterations = _Counting(matrix), _Counting(matrix)
         x = solve_spd(counted, rhs)
         assert x.tobytes() == solve_spd(matrix, rhs).tobytes()
