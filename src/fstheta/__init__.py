@@ -4,10 +4,10 @@ based a posteriori error estimators and a convergence-study harness."""
 from .errors import ConfigurationError
 from .estimators import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
                          EstimatorReport, StepEstimates, coarsening_estimator,
-                         elliptic_estimator, quadrature_exactness_check,
-                         recon_coeff_three_level, recon_coeff_two_level,
-                         step_difference_estimator, time_weight)
-from .fem import FeFunction, P1Space, ScalarField, zero_field
+                         elliptic_estimator, recon_coeff_three_level,
+                         recon_coeff_two_level, step_difference_estimator,
+                         time_weight)
+from .fem import FeFunction, P1Space, ScalarField
 from .mesh import Mesh, build_uniform_mesh
 from .scheme import (THETA_DEFAULT, SchemeParams, StepRecord, ThetaScheme,
                      glowinski_alpha, make_uniform_grid)
@@ -21,10 +21,9 @@ __all__ = [
     "ConfigurationError",
     "ConstantsConfig", "EstimatorAccumulator", "EstimatorEngine",
     "EstimatorReport", "StepEstimates", "coarsening_estimator",
-    "elliptic_estimator", "quadrature_exactness_check",
-    "recon_coeff_three_level", "recon_coeff_two_level",
+    "elliptic_estimator", "recon_coeff_three_level", "recon_coeff_two_level",
     "step_difference_estimator", "time_weight",
-    "FeFunction", "P1Space", "ScalarField", "zero_field",
+    "FeFunction", "P1Space", "ScalarField",
     "Mesh", "build_uniform_mesh",
     "THETA_DEFAULT", "SchemeParams", "StepRecord", "ThetaScheme",
     "glowinski_alpha", "make_uniform_grid",

@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .fem import FeFunction, P1Space, ScalarField
-from .scheme import THETA_DEFAULT, SchemeParams, StepRecord
+from .scheme import SchemeParams, StepRecord
 
 _SQRT30 = math.sqrt(30.0)
 _GAUSS3_OFFSETS = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
@@ -47,22 +49,6 @@ class ConstantsConfig:
                     f"constant {name} must be finite and positive, got {value!r}")
 
 
-def quadrature_exactness_check(alpha: float, theta: float = THETA_DEFAULT) -> float:
-    """Max defect of the scheme's nodal time quadrature on {1, s}.
-
-    The rule places weights (beta*theta, alpha*(1-theta), beta*(1-theta),
-    alpha*theta) at abscissae (0, theta, 1-theta, 1); it integrates linear
-    polynomials exactly iff alpha = 1/2 or theta = 1 - sqrt(2)/2.
-    """
-    beta = 1.0 - alpha
-    tt = 1.0 - theta
-    nodes = (0.0, theta, 1.0 - theta, 1.0)
-    weights = (beta * theta, alpha * tt, beta * tt, alpha * theta)
-    defect_const = abs(math.fsum(weights) - 1.0)
-    defect_lin = abs(math.fsum(w * s for w, s in zip(weights, nodes)) - 0.5)
-    return max(defect_const, defect_lin)
-
-
 # ---------------------------------------------------------------------------
 # per-step fields
 
@@ -70,8 +56,9 @@ def quadrature_exactness_check(alpha: float, theta: float = THETA_DEFAULT) -> fl
 def recon_coeff_two_level(rec: StepRecord) -> FeFunction:
     """Quadratic coefficient of the single-interval time reconstruction:
     slope of the discrete Laplacian minus slope of the projected forcing."""
-    return ((rec.lap_new - rec.lap_prev)
-            - (rec.proj_f_new - rec.proj_f_prev)) / rec.k
+    return FeFunction(rec.U_new.mesh, (
+        (rec.lap_new.coeffs - rec.lap_prev.coeffs)
+        - (rec.proj_f_new.coeffs - rec.proj_f_prev.coeffs)) / rec.k)
 
 
 def recon_coeff_three_level(rec: StepRecord, prev_rec: StepRecord):
@@ -89,16 +76,34 @@ def recon_coeff_three_level(rec: StepRecord, prev_rec: StepRecord):
             f"records out of order: got steps {prev_rec.n} and {rec.n}")
     k, k_prev = rec.k, prev_rec.k
     coeff = (-2.0 / (k + k_prev)) * (
-        (rec.U_new - rec.U_prev) / k - (prev_rec.U_new - prev_rec.U_prev) / k_prev)
+        (rec.U_new.coeffs - rec.U_prev.coeffs) / k
+        - (prev_rec.U_new.coeffs - prev_rec.U_prev.coeffs) / k_prev)
     r = k_prev / k
-    lap_dd = 0.5 * (r * rec.lap_new - (1.0 + r) * rec.lap_prev + prev_rec.lap_prev)
-    f_dd = 0.5 * (r * rec.proj_f_new - (1.0 + r) * rec.proj_f_prev
-                  + prev_rec.proj_f_prev)
-    return coeff, lap_dd, f_dd
+
+    def second_difference(new, prev, before):
+        return 0.5 * (r * new.coeffs - (1.0 + r) * prev.coeffs + before.coeffs)
+
+    mesh = rec.U_new.mesh
+    return (FeFunction(mesh, coeff),
+            FeFunction(mesh, second_difference(rec.lap_new, rec.lap_prev,
+                                               prev_rec.lap_prev)),
+            FeFunction(mesh, second_difference(rec.proj_f_new, rec.proj_f_prev,
+                                               prev_rec.proj_f_prev)))
 
 
 # ---------------------------------------------------------------------------
 # per-step scalar indicators
+
+
+def _elliptic(consts: ConstantsConfig, h2_lap: float, jump: float) -> float:
+    """C12 ||h^2 lap(v)|| + C22 ||h^{3/2} J[grad v]|| from the two norms."""
+    return consts.C12 * h2_lap + consts.C22 * jump
+
+
+def _time_weight(k: float, consts: ConstantsConfig, h1: float,
+                 h_lap: float) -> float:
+    """(k^2/sqrt(30)) (c1 |w|_1 + C11 ||h lap(w)||) from the two norms."""
+    return (k * k / _SQRT30) * (consts.c1 * h1 + consts.C11 * h_lap)
 
 
 def elliptic_estimator(space: P1Space, v: FeFunction, consts: ConstantsConfig,
@@ -107,8 +112,8 @@ def elliptic_estimator(space: P1Space, v: FeFunction, consts: ConstantsConfig,
     C12 ||h^2 lap(v)|| + C22 ||h^{3/2} J[grad v]||."""
     if lap is None:
         lap = space.discrete_laplacian(v)
-    return (consts.C12 * space.weighted_element_norm(lap, 2.0)
-            + consts.C22 * space.jump_norm(v, 1.5))
+    return _elliptic(consts, space.weighted_element_norm(lap, 2.0),
+                     space.jump_norm(v, 1.5))
 
 
 def time_weight(space: P1Space, w: FeFunction, k: float, consts: ConstantsConfig,
@@ -117,8 +122,8 @@ def time_weight(space: P1Space, w: FeFunction, k: float, consts: ConstantsConfig
     (k^2/sqrt(30)) (c1 |w|_1 + C11 ||h lap(w)||)."""
     if lap is None:
         lap = space.discrete_laplacian(w)
-    return (k * k / _SQRT30) * (consts.c1 * space.h1_seminorm(w)
-                                + consts.C11 * space.weighted_element_norm(lap, 1.0))
+    return _time_weight(k, consts, space.h1_seminorm(w),
+                        space.weighted_element_norm(lap, 1.0))
 
 
 def step_difference_estimator(space: P1Space, rec: StepRecord,
@@ -126,9 +131,11 @@ def step_difference_estimator(space: P1Space, rec: StepRecord,
     """Spatial indicator of the per-step solution change:
     C12 ||h^2 (lap^n - lap^{n-1})/k|| + C22 ||h^{3/2} J[grad(U^n - U^{n-1})]||
     (the jump term deliberately carries no 1/k)."""
-    vol = space.weighted_element_norm((rec.lap_new - rec.lap_prev) / rec.k, 2.0)
-    jump = space.jump_norm(rec.U_new - rec.U_prev, 1.5)
-    return consts.C12 * vol + consts.C22 * jump
+    vol = space.weighted_element_norm(
+        space.function((rec.lap_new.coeffs - rec.lap_prev.coeffs) / rec.k), 2.0)
+    jump = space.jump_norm(
+        space.function(rec.U_new.coeffs - rec.U_prev.coeffs), 1.5)
+    return _elliptic(consts, vol, jump)
 
 
 def coarsening_estimator(space: P1Space, rec: StepRecord, transfer=None) -> float:
@@ -193,13 +200,16 @@ class EstimatorEngine:
         (1/k) int ||f(s) - interp(s)|| ds by three-point Gauss in time."""
         t_mid = 0.5 * (rec.t_prev + rec.t_new)
         half = 0.5 * rec.k
+        # f(s) - interp(s) is formed in two buffers held over the three times
+        diff, part = np.empty(rec.fq_prev.shape), np.empty(rec.fq_new.shape)
         acc = 0.0
         for off, wq in zip(_GAUSS3_OFFSETS, _GAUSS3_WEIGHTS):
             s = t_mid + half * off
             l1 = (s - rec.t_prev) / rec.k
-            phi_vals = (1.0 - l1) * rec.fq_prev + l1 * rec.fq_new
+            np.multiply(1.0 - l1, rec.fq_prev, out=diff)
+            diff += np.multiply(l1, rec.fq_new, out=part)
             f_vals = self.space.eval_field_q4(self.forcing, s)
-            acc += wq * self.space.quad_norm(f_vals - phi_vals)
+            acc += wq * self.space.quad_norm(np.subtract(f_vals, diff, out=diff))
         return 0.5 * acc
 
     def data_projection_error(self, rec: StepRecord) -> float:
@@ -207,11 +217,16 @@ class EstimatorEngine:
         xi at the quadrature points in ``rec.xi_phi_q4`` and P0 xi in
         ``rec.proj_xi_phi``."""
         sp_ = self.space
-        fe_prev = sp_.eval_q4(rec.proj_f_prev + rec.proj_xi_phi)
-        d_prev = sp_.weighted_quad_norm(rec.fq_prev + rec.xi_phi_q4 - fe_prev, 1.0)
-        fe_new = sp_.eval_q4(rec.proj_f_new + rec.proj_xi_phi)
-        d_new = sp_.weighted_quad_norm(rec.fq_new + rec.xi_phi_q4 - fe_new, 1.0)
-        return self.consts.c11 * max(d_prev, d_new)
+        diff = np.empty(rec.xi_phi_q4.shape)
+
+        def defect(fq, proj_f):
+            # (f + xi) - P0(f + xi), formed in the buffer both ends share
+            np.add(fq, rec.xi_phi_q4, out=diff)
+            np.subtract(diff, sp_.eval_q4(proj_f + rec.proj_xi_phi), out=diff)
+            return sp_.weighted_quad_norm(diff, 1.0)
+
+        return self.consts.c11 * max(defect(rec.fq_prev, rec.proj_f_prev),
+                                     defect(rec.fq_new, rec.proj_f_new))
 
     # -- consistency check ----------------------------------------------------
 
@@ -221,17 +236,31 @@ class EstimatorEngine:
         corrected forcing.  Vanishes to solver tolerance when the substep
         algebra and the corrections are consistent."""
         sp_ = self.space
-        slope = (rec.U_new - rec.U_prev) / rec.k
-        theta_hat = 0.5 * (rec.lap_prev + rec.lap_new) - rec.xi_theta
-        phi_hat = 0.5 * (rec.proj_f_prev + rec.proj_f_new) - rec.proj_xi_phi
+        slope = (rec.U_new.coeffs - rec.U_prev.coeffs) / rec.k
+        theta_hat = (0.5 * (rec.lap_prev.coeffs + rec.lap_new.coeffs)
+                     - rec.xi_theta.coeffs)
+        phi_hat = (0.5 * (rec.proj_f_prev.coeffs + rec.proj_f_new.coeffs)
+                   - rec.proj_xi_phi.coeffs)
         resid = slope + theta_hat - phi_hat
-        scale = max(sp_.l2_norm(slope), sp_.l2_norm(theta_hat),
-                    sp_.l2_norm(phi_hat))
+        scale = max(sp_.l2_norm(sp_.function(slope)),
+                    sp_.l2_norm(sp_.function(theta_hat)),
+                    sp_.l2_norm(sp_.function(phi_hat)))
         if scale == 0.0:
             return 0.0
-        return sp_.l2_norm(resid) / scale
+        return sp_.l2_norm(sp_.function(resid)) / scale
 
     # -- the full per-step bundle ----------------------------------------------
+
+    def _coefficient_indicators(self, w: FeFunction, lap_w: FeFunction,
+                                k: float) -> tuple[float, float, float]:
+        """``time_weight``, ``elliptic_estimator`` and the L2 norm of a
+        reconstruction coefficient w with discrete Laplacian ``lap_w``, the
+        norm of ``lap_w`` taken once for both of its weighted terms."""
+        sp_, cs = self.space, self.consts
+        h_lap, h2_lap = sp_.weighted_element_norms(lap_w, (1.0, 2.0))
+        return (_time_weight(k, cs, sp_.h1_seminorm(w), h_lap),
+                _elliptic(cs, h2_lap, sp_.jump_norm(w, 1.5)),
+                sp_.l2_norm(w))
 
     def step_estimates(self, rec: StepRecord,
                        prev_rec: StepRecord | None = None) -> StepEstimates:
@@ -244,10 +273,8 @@ class EstimatorEngine:
         norm_proj_xi = sp_.l2_norm(rec.proj_xi_phi)
 
         w = recon_coeff_two_level(rec)
-        lap_w = sp_.discrete_laplacian(w)
-        gamma2 = time_weight(sp_, w, k, cs, lap=lap_w)
-        eta_w2 = elliptic_estimator(sp_, w, cs, lap=lap_w)
-        norm_w2 = sp_.l2_norm(w)
+        gamma2, eta_w2, norm_w2 = self._coefficient_indicators(
+            w, sp_.discrete_laplacian(w), k)
 
         eta_u = elliptic_estimator(sp_, rec.U_new, cs, lap=rec.lap_new)
         delta = step_difference_estimator(sp_, rec, cs)
@@ -259,10 +286,8 @@ class EstimatorEngine:
             wt, lap_dd, f_dd = recon_coeff_three_level(rec, prev_rec)
             # the discrete Laplacian is linear, so lap(wt) is a multiple of
             # the Laplacian second difference
-            lap_wt = (-4.0 / (k_prev * (k + k_prev))) * lap_dd
-            gamma3 = time_weight(sp_, wt, k, cs, lap=lap_wt)
-            eta_w3 = elliptic_estimator(sp_, wt, cs, lap=lap_wt)
-            norm_w3 = sp_.l2_norm(wt)
+            lap_wt = sp_.function((-4.0 / (k_prev * (k + k_prev))) * lap_dd.coeffs)
+            gamma3, eta_w3, norm_w3 = self._coefficient_indicators(wt, lap_wt, k)
             z_norm = sp_.l2_norm(lap_dd)
             y_norm = sp_.l2_norm(f_dd)
         else:

@@ -9,6 +9,7 @@ below the O(h^2) signals measured by the study harness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,7 +53,8 @@ _Q5_BARY = np.array([
 ])
 _Q5_W = np.array([9.0 / 40.0] + [_Q5_W1] * 3 + [_Q5_W2] * 3)
 
-# values per block of cell rows in ``P1Space.field_error_h1`` (256 KB)
+# values per block of cell rows in ``P1Space.field_error_l2`` and
+# ``field_error_h1`` (256 KB)
 _BLOCK_VALUES = 2 ** 15
 
 
@@ -72,10 +74,6 @@ class ScalarField:
 
     def __call__(self, x, y, t):
         return self.fn(x, y, t)
-
-
-def zero_field(name: str = "zero") -> ScalarField:
-    return ScalarField(name, lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)))
 
 
 @dataclass
@@ -139,13 +137,46 @@ class BandMatrix(sp.dia_matrix):
     operand (a matrix, another dtype or length, a sparse matrix) goes to
     scipy's ``__matmul__``; the shape check also keeps a vector of the
     wrong length from the kernel, which does not check it.
-    ``matvec_into`` runs the same kernel into a buffer the caller holds."""
+    ``matvec_into`` runs the same kernel into a buffer the caller holds.
+
+    The kernel's leading arguments (shape, band shape, offsets, data) are
+    read once per matrix and held, and so is the offset-0 band that
+    ``diagonal()`` returns.  Both hold the arrays themselves, so a product
+    sees an in-place change to ``data``; assigning a new ``data``,
+    ``offsets`` or shape, as some scipy methods do, drops them, and they
+    are read again on the next use."""
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in ("data", "offsets", "_shape"):
+            self.__dict__.pop("_kernel_args", None)
+            self.__dict__.pop("_main_diagonal", None)
+
+    @functools.cached_property
+    def _kernel_args(self) -> tuple:
+        return (*self.shape, *self.data.shape, self.offsets, self.data)
+
+    @functools.cached_property
+    def _main_diagonal(self) -> np.ndarray | None:
+        """The offset-0 band, a view of ``data`` as scipy's ``diagonal()``
+        returns it, or None where scipy would pad or fill it."""
+        length = min(self.shape)
+        at, = np.nonzero(self.offsets == 0)
+        if at.size == 0 or self.data.shape[1] < length:
+            return None
+        return self.data[at[0], :length]
+
+    def diagonal(self, k=0):
+        """scipy's ``diagonal(k)``, answered from the held offset-0 band
+        for k = 0 without scipy's search of the offsets."""
+        if k == 0 and (band := self._main_diagonal) is not None:
+            return band
+        return super().diagonal(k)
 
     def __matmul__(self, other):
-        rows, cols = self.shape
         if (isinstance(other, np.ndarray) and other.dtype == np.float64
-                and other.shape == (cols,)):
-            return self.matvec_into(other, np.empty(rows))
+                and other.shape == (self._kernel_args[1],)):
+            return self.matvec_into(other, np.empty(self._kernel_args[0]))
         return super().__matmul__(other)
 
     def matvec_into(self, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -155,8 +186,7 @@ class BandMatrix(sp.dia_matrix):
         is checked, so only callers that hold such buffers (``solve_spd``)
         call it."""
         out.fill(0.0)
-        dia_matvec(*self.shape, *self.data.shape, self.offsets, self.data,
-                   vector, out)
+        dia_matvec(*self._kernel_args, vector, out)
         return out
 
 
@@ -193,7 +223,10 @@ class P1Space:
     rule (x by cell column, y by cell row), and the element gradients and
     facet jumps are differences of the vertex values on the grid, so the
     space stores no per-triangle geometry, per-point coordinates or facet
-    data.
+    data.  ``quad_norm`` and the two error norms form their weighted squares
+    in one buffer per call (the error norms a block of cell rows at a time)
+    and sum it in one pass, with the bits of the allocating expressions;
+    ``weighted_element_norms`` scales one L2 norm by several powers of h.
 
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs and used by the substep worker of
@@ -295,7 +328,12 @@ class P1Space:
     def quad_norm(self, vals: np.ndarray) -> float:
         """L2 norm of a field given by its degree-4 quadrature values."""
         self._check_quad(vals)
-        return float(np.sqrt(self._weighted(self._q4_wa, vals ** 2).sum()))
+        # |K| w_q vals^2 in one buffer, C-ordered whatever the layout of vals,
+        # so that its cell-row view writes into it
+        weighted = np.square(vals, out=np.empty(vals.shape))
+        rows = weighted.reshape(self.mesh.n_cells, -1)
+        np.multiply(self._q4_wa, rows, out=rows)
+        return float(np.sqrt(weighted.sum()))
 
     def weighted_quad_norm(self, vals: np.ndarray, power: float) -> float:
         """Broken norm (sum_K h_K^{2 power} ||.||_K^2)^{1/2} from degree-4
@@ -316,10 +354,6 @@ class P1Space:
                         minlength=self.mesh.n_vertices)
         return b[self.mesh.interior_vertices]
 
-    def l2_project(self, g: ScalarField, t: float) -> FeFunction:
-        """L2 projection onto the Dirichlet space (mass solve)."""
-        return self.project_load(self.load_vector(g, t))
-
     def project_load(self, load: np.ndarray) -> FeFunction:
         return self.function(solve_spd(self.mass, load))
 
@@ -333,16 +367,23 @@ class P1Space:
 
     def l2_norm(self, v: FeFunction) -> float:
         self._check(v)
-        return float(np.sqrt(max(v.coeffs @ (self.mass @ v.coeffs), 0.0)))
+        return float(np.sqrt(max(v.coeffs.dot(self.mass @ v.coeffs), 0.0)))
 
     def h1_seminorm(self, v: FeFunction) -> float:
         self._check(v)
-        return float(np.sqrt(max(v.coeffs @ (self.stiffness @ v.coeffs), 0.0)))
+        return float(np.sqrt(max(v.coeffs.dot(self.stiffness @ v.coeffs), 0.0)))
 
     def weighted_element_norm(self, v: FeFunction, power: float) -> float:
         """(sum_K ||h_K^power v||_K^2)^{1/2}, exact for P1: h^power times
         ``l2_norm``."""
-        return self._h ** power * self.l2_norm(v)
+        norm, = self.weighted_element_norms(v, (power,))
+        return norm
+
+    def weighted_element_norms(self, v: FeFunction, powers) -> tuple[float, ...]:
+        """``weighted_element_norm(v, p)`` for each p in ``powers``, with
+        ``l2_norm(v)`` taken once."""
+        norm = self.l2_norm(v)
+        return tuple(self._h ** power * norm for power in powers)
 
     def element_gradients(self, v: FeFunction) -> np.ndarray:
         """Constant gradient of v per triangle, shape (nt, 2)."""
@@ -387,7 +428,15 @@ class P1Space:
         self._check(v)
         gq = self._quad_field(g, "q5", t)
         vq = v.vertex_values()[self.mesh.triangles] @ _Q5_BARY.T
-        return float(np.sqrt(self._weighted(self._q5_wa, (gq - vq) ** 2).sum()))
+        # |K| w_q (g - v)^2 is formed over vq in place, a block of cell rows
+        # at a time, as in ``field_error_h1``
+        wa = self._q5_wa
+        for block in self._row_blocks(wa):
+            d = vq[block]
+            np.subtract(gq[block], d, out=d)
+            np.square(d, out=d)
+            np.multiply(wa, d.reshape(-1, wa.size), out=d.reshape(-1, wa.size))
+        return float(np.sqrt(vq.sum()))
 
     def field_error_h1(self, g_grad, t: float, v: FeFunction) -> float:
         """||grad g(.,t) - grad v|| by the degree-5 rule; ``g_grad`` is a
@@ -404,9 +453,7 @@ class P1Space:
         # are never written.
         wa = self._q5_wa
         weighted = np.empty(gxq.shape)
-        triangles = 2 * self.mesh.n_cells * max(1, _BLOCK_VALUES // wa.size)
-        for start in range(0, gxq.shape[0], triangles):
-            block = slice(start, start + triangles)
+        for block in self._row_blocks(wa):
             dx = gxq[block] - gv[block, 0:1]
             dy = gyq[block] - gv[block, 1:2]
             np.square(dx, out=dx)
@@ -415,6 +462,14 @@ class P1Space:
             np.multiply(wa, dx.reshape(-1, wa.size),
                         out=weighted[block].reshape(-1, wa.size))
         return float(np.sqrt(weighted.sum()))
+
+    def _row_blocks(self, wa: np.ndarray):
+        """Slices of whole cell rows of the triangles, each of about
+        ``_BLOCK_VALUES`` quadrature values for the weights ``wa`` of one
+        cell row."""
+        triangles = 2 * self.mesh.n_cells * max(1, _BLOCK_VALUES // wa.size)
+        for start in range(0, self.mesh.n_triangles, triangles):
+            yield slice(start, start + triangles)
 
 
 def _cell_lines(x: np.ndarray, y: np.ndarray, n: int):

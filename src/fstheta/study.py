@@ -209,9 +209,6 @@ class StudyResult:
     def totals(self) -> list[float]:
         return [r.e_total for r in self.reports]
 
-    def estimator_series(self, column: str) -> list[float]:
-        return [r.report.final(column) for r in self.reports]
-
 
 def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
               alpha1: float | None = None, alpha2: float | None = None,

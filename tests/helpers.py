@@ -8,8 +8,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fstheta import (CaseSpec, FeFunction, Mesh, ScalarField, StepRecord,
-                     ThetaScheme, solve_spd)
+from fstheta import (THETA_DEFAULT, CaseSpec, FeFunction, Mesh, ScalarField,
+                     StepEstimates, StepRecord, StudyResult, ThetaScheme,
+                     elliptic_estimator, solve_spd, time_weight)
 from fstheta.fem import _Q4_W
 from fstheta.solver import MAX_ITERATIONS_PER_DOF, REL_TOLERANCE
 from fstheta.scheme import correction_coeffs, substep_defect
@@ -80,6 +81,32 @@ def full_coordinate_case(case: CaseSpec) -> CaseSpec:
                     tuple(map(full_coordinate_field, case.exact_grad_u)),
                     full_coordinate_field(case.forcing_f),
                     full_coordinate_field(case.u0))
+
+
+def zero_field(name: str = "zero") -> ScalarField:
+    """The field 0, as an array of the broadcast shape of x and y."""
+    return ScalarField(name, lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)))
+
+
+def quadrature_exactness_check(alpha: float, theta: float = THETA_DEFAULT) -> float:
+    """Max defect of the scheme's nodal time quadrature on {1, s}.
+
+    The rule places weights (beta*theta, alpha*(1-theta), beta*(1-theta),
+    alpha*theta) at abscissae (0, theta, 1-theta, 1); it integrates linear
+    polynomials exactly iff alpha = 1/2 or theta = 1 - sqrt(2)/2.
+    """
+    beta = 1.0 - alpha
+    tt = 1.0 - theta
+    nodes = (0.0, theta, 1.0 - theta, 1.0)
+    weights = (beta * theta, alpha * tt, beta * tt, alpha * theta)
+    defect_const = abs(math.fsum(weights) - 1.0)
+    defect_lin = abs(math.fsum(w * s for w, s in zip(weights, nodes)) - 0.5)
+    return max(defect_const, defect_lin)
+
+
+def estimator_series(result: StudyResult, column: str) -> list[float]:
+    """The final value of one estimator column at each level of a study."""
+    return [r.report.final(column) for r in result.reports]
 
 
 def random_grid(seed, n_steps):
@@ -253,6 +280,11 @@ def nodal_interpolant(space, g: ScalarField, t: float) -> FeFunction:
     """FE function with the values of g(., t) at the interior vertices."""
     xy = space.mesh.vertices[space.mesh.interior_vertices]
     return space.function(g(xy[:, 0], xy[:, 1], t))
+
+
+def l2_project(space, g: ScalarField, t: float) -> FeFunction:
+    """L2 projection of g(., t) onto the Dirichlet space (mass solve)."""
+    return space.project_load(space.load_vector(g, t))
 
 
 def project_quad_values(space, vals) -> FeFunction:
@@ -516,3 +548,76 @@ def fail_scheme_solve(monkeypatch, n_fail: int, tag_fail: str) -> None:
         return solve(scheme, matrix, rhs, n, tag)
 
     monkeypatch.setattr(ThetaScheme, "_solve", failing)
+
+
+def composed_step_estimates(engine, rec: StepRecord,
+                            prev_rec: StepRecord | None) -> StepEstimates:
+    """``EstimatorEngine.step_estimates`` composed of the public indicators
+    (``time_weight`` and ``elliptic_estimator`` called apart, so each
+    reconstruction Laplacian's norm is taken twice) and of ``FeFunction``
+    arithmetic and allocating array expressions throughout."""
+    sp_, cs, k = engine.space, engine.consts, rec.k
+
+    def data_time_error():
+        acc = 0.0
+        for off, wq in zip((-math.sqrt(0.6), 0.0, math.sqrt(0.6)),
+                           (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)):
+            s = 0.5 * (rec.t_prev + rec.t_new) + 0.5 * k * off
+            l1 = (s - rec.t_prev) / k
+            phi_vals = (1.0 - l1) * rec.fq_prev + l1 * rec.fq_new
+            f_vals = sp_.eval_field_q4(engine.forcing, s)
+            acc += wq * sp_.quad_norm(f_vals - phi_vals)
+        return 0.5 * acc
+
+    def data_projection_error():
+        fe_prev = sp_.eval_q4(rec.proj_f_prev + rec.proj_xi_phi)
+        fe_new = sp_.eval_q4(rec.proj_f_new + rec.proj_xi_phi)
+        return cs.c11 * max(
+            sp_.weighted_quad_norm(rec.fq_prev + rec.xi_phi_q4 - fe_prev, 1.0),
+            sp_.weighted_quad_norm(rec.fq_new + rec.xi_phi_q4 - fe_new, 1.0))
+
+    def compact_residual():
+        slope = (rec.U_new - rec.U_prev) / k
+        theta_hat = 0.5 * (rec.lap_prev + rec.lap_new) - rec.xi_theta
+        phi_hat = 0.5 * (rec.proj_f_prev + rec.proj_f_new) - rec.proj_xi_phi
+        scale = max(sp_.l2_norm(slope), sp_.l2_norm(theta_hat),
+                    sp_.l2_norm(phi_hat))
+        return 0.0 if scale == 0.0 else \
+            sp_.l2_norm(slope + theta_hat - phi_hat) / scale
+
+    def coefficient(w, lap):
+        return (time_weight(sp_, w, k, cs, lap=lap),
+                elliptic_estimator(sp_, w, cs, lap=lap), sp_.l2_norm(w))
+
+    w = ((rec.lap_new - rec.lap_prev) - (rec.proj_f_new - rec.proj_f_prev)) / k
+    gamma2, eta_w2, norm_w2 = coefficient(w, sp_.discrete_laplacian(w))
+    if prev_rec is None:
+        k_prev, gamma3, eta_w3, norm_w3, z_norm, y_norm = \
+            0.0, gamma2, eta_w2, norm_w2, 0.0, 0.0
+    else:
+        k_prev = prev_rec.k
+        wt = (-2.0 / (k + k_prev)) * ((rec.U_new - rec.U_prev) / k
+                                      - (prev_rec.U_new - prev_rec.U_prev) / k_prev)
+        r = k_prev / k
+        lap_dd = 0.5 * (r * rec.lap_new - (1.0 + r) * rec.lap_prev
+                        + prev_rec.lap_prev)
+        f_dd = 0.5 * (r * rec.proj_f_new - (1.0 + r) * rec.proj_f_prev
+                      + prev_rec.proj_f_prev)
+        gamma3, eta_w3, norm_w3 = coefficient(
+            wt, (-4.0 / (k_prev * (k + k_prev))) * lap_dd)
+        z_norm, y_norm = sp_.l2_norm(lap_dd), sp_.l2_norm(f_dd)
+    delta = (cs.C12 * sp_.weighted_element_norm((rec.lap_new - rec.lap_prev) / k, 2.0)
+             + cs.C22 * sp_.jump_norm(rec.U_new - rec.U_prev, 1.5))
+    return StepEstimates(
+        n=rec.n, k=k, k_prev=k_prev,
+        eta_U=elliptic_estimator(sp_, rec.U_new, cs, lap=rec.lap_new),
+        gamma_two=gamma2, gamma_three=gamma3,
+        eta_w_two=eta_w2, eta_w_three=eta_w3,
+        norm_w_two=norm_w2, norm_w_three=norm_w3,
+        norm_xi_theta=sp_.l2_norm(rec.xi_theta),
+        delta=delta, beta_coarsen=0.0,
+        zeta1=data_time_error(), zeta2=data_projection_error(),
+        norm_xi_phi=sp_.quad_norm(rec.xi_phi_q4),
+        norm_proj_xi_phi=sp_.l2_norm(rec.proj_xi_phi),
+        z_norm=z_norm, y_norm=y_norm,
+        compact_residual=compact_residual())

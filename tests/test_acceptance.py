@@ -15,12 +15,12 @@ import scipy.linalg
 from fstheta import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
                      P1Space, SchemeParams, ThetaScheme, build_uniform_mesh,
                      elliptic_estimator, eoc, make_case, make_uniform_grid,
-                     quadrature_exactness_check, recon_coeff_three_level,
-                     time_weight, zero_field)
+                     recon_coeff_three_level, time_weight)
 from fstheta.estimators import REPORT_COLUMNS
 
-from helpers import (scalar_substep_factor, sympy_local_matrices,
-                     synthetic_record)
+from helpers import (estimator_series, l2_project, quadrature_exactness_check,
+                     scalar_substep_factor, sympy_local_matrices,
+                     synthetic_record, zero_field)
 
 PI = np.pi
 
@@ -64,7 +64,7 @@ def test_criterion_1_error_floor_companion(case1_sweep):
     # the computed solution sits within a small factor of that floor
     space = P1Space(build_uniform_mesh(7))
     case = make_case(1)
-    proj = space.l2_project(case.exact_u, 0.5)
+    proj = l2_project(space, case.exact_u, 0.5)
     floor = space.field_error_l2(case.exact_u, 0.5, proj)
     err7 = case1_sweep.reports[-1].max_nodal_l2_error
     ok = floor > 1.2e-5 and err7 <= 4.0 * floor
@@ -97,7 +97,7 @@ _DRIFTING_COLUMNS = ("E_T1_two", "E_T1_three", "E_rec_two", "E_rec_three")
 
 
 def _column_pairs(sweep, column, min_level):
-    vals = sweep.estimator_series(column)
+    vals = estimator_series(sweep, column)
     return [(lv, o) for lv, o in _eoc_pairs(sweep, vals) if lv[0] >= min_level]
 
 
@@ -152,12 +152,12 @@ def test_criterion_3_every_component_at_least_first_order(case1_sweep):
                 "total_two", "total_three", "E_S2")
     msgs, ok = [], True
     for col in ordinary:
-        orders = eoc(case1_sweep.estimator_series(col),
+        orders = eoc(estimator_series(case1_sweep, col),
                      case1_sweep.mesh_sizes())
         ok &= all(o >= 1.85 for o in orders)
         msgs.append(f"{col}>={min(orders):.2f}")
     for col in ("E_S1_two", "E_S1_three"):
-        orders = eoc(case1_sweep.estimator_series(col),
+        orders = eoc(estimator_series(case1_sweep, col),
                      case1_sweep.mesh_sizes())
         ok &= all(o >= 2.5 for o in orders)
         msgs.append(f"{col}>={min(orders):.2f}")
@@ -318,7 +318,7 @@ def test_anchor_constant_free_magnitudes(case1_sweep):
 
 
 def test_anchor_total_estimator_order(case1_sweep):
-    orders = eoc(case1_sweep.estimator_series("total_two"),
+    orders = eoc(estimator_series(case1_sweep, "total_two"),
                  case1_sweep.mesh_sizes())
     mean = sum(orders) / len(orders)
     ok = abs(mean - 2.06) <= 0.2

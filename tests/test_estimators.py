@@ -10,17 +10,18 @@ from fstheta import (ConstantsConfig, EstimatorAccumulator,
                      EstimatorEngine, P1Space, ScalarField, SchemeParams,
                      ThetaScheme, build_uniform_mesh, coarsening_estimator,
                      elliptic_estimator, eoc, make_case, make_uniform_grid,
-                     quadrature_exactness_check, recon_coeff_three_level,
-                     recon_coeff_two_level, step_difference_estimator,
-                     time_weight, verify_forcing, zero_field)
+                     recon_coeff_three_level, recon_coeff_two_level,
+                     step_difference_estimator, time_weight, verify_forcing)
 from fstheta.estimators import REPORT_COLUMNS, StepEstimates
 from fstheta.scheme import THETA_DEFAULT, correction_coeffs, substep_defect
 
-from helpers import (corrected_forcing_interpolant, direct_xi_theta,
-                     fe_as_field, forcing_interpolant, forcing_substep_defect,
-                     four_laplacian_xi_theta, lap_time_interpolant,
-                     nodal_interpolant, project_quad_values, random_grid,
-                     synthetic_record as _synthetic_record, varstep_case)
+from helpers import (composed_step_estimates, corrected_forcing_interpolant,
+                     direct_xi_theta, fe_as_field, forcing_interpolant,
+                     forcing_substep_defect, four_laplacian_xi_theta,
+                     lap_time_interpolant, nodal_interpolant,
+                     project_quad_values, quadrature_exactness_check,
+                     random_grid, synthetic_record as _synthetic_record,
+                     varstep_case, zero_field)
 
 PI = np.pi
 
@@ -513,6 +514,40 @@ def test_engine_is_stateless(space2):
     fresh = EstimatorEngine(space2, p, f)
     assert seq.step_estimates(records[1], records[0]) == \
         fresh.step_estimates(records[1], records[0])
+
+
+@pytest.mark.parametrize("run", ["case1-level4", "varstep-level3"])
+def test_step_estimates_equal_the_composed_indicators(run, monkeypatch):
+    # step_estimates takes the norm of each reconstruction Laplacian once for
+    # both weighted terms and forms the data errors in held buffers; every
+    # field must equal the composition of the public indicators
+    if run == "case1-level4":
+        case, level, grid = make_case(1), 4, make_uniform_grid(16, 1.0)
+    else:
+        case, level, grid = varstep_case(), 3, random_grid(3, 8)
+    space = P1Space(build_uniform_mesh(level))
+    params = SchemeParams(grid)
+    scheme = ThetaScheme(space, params, case.forcing_f)
+    engine = EstimatorEngine(space, params, case.forcing_f)
+    records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
+    normed = []
+    l2_norm = space.l2_norm
+    monkeypatch.setattr(space, "l2_norm",
+                        lambda v: normed.append(v.coeffs.tobytes()) or l2_norm(v))
+    prev = None
+    for rec in records:
+        laps = [space.discrete_laplacian(recon_coeff_two_level(rec))]
+        if prev is not None:
+            _, lap_dd, _ = recon_coeff_three_level(rec, prev)
+            laps.append((-4.0 / (prev.k * (rec.k + prev.k))) * lap_dd)
+        normed.clear()
+        want = composed_step_estimates(engine, rec, prev)
+        assert [normed.count(lap.coeffs.tobytes()) for lap in laps] == [2] * len(laps)
+        normed.clear()
+        got = engine.step_estimates(rec, prev)
+        assert [normed.count(lap.coeffs.tobytes()) for lap in laps] == [1] * len(laps)
+        assert got == want
+        prev = rec
 
 
 # -- linear identities in place of solves -----------------------------------------

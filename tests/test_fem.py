@@ -5,16 +5,17 @@ import scipy.sparse as sp
 
 from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams,
                      ThetaScheme, build_uniform_mesh, eoc, make_case,
-                     make_uniform_grid, zero_field)
+                     make_uniform_grid)
 from fstheta.fem import _Q4_W as fem_Q4_W
 from fstheta.fem import BandMatrix
 
 from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
                      facet_jumps, fe_as_field, full_coordinate_field,
                      gathered_element_norm,
-                     gathered_jump_norm, interior_facets, nodal_interpolant,
-                     single_pass_h1_error, summed_weighted_quad_norm, sympy_local_matrices,
-                     triangle_geometry, varstep_case)
+                     gathered_jump_norm, interior_facets, l2_project,
+                     nodal_interpolant, single_pass_h1_error,
+                     summed_weighted_quad_norm, sympy_local_matrices,
+                     triangle_geometry, varstep_case, zero_field)
 
 PI = np.pi
 SIN2 = ScalarField("sin.sin", lambda x, y, t: np.sin(PI * x) * np.sin(PI * y))
@@ -151,6 +152,74 @@ def test_band_products_with_other_operands_are_scipys(level):
                 a @ x
 
 
+@pytest.mark.parametrize("level", range(1, 8))
+def test_band_diagonal_is_scipys_bit_for_bit(level):
+    # diagonal() answers k = 0 from the held offset-0 band; it must give the
+    # bytes and dtype of scipy's own (level 1 is the one-band 1x1 matrix)
+    space, operators = _band_operators(level)
+    if level == 1:
+        assert [a.offsets.tolist() for a in operators] == [[0]] * 6
+    for a in operators:
+        want = _scipy_dia(a).diagonal()
+        for got in (a.diagonal(), a.diagonal(0), a.diagonal(k=0)):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("level", [1, 4])
+def test_band_diagonal_off_zero_goes_to_scipy(level, monkeypatch):
+    space, operators = _band_operators(level)
+    n, m = space.n_dofs, 2 ** level - 1
+    calls = []
+    scipys = sp.dia_matrix.diagonal
+
+    def recorded(self, k=0):
+        calls.append(k)
+        return scipys(self, k)
+
+    monkeypatch.setattr(sp.dia_matrix, "diagonal", recorded)
+    offsets = (1, -1, m, -m, m + 1, -(m + 1), 2, -3, n, -n)
+    for a in operators:
+        a.diagonal()
+        assert calls == []
+        for k in offsets:
+            got = a.diagonal(k)
+            want = scipys(_scipy_dia(a), k)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+        assert calls == list(offsets)
+        calls.clear()
+
+
+def test_band_products_see_changes_to_the_bands():
+    # the kernel's arguments and the offset-0 band are held per matrix; a
+    # product must see an in-place change to the bands, and a new data or
+    # offsets array (scipy's setdiag assigns both for a new offset)
+    space, (mass, *_) = _band_operators(4)
+    a = BandMatrix((mass.data.copy(), mass.offsets.copy()), shape=mass.shape)
+    v = np.random.default_rng(4).standard_normal(space.n_dofs)
+    before = (a @ v).tobytes(), a.diagonal().tobytes()
+
+    def check():
+        assert (a @ v).tobytes() == (_scipy_dia(a) @ v).tobytes()
+        out = np.empty(space.n_dofs)
+        assert a.matvec_into(v, out) is out
+        assert out.tobytes() == (_scipy_dia(a) @ v).tobytes()
+        assert a.diagonal().tobytes() == _scipy_dia(a).diagonal().tobytes()
+
+    a.data *= 3.0
+    assert ((a @ v).tobytes(), a.diagonal().tobytes()) != before
+    check()
+    a.data[3] = 7.0
+    check()
+    assert (a.diagonal() == 7.0).all()
+    a.data = a.data * 0.5
+    check()
+    a.setdiag(np.full(space.n_dofs - 2, 0.25), k=2)
+    assert 2 in a.offsets.tolist()
+    check()
+
+
 @pytest.mark.parametrize("level", range(1, 9))
 def test_element_gradients_equal_the_basis_gradient_contraction_bit_for_bit(level):
     space = P1Space(build_uniform_mesh(level))
@@ -218,13 +287,13 @@ def test_load_of_hat_equals_mass_column():
 
 
 def test_project_zero_is_exact_zero(space3):
-    p = space3.l2_project(zero_field(), 0.0)
+    p = l2_project(space3, zero_field(), 0.0)
     assert (p.coeffs == 0.0).all()
 
 
 def test_projection_is_identity_on_the_space(space3):
     v = _random_fe(space3, seed=5)
-    p = space3.l2_project(fe_as_field(v), 0.0)
+    p = l2_project(space3, fe_as_field(v), 0.0)
     assert np.abs(p.coeffs - v.coeffs).max() <= 1e-10 * np.abs(v.coeffs).max()
 
 
@@ -232,7 +301,7 @@ def test_projection_error_second_order():
     errs, hs = [], []
     for level in (3, 4, 5, 6):
         space = P1Space(build_uniform_mesh(level))
-        p = space.l2_project(SIN2, 0.0)
+        p = l2_project(space, SIN2, 0.0)
         errs.append(space.field_error_l2(SIN2, 0.0, p))
         hs.append(2.0 ** (-level))
     orders = eoc(errs, hs)

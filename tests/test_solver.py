@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from fstheta import (P1Space, SchemeParams, SolverError, ThetaScheme,
@@ -225,6 +227,38 @@ def test_a_counting_stand_in_solves_to_the_same_bits(level):
         allocating_pcg(iterations, rhs)
         assert iterations.products >= 1
         assert counted.products == iterations.products + 1
+
+
+@pytest.mark.parametrize("which", ["mass", "a_theta"])
+def test_iterations_on_a_band_matrix_allocate_nothing(which):
+    # the loop holds its vectors in buffers made before the first iteration
+    # and a BandMatrix writes its products into one of them, so a solve of
+    # many iterations traces the same peak and leaves the same blocks as a
+    # solve of one.  Both matrices have a constant diagonal, so an
+    # eigenvector converges in one Jacobi-PCG iteration.
+    space, a_theta, _ = _scheme_matrices(5)
+    matrix = space.mass if which == "mass" else a_theta
+    eigenvector = scipy.linalg.eigh(matrix.toarray())[1][:, -1]
+    rough = np.random.default_rng(5).standard_normal(space.n_dofs)
+    solve_spd(matrix, rough)    # the band reads its kernel arguments once
+    iterations, peaks, blocks = [], [], []
+    for rhs in (eigenvector, rough):
+        counted = _Counting(matrix)
+        solve_spd(counted, rhs)
+        iterations.append(counted.products - 1)     # less the re-check
+        tracemalloc.start()
+        try:
+            x = solve_spd(matrix, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        blocks.append(len(snapshot.traces))
+        assert x.tobytes() == solve_spd(counted, rhs).tobytes()
+    assert iterations[0] <= 2 and iterations[1] >= 20
+    assert peaks[1] == peaks[0]
+    assert blocks[1] == blocks[0]
 
 
 def test_in_place_loop_matches_allocating_loop_on_dense_and_csr_inputs():

@@ -12,14 +12,14 @@ from fstheta import (CaseSpec, ConfigurationError, ConstantsConfig,
                      ScalarField, SchemeParams, SolverError, ThetaScheme,
                      build_uniform_mesh, elliptic_estimator, emit, eoc,
                      make_case, make_uniform_grid, run_single, run_study,
-                     verify_forcing, zero_field)
+                     verify_forcing)
 from fstheta import study
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
 
 from helpers import (INLINE, OVERLAPPED, error_metrics, fail_scheme_solve,
                      full_coordinate_case, random_grid, scaled_case,
-                     varstep_case)
+                     varstep_case, zero_field)
 
 PI = np.pi
 
