@@ -254,8 +254,7 @@ class P1Space:
         self._q4_wa = np.tile(area * _Q4_W, 2 * n)
         self._q5_wa = np.tile(area * _Q5_W, 2 * n)
         # rule -> (x of one cell row's points, y of one cell column's points)
-        self._lines = {rule: _cell_lines(*self._points(rule), n)
-                       for rule in ("q4", "q5")}
+        self._lines = _cell_lines(mesh)
 
     def _check(self, v: FeFunction) -> None:
         if v.mesh is not self.mesh:
@@ -311,13 +310,6 @@ class P1Space:
         # (cell row, cell column, triangle type and point) is the triangle
         # order, so this reshapes in place
         return out.reshape(self.mesh.n_triangles, -1)
-
-    def _points(self, rule: str) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of the points of the degree-4 ("q4") or degree-5 ("q5")
-        rule, each of shape (n_triangles, n_points)."""
-        bary = _Q4_BARY if rule == "q4" else _Q5_BARY
-        pts = self.mesh.vertices[self.mesh.triangles]      # (nt, 3, 2)
-        return pts[:, :, 0] @ bary.T, pts[:, :, 1] @ bary.T
 
     def _weighted(self, wa: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """|K| w_q times values of shape (n_triangles, q), the products
@@ -472,19 +464,26 @@ class P1Space:
             yield slice(start, start + triangles)
 
 
-def _cell_lines(x: np.ndarray, y: np.ndarray, n: int):
-    """x of one cell row's points and y of one cell column's points, each of
-    shape (n, 2 * points), from the (n_triangles, points) coordinates of a
-    rule.  Triangle 2 * (row * n + column) + type is the uniform mesh's
-    row-major cell layout, so x depends only on the cell column and y only
-    on the cell row; coordinates that do not raise ``ValueError``."""
-    x = x.reshape(n, n, -1)
-    y = y.reshape(n, n, -1)
-    xs, ys = x[0], y[:, 0]
-    if not ((x == xs).all() and (y == ys[:, None]).all()):
+def _cell_lines(mesh: Mesh) -> dict:
+    """Per rule ("q4", "q5"), x of one cell row's quadrature points and y of
+    one cell column's, each of shape (n, 2 * points).  Triangle
+    2 * (row * n + column) + type is the uniform mesh's row-major cell
+    layout, so the x of a triangle's corners depends only on its cell column
+    and the y only on its cell row, and the points of cell row 0 and cell
+    column 0 give every table; a mesh whose corners do not follow that
+    layout raises ``ValueError``.  Each point is the same 3-term product
+    with the barycentric weights as on the full coordinates, bit for bit."""
+    n = mesh.n_cells
+    x = mesh.vertices[:, 0][mesh.triangles].reshape(n, n, -1)
+    y = mesh.vertices[:, 1][mesh.triangles].reshape(n, n, -1)
+    if not ((x == x[0]).all() and (y == y[:, :1]).all()):
         raise ValueError(
-            "quadrature coordinates vary along the other cell axis: the points "
-            "do not follow the row-major cell layout (triangle "
+            "triangle corners vary along the other cell axis: the mesh does "
+            "not follow the row-major cell layout (triangle "
             "2 * (row * n + column) + type) of the uniform mesh")
-    return xs.copy(), ys.copy()
+    # (2n triangles, 3 corners) of cell row 0 and of cell column 0
+    x_row, y_column = x[0].reshape(2 * n, 3), y[:, 0].reshape(2 * n, 3)
+    return {rule: ((x_row @ bary.T).reshape(n, -1),
+                   (y_column @ bary.T).reshape(n, -1))
+            for rule, bary in (("q4", _Q4_BARY), ("q5", _Q5_BARY))}
 

@@ -203,14 +203,17 @@ def _one_step_ahead(steps, n_dofs: int):
 class ThetaScheme:
     """Advance the discrete solution through the three substeps per step.
 
-    A step has two stages: ``_substeps`` samples the forcing and solves the
-    three substeps, and ``_end_of_step`` solves the discrete Laplacian and
-    the forcing projection at the step's end, which the next step reuses as
-    its start, and the two substep-defect corrections.  ``iter_steps`` can
-    run the first stage of step n+1 on a worker thread while the caller
-    runs the second stage of step n.  The substep-matrix pair is formed
-    from the banded M and K on every step, so any increasing time grid runs
-    the same code.  Distinct runs sharing the same space are independent.
+    A step has two stages: ``_substeps`` samples the forcing, solves the
+    three substeps and multiplies U^n by K, and ``_end_of_step`` solves the
+    discrete Laplacian and the forcing projection at the step's end, which
+    the next step reuses as its start, and the two substep-defect
+    corrections.  K U^n serves both the Laplacian at t^n and the next
+    step's first right-hand side, so each state is multiplied by K once.
+    ``iter_steps`` can run the first stage of step n+1 on a worker thread
+    while the caller runs the second stage of step n.  The substep-matrix
+    pair is formed from the banded M and K on every step, so any increasing
+    time grid runs the same code.  Distinct runs sharing the same space are
+    independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
@@ -222,13 +225,12 @@ class ThetaScheme:
         p = self.params
         M, K = self.space.mass, self.space.stiffness
         # P1 couples the same vertex pairs in M and K, so both bands have the
-        # same offsets and the pair is formed diagonal by diagonal
-        a_theta = BandMatrix(
-            (M.data * (1.0 / (p.theta * k)) + K.data * p.alpha1, M.offsets),
-            shape=M.shape)
-        a_tilde = BandMatrix(
-            (M.data * (1.0 / (p.theta_tilde * k)) + K.data * p.beta1, M.offsets),
-            shape=M.shape)
+        # same offsets and the pair is formed diagonal by diagonal.  Each
+        # matrix starts as a view of M, which skips scipy's validation of
+        # (data, offsets), and takes its own bands.
+        a_theta, a_tilde = BandMatrix(M), BandMatrix(M)
+        a_theta.data = M.data * (1.0 / (p.theta * k)) + K.data * p.alpha1
+        a_tilde.data = M.data * (1.0 / (p.theta_tilde * k)) + K.data * p.beta1
         return a_theta, a_tilde
 
     def initial_state(self, u0: ScalarField | None = None) -> FeFunction:
@@ -263,16 +265,18 @@ class ThetaScheme:
         sp_, p = self.space, self.params
         fq0 = sp_.eval_field_q4(self.forcing, p.time(0))
         b0 = sp_.load_from_quad_values(fq0)
-        lap_prev, proj_f_prev = self._node_fields(U0.coeffs, b0, 1, "t^{n-1}")
+        stiff0 = sp_.stiffness @ U0.coeffs
+        lap_prev, proj_f_prev = self._node_fields(stiff0, b0, 1, "t^{n-1}")
         prev = U0
-        stages = _one_step_ahead(self._substep_stages(U0, fq0, b0), sp_.n_dofs)
+        stages = _one_step_ahead(self._substep_stages(U0, fq0, b0, stiff0),
+                                 sp_.n_dofs)
         with contextlib.closing(stages):
-            for n, (states, fqs, loads) in enumerate(stages, start=1):
+            for n, (states, fqs, loads, stiff_new) in enumerate(stages, start=1):
                 # the discrete Laplacian and the projection are linear, so
                 # each substep-defect correction takes one mass solve of the
                 # same combination of states or loads
                 lap_new, proj_f_new, xi_theta, proj_xi_phi = self._end_of_step(
-                    n, states[-1], loads[-1],
+                    n, stiff_new, loads[-1],
                     substep_defect(p.theta, p.alpha1, prev.coeffs, *states),
                     substep_defect(p.theta, p.alpha2, b0, *loads))
                 rec = StepRecord(
@@ -288,30 +292,34 @@ class ThetaScheme:
                 yield rec
 
     def _substep_stages(self, prev: FeFunction, fq0: np.ndarray,
-                        b0: np.ndarray):
+                        b0: np.ndarray, stiff0: np.ndarray):
         """``_substeps`` of steps 1..N in order, each step starting from the
-        last state, forcing samples and load of the one before."""
+        last state, its product with K, and the forcing samples and load of
+        the one before."""
         for n in range(1, self.params.n_steps + 1):
-            states, fqs, loads = stage = self._substeps(prev, n, fq0, b0)
+            states, fqs, loads, stiff0 = stage = self._substeps(
+                prev, n, fq0, b0, stiff0)
             prev, fq0, b0 = self.space.function(states[-1]), fqs[-1], loads[-1]
             yield stage
 
-    def _node_fields(self, u: np.ndarray, b: np.ndarray, n: int, node: str):
-        """Discrete Laplacian of the state ``u`` and L2 projection of the load
-        ``b`` at one time node of step n."""
+    def _node_fields(self, stiff_u: np.ndarray, b: np.ndarray, n: int,
+                     node: str):
+        """Discrete Laplacian of the state u, given as ``stiff_u`` = K u, and
+        L2 projection of the load ``b`` at one time node of step n."""
         sp_ = self.space
-        lap = sp_.function(self._solve(sp_.mass, sp_.stiffness @ u, n,
+        lap = sp_.function(self._solve(sp_.mass, stiff_u, n,
                                        f"laplacian at {node}"))
         pf = sp_.function(self._solve(sp_.mass, b, n,
                                       f"forcing projection at {node}"))
         return lap, pf
 
     def _substeps(self, prev: FeFunction, n: int, fq0: np.ndarray,
-                  b0: np.ndarray):
+                  b0: np.ndarray, stiff_prev: np.ndarray):
         """Sample the forcing at t_theta, t_{1-theta} and t^n and solve the
         three substeps from U^{n-1}, given the forcing samples ``fq0`` and
-        load ``b0`` at t^{n-1}.  Returns the three states, the three sample
-        arrays and the three loads, each in time order."""
+        load ``b0`` at t^{n-1} and ``stiff_prev`` = K U^{n-1}.  Returns the
+        three states, the three sample arrays and the three loads, each in
+        time order, and K U^n."""
         sp_, p = self.space, self.params
         t_a, t_m = p.intermediate_times(n)
         k = p.step_size(n)
@@ -323,7 +331,7 @@ class ThetaScheme:
         ba, bm, b1 = loads = tuple(sp_.load_from_quad_values(fq) for fq in fqs)
 
         al1, be1, al2, be2 = p.alpha1, p.beta1, p.alpha2, p.beta2
-        rhs = (M @ prev.coeffs) / (p.theta * k) - be1 * (K @ prev.coeffs) \
+        rhs = (M @ prev.coeffs) / (p.theta * k) - be1 * stiff_prev \
             + al2 * ba + be2 * b0
         u_a = self._solve(a_theta, rhs, n, "first substep")
 
@@ -334,15 +342,16 @@ class ThetaScheme:
         rhs = (M @ u_m) / (p.theta * k) - be1 * (K @ u_m) \
             + al2 * b1 + be2 * bm
         u_1 = self._solve(a_theta, rhs, n, "third substep")
-        return (u_a, u_m, u_1), fqs, loads
+        return (u_a, u_m, u_1), fqs, loads, K @ u_1
 
-    def _end_of_step(self, n: int, u: np.ndarray, b: np.ndarray,
+    def _end_of_step(self, n: int, stiff_u: np.ndarray, b: np.ndarray,
                      defect: np.ndarray, xi_phi_load: np.ndarray):
-        """The four mass solves of step n's end: the Laplacian of U^n, the
-        projection of its load ``b``, and the two corrections from the state
-        ``defect`` and the load defect ``xi_phi_load``."""
+        """The four mass solves of step n's end: the Laplacian of U^n from
+        ``stiff_u`` = K U^n, the projection of its load ``b``, and the two
+        corrections from the state ``defect`` and the load defect
+        ``xi_phi_load``."""
         sp_ = self.space
-        lap, pf = self._node_fields(u, b, n, "t^n")
+        lap, pf = self._node_fields(stiff_u, b, n, "t^n")
         xi_theta = sp_.function(self._solve(sp_.mass, sp_.stiffness @ defect, n,
                                             "laplacian substep defect"))
         proj_xi_phi = sp_.function(self._solve(sp_.mass, xi_phi_load, n,

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from fstheta import (THETA_DEFAULT, CaseSpec, FeFunction, Mesh, ScalarField,
                      StepEstimates, StepRecord, StudyResult, ThetaScheme,
                      elliptic_estimator, solve_spd, time_weight)
-from fstheta.fem import _Q4_W
+from fstheta.fem import _Q4_BARY, _Q4_W, _Q5_BARY
 from fstheta.solver import MAX_ITERATIONS_PER_DOF, REL_TOLERANCE
 from fstheta.scheme import correction_coeffs, substep_defect
 
@@ -30,6 +30,15 @@ def enumerate_edges(triangles):
             key = (min(int(u), int(v)), max(int(u), int(v)))
             edges.setdefault(key, []).append(t)
     return edges
+
+
+def quadrature_points(space, rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the points of the degree-4 ("q4") or degree-5 ("q5") rule
+    on every triangle of the space's mesh, each of shape (n_triangles,
+    n_points), gathered from the corners of each triangle."""
+    bary = _Q4_BARY if rule == "q4" else _Q5_BARY
+    pts = space.mesh.vertices[space.mesh.triangles]     # (nt, 3, 2)
+    return pts[:, :, 0] @ bary.T, pts[:, :, 1] @ bary.T
 
 
 def eval_p1(mesh: Mesh, vertex_values, x, y):
@@ -298,7 +307,9 @@ def substep_states(scheme, rec: StepRecord):
     and the forcing samples at t^{n-1}; U^n must equal ``rec.U_new`` bit
     for bit."""
     b0 = scheme.space.load_from_quad_values(rec.fq_prev)
-    (u_a, u_m, u_1), _, _ = scheme._substeps(rec.U_prev, rec.n, rec.fq_prev, b0)
+    (u_a, u_m, u_1), _, _, _ = scheme._substeps(
+        rec.U_prev, rec.n, rec.fq_prev, b0,
+        scheme.space.stiffness @ rec.U_prev.coeffs)
     assert np.array_equal(u_1, rec.U_new.coeffs)
     return rec.U_prev.coeffs, u_a, u_m, u_1
 
@@ -525,7 +536,8 @@ def eager_end_of_step(scheme, rec: StepRecord) -> tuple:
     t^{n-1}."""
     sp_, p = scheme.space, scheme.params
     b0 = sp_.load_from_quad_values(rec.fq_prev)
-    states, _, loads = scheme._substeps(rec.U_prev, rec.n, rec.fq_prev, b0)
+    states, _, loads, _ = scheme._substeps(
+        rec.U_prev, rec.n, rec.fq_prev, b0, sp_.stiffness @ rec.U_prev.coeffs)
     assert np.array_equal(states[-1], rec.U_new.coeffs)
     defect = substep_defect(p.theta, p.alpha1, rec.U_prev.coeffs, *states)
 

@@ -13,7 +13,8 @@ from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
                      facet_jumps, fe_as_field, full_coordinate_field,
                      gathered_element_norm,
                      gathered_jump_norm, interior_facets, l2_project,
-                     nodal_interpolant, single_pass_h1_error,
+                     nodal_interpolant, quadrature_points,
+                     single_pass_h1_error,
                      summed_weighted_quad_norm, sympy_local_matrices,
                      triangle_geometry, varstep_case, zero_field)
 
@@ -566,7 +567,7 @@ def test_factored_evaluation_equals_fn_bit_for_bit(level):
     n = params.n_steps // 2 + 1
     times = (params.time(0), *params.intermediate_times(n), params.time(n))
     v = space.function(np.random.default_rng(level).standard_normal(space.n_dofs))
-    (x4, y4), (x5, y5) = space._points("q4"), space._points("q5")
+    (x4, y4), (x5, y5) = (quadrature_points(space, rule) for rule in ("q4", "q5"))
     stored = dict(vars(space))
     for case in (make_case(1), make_case(2), make_case(3), varstep_case()):
         for field in _case_fields(case):
@@ -593,7 +594,7 @@ def test_field_without_factors_takes_the_direct_path():
     space = P1Space(build_uniform_mesh(3))
     case = varstep_case()
     v = _random_fe(space)
-    (x4, y4), (x5, y5) = space._points("q4"), space._points("q5")
+    (x4, y4), (x5, y5) = (quadrature_points(space, rule) for rule in ("q4", "q5"))
     stored = dict(vars(space))
     for field in _case_fields(case):
         full = full_coordinate_field(field)
@@ -637,7 +638,7 @@ def test_factors_see_each_line_coordinate_once(level):
     ids=["zero", "t", "x", "int"])
 def test_smaller_results_broadcast_to_full_writable_arrays(space3, field):
     for rule, n_points in (("q4", 6), ("q5", 7)):
-        x, y = space3._points(rule)
+        x, y = quadrature_points(space3, rule)
         vals = space3._quad_field(field, rule, 0.5)
         assert vals.shape == (space3.mesh.n_triangles, n_points)
         assert vals.dtype == np.float64 and vals.flags.writeable
@@ -658,7 +659,7 @@ def test_distinct_indices_are_intp_and_gather_the_coordinates():
     # (x) or cell row (y), and broadcasting them gives every point
     space = P1Space(build_uniform_mesh(4))
     for rule, n_points in (("q4", 6), ("q5", 7)):
-        x, y = space._points(rule)
+        x, y = quadrature_points(space, rule)
         xs, ys = space._lines[rule]
         for table in (xs, ys):
             assert table.dtype == np.float64 and table.flags.c_contiguous
@@ -675,7 +676,7 @@ def test_gather_indices_follow_the_cell_columns_and_rows(level):
     space = P1Space(build_uniform_mesh(level))
     n = space.mesh.n_cells
     for rule in ("q4", "q5"):
-        x, y = space._points(rule)
+        x, y = quadrature_points(space, rule)
         xs, ys = space._lines[rule]
         assert xs.shape == ys.shape == (n, 2 * x.shape[1])
         cells = (n, n, 2 * x.shape[1])
@@ -683,12 +684,12 @@ def test_gather_indices_follow_the_cell_columns_and_rows(level):
         assert np.array_equal(np.broadcast_to(ys[:, None], cells).reshape(y.shape), y)
 
 
-def test_gather_indices_reject_another_cell_layout(monkeypatch):
+def test_gather_indices_reject_another_cell_layout():
     # with x and y swapped, x follows the cell row: the table build refuses
-    points = P1Space._points
-    monkeypatch.setattr(P1Space, "_points", lambda space, rule: points(space, rule)[::-1])
+    mesh = build_uniform_mesh(3)
+    mesh.vertices = mesh.vertices[:, ::-1].copy()
     with pytest.raises(ValueError, match="row-major cell layout"):
-        P1Space(build_uniform_mesh(3))
+        P1Space(mesh)
 
 
 def test_separable_constructor_groups_the_products():

@@ -11,6 +11,7 @@ from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
                      SchemeParams, SolverError, StepRecord, ThetaScheme,
                      build_uniform_mesh, glowinski_alpha, make_case,
                      make_uniform_grid, solve_spd)
+from fstheta.fem import BandMatrix
 from fstheta.scheme import THETA_DEFAULT
 
 from helpers import (INLINE, OVERLAPPED, eager_end_of_step, fail_scheme_solve,
@@ -220,11 +221,11 @@ def test_a_substep_failure_surfaces_after_the_previous_record_is_taken(
     monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
     failed, substeps = threading.Event(), ThetaScheme._substeps
 
-    def failing(scheme, prev, n, fq0, b0):
+    def failing(scheme, prev, n, *start):
         if n == 3:
             failed.set()
             raise SolverError("step 3, first substep: no convergence")
-        return substeps(scheme, prev, n, fq0, b0)
+        return substeps(scheme, prev, n, *start)
 
     monkeypatch.setattr(ThetaScheme, "_substeps", failing)
     case = make_case(1)
@@ -314,6 +315,12 @@ def test_banded_operators_match_their_csr_form_bit_for_bit(level):
                                  (a_tilde, p.theta_tilde, p.beta1)):
             summed = M.tocsr() * (1.0 / (shift * k)) + K.tocsr() * weight
             assert (a.tocsr() != summed).nnz == 0
+            # built as a view of M that takes its own bands: the offsets and
+            # the stored count of scipy's (data, offsets) constructor
+            scipys = sp.dia_matrix((a.data, M.offsets), shape=M.shape)
+            assert a.offsets.dtype == scipys.offsets.dtype == np.int32
+            assert a.nnz == scipys.nnz
+            assert not np.shares_memory(a.data, M.data)
             matrices.append(a)
     rng = np.random.default_rng(level)
     for a in matrices:
@@ -347,6 +354,37 @@ def test_three_loads_per_step_from_step_two(monkeypatch, space3):
             break
         per_step.append(len(calls) - before)
     assert per_step == [4, 3, 3, 3]
+
+
+def test_each_state_is_multiplied_by_the_stiffness_once(monkeypatch):
+    # K U^n serves both the Laplacian at t^n and the next step's first
+    # right-hand side.  Case 1 at level 4 multiplies K with U^0 and then, per
+    # step, with the three substep states and the state defect: 1 + 4 * 16
+    # products, each of its own vector (81 when every state was multiplied
+    # twice).  The worker and the caller's thread count alike.
+    space = P1Space(build_uniform_mesh(4))
+    case = make_case(1)
+    scheme = ThetaScheme(space, _params(n_steps=16), case.forcing_f)
+    U0 = scheme.initial_state(case.u0)
+    matmul, products = BandMatrix.__matmul__, []
+
+    def counting(matrix, other):
+        if matrix is space.stiffness:
+            products.append(other.tobytes())
+        return matmul(matrix, other)
+
+    monkeypatch.setattr(BandMatrix, "__matmul__", counting)
+    runs = []
+    for cutoff in (INLINE, OVERLAPPED):
+        monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", cutoff)
+        products.clear()
+        runs.append(list(scheme.iter_steps(U0)))
+        assert len(products) == len(set(products)) == 1 + 4 * 16
+    inline, overlapped = runs
+    assert all(_same_record(a, b) for a, b in zip(inline, overlapped))
+    for rec in inline:
+        assert np.array_equal(rec.lap_new.coeffs,
+                              solve_spd(space.mass, space.stiffness @ rec.U_new.coeffs))
 
 
 def test_compact_form_residual_small_on_case1(space3):

@@ -187,6 +187,30 @@ def test_in_place_loop_matches_allocating_loop_on_the_scheme_matrices(level, kwa
             _assert_same_bits(matrix, rhs)
 
 
+@pytest.mark.parametrize("level", range(1, 8))
+@pytest.mark.parametrize("kwargs", [{}, {"theta": 0.25, "alpha1": 0.6}],
+                         ids=["default", "theta0.25"])
+def test_every_package_system_has_a_constant_diagonal(level, kwargs):
+    # on the uniform mesh every system the package solves takes the scalar
+    # Jacobi step and the r.z stop of solve_spd
+    space, a_theta, a_tilde = _scheme_matrices(level, **kwargs)
+    for matrix in (space.mass, space.stiffness, a_theta, a_tilde):
+        diag = matrix.diagonal()
+        assert diag.size == space.n_dofs and np.ptp(diag) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-120, 1e150])
+def test_random_right_hand_sides_stop_where_the_residual_norm_stops(scale):
+    # the loop stops on r.z <= tol^2 / d, the allocating loop on ||r||_2 <=
+    # tol: a stop shifted by one iteration at the tolerance boundary would
+    # change the bytes
+    space, a_theta, a_tilde = _scheme_matrices(4)
+    rng = np.random.default_rng(2024)
+    for matrix in (space.mass, a_theta, a_tilde):
+        for _ in range(50):
+            _assert_same_bits(matrix, scale * rng.standard_normal(space.n_dofs))
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_degenerate_right_hand_sides_solve_to_the_allocating_loops_bits(level):
     # the loop iterates on s = -r; its bits equal the loop on r only if every

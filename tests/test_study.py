@@ -253,9 +253,9 @@ def test_at_most_one_step_is_in_flight(monkeypatch):
     scheme_steps, evaluated = [], []
     substeps, estimate = ThetaScheme._substeps, EstimatorEngine.step_estimates
 
-    def recording_substeps(scheme, prev, n, fq0, b0):
+    def recording_substeps(scheme, prev, n, *start):
         scheme_steps.append(n)
-        return substeps(scheme, prev, n, fq0, b0)
+        return substeps(scheme, prev, n, *start)
 
     def recording_estimate(engine, rec, prev_rec=None):
         evaluated.append((rec.n, max(scheme_steps)))
@@ -280,10 +280,10 @@ def _failing_from(field: ScalarField, t_fail: float) -> ScalarField:
 def _fail_scheme_at(monkeypatch, n_fail: int) -> None:
     substeps = ThetaScheme._substeps
 
-    def failing_substeps(scheme, prev, n, fq0, b0):
+    def failing_substeps(scheme, prev, n, *start):
         if n == n_fail:
             raise SolverError(f"step {n}, first substep: no convergence")
-        return substeps(scheme, prev, n, fq0, b0)
+        return substeps(scheme, prev, n, *start)
 
     monkeypatch.setattr(ThetaScheme, "_substeps", failing_substeps)
 
