@@ -119,9 +119,6 @@ def main(argv=None) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
 
-    for rep in result.reports:
-        rep.report.write_csv(
-            args.out / f"case{rep.case_id}_level{rep.level}_estimators.csv")
     print(f"case {args.case}: levels "
           f"{', '.join(str(r.level) for r in result.reports)} -> {args.out}/")
 

@@ -9,6 +9,7 @@ A-stable for alpha1 > 1/2.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -173,31 +174,20 @@ class StepRecord:
 
 
 # From this many dofs on, ``iter_steps`` solves the substeps one step ahead on
-# a worker thread; below it the overlap does not pay.  On a 2-core x86_64 host
-# with one BLAS thread, two runs of six alternating case-1 run_single pairs per
-# level read medians of 0.083 and 0.091 s inline against 0.087 and 0.098 s
-# overlapped at level 4 (225 dofs), 0.304 and 0.236 against 0.307 and 0.272 s
-# at level 5, and 1.74 and 1.57 against 1.74 and 1.61 s at level 6 (3,969
-# dofs).  Where the caller has more to do per step it pays: over three
-# alternating benchmark pairs, varstep-L6 (level 6) drops from 3.01 to 1.88 s
-# at reference speed, and study-c1 (case 1, levels 3..7) from 16.1 to 10.1 s.
+# a worker thread.  Below it the overlap does not pay: case-1 ``run_single``
+# ran no faster overlapped than inline at levels 4 to 6, because the
+# thread's handoffs cost about what the small solves it hides save.  Above
+# it the overlap pays: with the worker deleted, the benchmark's study-c1
+# (case 1, levels 3..7) read a median run_ref_s of 17.1 s against 10.95 s
+# with it (README, Notes).
 OVERLAP_MIN_DOFS = 2000
 
 
-def _one_step_ahead(steps, n_dofs: int):
-    """Yield the items of ``steps`` in order.  From ``OVERLAP_MIN_DOFS``
-    dofs on, one worker thread computes item n+1 while the caller works on
-    item n; the worker starts on the first ``next()`` and is joined when
-    the generator closes.  Below the cutoff ``steps`` runs in the caller and
-    no thread starts."""
-    if n_dofs < OVERLAP_MIN_DOFS:
-        yield from steps
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(next, steps, None)
-        while (rec := ahead.result()) is not None:
-            ahead = pool.submit(next, steps, None)
-            yield rec
+class _Later:
+    """A future below ``OVERLAP_MIN_DOFS``: ``result()`` makes the call."""
+
+    def __init__(self, fn, *args):
+        self.result = functools.partial(fn, *args)
 
 
 class ThetaScheme:
@@ -209,11 +199,11 @@ class ThetaScheme:
     the next step reuses as its start, and the two substep-defect
     corrections.  K U^n serves both the Laplacian at t^n and the next
     step's first right-hand side, so each state is multiplied by K once.
-    ``iter_steps`` can run the first stage of step n+1 on a worker thread
-    while the caller runs the second stage of step n.  The substep-matrix
-    pair is formed from the banded M and K on every step, so any increasing
-    time grid runs the same code.  Distinct runs sharing the same space are
-    independent.
+    ``iter_steps`` submits the first stage of step n+1 before it runs the
+    second stage of step n, so a worker thread can run the one while the
+    caller runs the other.  The substep-matrix pair is formed from the
+    banded M and K on every step, so any increasing time grid runs the same
+    code.  Distinct runs sharing the same space are independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
@@ -251,27 +241,35 @@ class ThetaScheme:
 
     def iter_steps(self, U0: FeFunction):
         """Yield the N step records in order, every field computed.  Each
-        step starts from the previous step's end-of-step forcing samples,
-        load, Laplacian and projection; step 1 makes them at t^0 from U0.
+        step starts from the previous step's state, K U^{n-1}, end-of-step
+        forcing samples, load, Laplacian and projection; the caller's thread
+        makes them at t^0 from U0 first.
 
-        From ``OVERLAP_MIN_DOFS`` dofs on, a worker thread solves the
-        substeps of step n+1 while the caller's thread makes the four
-        end-of-step mass solves of step n and then works on its record.
-        The worker only reads the arrays it is handed and returns new ones.
-        Below the cutoff no thread starts.  Either way the records are the
-        same bit for bit, at most one step is ahead, a failure raises at
-        the ``next()`` that would yield its step, and closing the generator
-        joins the worker."""
+        Before step n's four end-of-step mass solves the loop submits step
+        n+1's ``_substeps``, from record n's own ``U_new``: from
+        ``OVERLAP_MIN_DOFS`` dofs on (read at call time) to one worker
+        thread, which only reads the arrays it is handed and returns new
+        ones; below the cutoff to ``_Later``, so no thread starts.  Either
+        way the records are the same bit for bit, at most one step is ahead,
+        a failure raises at the ``next()`` that would yield its step, and
+        closing the generator joins the worker."""
         sp_, p = self.space, self.params
         fq0 = sp_.eval_field_q4(self.forcing, p.time(0))
         b0 = sp_.load_from_quad_values(fq0)
         stiff0 = sp_.stiffness @ U0.coeffs
         lap_prev, proj_f_prev = self._node_fields(stiff0, b0, 1, "t^{n-1}")
         prev = U0
-        stages = _one_step_ahead(self._substep_stages(U0, fq0, b0, stiff0),
-                                 sp_.n_dofs)
-        with contextlib.closing(stages):
-            for n, (states, fqs, loads, stiff_new) in enumerate(stages, start=1):
+        overlap = sp_.n_dofs >= OVERLAP_MIN_DOFS
+        with (ThreadPoolExecutor(max_workers=1) if overlap
+              else contextlib.nullcontext()) as pool:
+            submit = pool.submit if overlap else _Later
+            ahead = submit(self._substeps, prev, 1, fq0, b0, stiff0)
+            for n in range(1, p.n_steps + 1):
+                states, fqs, loads, stiff_new = ahead.result()
+                U_new = sp_.function(states[-1])
+                if n < p.n_steps:
+                    ahead = submit(self._substeps, U_new, n + 1, fqs[-1],
+                                   loads[-1], stiff_new)
                 # the discrete Laplacian and the projection are linear, so
                 # each substep-defect correction takes one mass solve of the
                 # same combination of states or loads
@@ -279,28 +277,16 @@ class ThetaScheme:
                     n, stiff_new, loads[-1],
                     substep_defect(p.theta, p.alpha1, prev.coeffs, *states),
                     substep_defect(p.theta, p.alpha2, b0, *loads))
-                rec = StepRecord(
+                yield StepRecord(
                     n=n, t_prev=p.time(n - 1), t_new=p.time(n),
-                    U_prev=prev, U_new=sp_.function(states[-1]),
+                    U_prev=prev, U_new=U_new,
                     lap_prev=lap_prev, proj_f_prev=proj_f_prev,
                     lap_new=lap_new, proj_f_new=proj_f_new,
                     xi_theta=xi_theta, proj_xi_phi=proj_xi_phi,
                     xi_phi_q4=substep_defect(p.theta, p.alpha2, fq0, *fqs),
                     fq_prev=fq0, fq_new=fqs[-1])
-                prev, fq0, b0 = rec.U_new, fqs[-1], loads[-1]
+                prev, fq0, b0 = U_new, fqs[-1], loads[-1]
                 lap_prev, proj_f_prev = lap_new, proj_f_new
-                yield rec
-
-    def _substep_stages(self, prev: FeFunction, fq0: np.ndarray,
-                        b0: np.ndarray, stiff0: np.ndarray):
-        """``_substeps`` of steps 1..N in order, each step starting from the
-        last state, its product with K, and the forcing samples and load of
-        the one before."""
-        for n in range(1, self.params.n_steps + 1):
-            states, fqs, loads, stiff0 = stage = self._substeps(
-                prev, n, fq0, b0, stiff0)
-            prev, fq0, b0 = self.space.function(states[-1]), fqs[-1], loads[-1]
-            yield stage
 
     def _node_fields(self, stiff_u: np.ndarray, b: np.ndarray, n: int,
                      node: str):

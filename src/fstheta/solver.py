@@ -66,12 +66,20 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     without iterating.  A curvature ``p @ matrix @ p`` that is not positive
     (NaN included) raises at its iteration.  The returned x owns its data.
 
+    Any other rhs is solved at unit scale, on ``np.ldexp(rhs, -e)`` for e
+    the binary exponent of max|rhs|, and x is returned as ``np.ldexp(x,
+    e)``.  Both scalings are exact, so ``solve_spd(A, ldexp(b, j))`` is
+    ``ldexp(solve_spd(A, b), j)`` bit for bit while b and x stay normal, and
+    no inner product under- or overflows.  Error messages report the
+    curvature and residuals of the scaled system.
+
     The loop holds [x, s] with s = -r and [p, A p] in two buffers of
     length 2n, so one scaling of [p, A p] by alpha and one addition update
     x and s together.  A matrix with ``matvec_into(vector, out)``
     (``fem.BandMatrix``) writes A p into its half of the buffer, and the
     loop allocates nothing per iteration (a test checks it with
-    ``tracemalloc``); any other matrix's ``matrix @ p`` is copied there.
+    ``tracemalloc``); any other matrix is wrapped once, at entry, by an
+    adapter that copies ``matrix @ v`` into the buffer it is given.
     Every operation on s is the exact IEEE negation of the one on r:
     (-a)(-b) = ab in the dot products, -r + y = -(r - y), and
     beta p - (-z) = beta p + z.  So the iterates keep the bits of the loop
@@ -81,9 +89,9 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     step as one 0-d scale and stops on r.z <= tol^2 / d, which needs no
     inner product beyond the r.z the next direction uses; any other
     diagonal stops on ||r|| <= tol.  The true-residual re-check writes its
-    product into a held buffer where the matrix has ``matvec_into``, and
-    takes ``matrix @ x`` otherwise, so a matrix that offers only ``@``
-    sees one product per iteration and one for the re-check.
+    product into a held buffer through the same ``matvec_into``, so a
+    matrix that offers only ``@`` sees one product per iteration and one
+    for the re-check.
     """
     b = np.asarray(rhs, dtype=float)
     if b.ndim != 1:
@@ -93,11 +101,16 @@ def solve_spd(matrix, rhs) -> np.ndarray:
         raise ValueError(
             f"matrix shape {matrix.shape} does not match rhs of length {n}")
 
-    b_norm = math.sqrt(b.dot(b))
-    if b_norm == 0.0:
+    # NaN propagates through max, so one test covers every entry
+    b_max = float(np.abs(b).max(initial=0.0))
+    if b_max == 0.0:
         return np.zeros(n)
-    if not math.isfinite(b_norm):
+    if not b_max < math.inf:
         raise SolverError("right-hand side is not finite", iterations=0)
+    # ldexp, unlike a product with 2.0 ** -e, stays exact where 2^e overflows
+    e = math.frexp(b_max)[1]
+    b = np.ldexp(b, -e)
+    b_norm = math.sqrt(b.dot(b))
     tol = REL_TOLERANCE * b_norm
     max_it = MAX_ITERATIONS_PER_DOF * n
 
@@ -118,6 +131,11 @@ def solve_spd(matrix, rhs) -> np.ndarray:
         inv_diag = 1.0 / diag
         rz_tol = None
 
+    matvec_into = getattr(matrix, "matvec_into", None)
+    if matvec_into is None:
+        def matvec_into(v, out):
+            out[...] = matrix @ v
+
     xs = np.zeros(2 * n)
     x, s = xs[:n], xs[n:]
     np.negative(b, out=s)
@@ -126,14 +144,10 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     scaled = np.empty(2 * n)
     neg_z = np.multiply(s, inv_diag)
     np.negative(neg_z, out=p)
-    matvec_into = getattr(matrix, "matvec_into", None)
     p_dot, s_dot, multiply = p.dot, s.dot, np.multiply
     rz = float(s_dot(neg_z))
     for it in range(1, max_it + 1):
-        if matvec_into is None:
-            q[...] = matrix @ p
-        else:
-            matvec_into(p, q)
+        matvec_into(p, q)
         pAp = float(p_dot(q))
         if not pAp > 0.0:
             raise SolverError(
@@ -145,19 +159,16 @@ def solve_spd(matrix, rhs) -> np.ndarray:
         rz_new = float(s_dot(neg_z))
         if (rz_new <= rz_tol if rz_tol is not None
                 else math.sqrt(s_dot(s)) <= tol):
-            if matvec_into is None:
-                r = matrix @ x - b
-            else:
-                r = scaled[:n]
-                matvec_into(x, r)
-                r -= b
+            r = scaled[:n]
+            matvec_into(x, r)
+            r -= b
             true_res = math.sqrt(r.dot(r))
-            if not true_res <= 10.0 * tol + 1e-300:
+            if not true_res <= 10.0 * tol:
                 raise SolverError(
                     f"recurrence residual {math.sqrt(s_dot(s)):.3e} disagrees "
                     f"with true residual {true_res:.3e}",
                     residual=true_res / b_norm, iterations=it)
-            return x.copy()
+            return np.ldexp(x, e)
         p *= rz_new / rz
         p -= neg_z
         rz = rz_new

@@ -216,10 +216,11 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
               out_dir=None, fmt: str = "csv", variant: str = "both") -> StudyResult:
     """Run a sweep of levels for one case.
 
-    The completed levels are written to ``out_dir`` (when given) also when
-    the study stops partway, by an error or an interrupt, before the
-    exception propagates.  An empty level list, or one with a level that
-    ``Mesh`` rejects, raises ``ConfigurationError`` before any level runs.
+    The completed levels' tables and per-step CSVs are written to
+    ``out_dir`` (when given) also when the study stops partway, by an error
+    or an interrupt, before the exception propagates.  An empty level list,
+    or one with a level that ``Mesh`` rejects, raises ``ConfigurationError``
+    before any level runs.
     """
     levels = list(levels)
     if not levels:
@@ -236,6 +237,9 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
     finally:
         if out_dir is not None and reports:
             emit(reports, fmt=fmt, out_dir=out_dir, variant=variant)
+            for rep in reports:
+                rep.report.write_csv(Path(out_dir) / f"case{rep.case_id}_"
+                                     f"level{rep.level}_estimators.csv")
     return StudyResult(case.case_id, reports)
 
 

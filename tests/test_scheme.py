@@ -202,6 +202,30 @@ def test_overlapped_and_inline_records_are_bit_identical(monkeypatch):
     assert all(_same_record(a, b) for a, b in zip(inline, overlapped))
 
 
+@pytest.mark.parametrize("cutoff", [INLINE, OVERLAPPED],
+                         ids=["inline", "overlapped"])
+def test_each_step_substeps_from_the_previous_records_own_state(
+        monkeypatch, space3, cutoff):
+    # the step state is carried once: step 1 starts from U0 and step n from
+    # the very FeFunction that record n-1 holds, on the worker too
+    monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", cutoff)
+    starts, substeps = {}, ThetaScheme._substeps
+
+    def recording(scheme, prev, n, *start):
+        starts[n] = prev
+        return substeps(scheme, prev, n, *start)
+
+    monkeypatch.setattr(ThetaScheme, "_substeps", recording)
+    case = make_case(1)
+    scheme = ThetaScheme(space3, _params(), case.forcing_f)
+    U0 = scheme.initial_state(case.u0)
+    records = list(scheme.iter_steps(U0))
+    assert sorted(starts) == [1, 2, 3, 4]
+    assert starts[1] is U0
+    for rec in records[:-1]:
+        assert starts[rec.n + 1] is rec.U_new
+
+
 def test_closing_a_half_consumed_loop_joins_the_worker(monkeypatch, space3):
     monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
     before = set(threading.enumerate())

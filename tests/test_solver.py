@@ -211,6 +211,17 @@ def test_random_right_hand_sides_stop_where_the_residual_norm_stops(scale):
             _assert_same_bits(matrix, scale * rng.standard_normal(space.n_dofs))
 
 
+@pytest.mark.parametrize("j", [-1000, -600, 0, 600, 1000])
+def test_a_power_of_two_on_the_right_hand_side_scales_the_solution_exactly(j):
+    # the loop runs at unit scale, so neither r.z nor p.Ap underflows for a
+    # tiny right-hand side, nor b.b overflows for a huge one
+    space, a_theta, a_tilde = _scheme_matrices(4)
+    rhs = np.random.default_rng(4).standard_normal(space.n_dofs)
+    for matrix in (space.mass, a_theta, a_tilde):
+        want = np.ldexp(solve_spd(matrix, rhs), j)
+        assert solve_spd(matrix, np.ldexp(rhs, j)).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_degenerate_right_hand_sides_solve_to_the_allocating_loops_bits(level):
     # the loop iterates on s = -r; its bits equal the loop on r only if every

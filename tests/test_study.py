@@ -566,6 +566,25 @@ def test_cli_end_to_end(tmp_path):
     assert (out / "case1_level3_estimators.csv").exists()
 
 
+def test_a_cli_study_failing_at_its_last_level_keeps_the_earlier_per_step_csvs(
+        monkeypatch, tmp_path):
+    run = study.run_single
+
+    def failing_at_level_3(case, level, **kwargs):
+        if level == 3:
+            raise ArithmeticError("level 3 failed")
+        return run(case, level, **kwargs)
+
+    monkeypatch.setattr(study, "run_single", failing_at_level_3)
+    out = tmp_path / "res"
+    with pytest.raises(ArithmeticError, match="level 3 failed"):
+        cli_main(["--case", "1", "--levels", "1:3", "--out", str(out)])
+    for level in (1, 2):
+        lines = (out / f"case1_level{level}_estimators.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 ** level    # header plus one row per step
+    assert not (out / "case1_level3_estimators.csv").exists()
+
+
 def test_cli_constant_overrides(tmp_path):
     out = tmp_path / "res"
     code = cli_main(["--case", "1", "--levels", "2", "--out", str(out),
