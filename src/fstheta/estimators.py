@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -235,79 +236,91 @@ class EstimatorEngine:
         (U^n - U^{n-1})/k + corrected-midpoint Laplacian - projected
         corrected forcing.  Vanishes to solver tolerance when the substep
         algebra and the corrections are consistent."""
-        sp_ = self.space
-        slope = (rec.U_new.coeffs - rec.U_prev.coeffs) / rec.k
-        theta_hat = (0.5 * (rec.lap_prev.coeffs + rec.lap_new.coeffs)
-                     - rec.xi_theta.coeffs)
-        phi_hat = (0.5 * (rec.proj_f_prev.coeffs + rec.proj_f_new.coeffs)
-                   - rec.proj_xi_phi.coeffs)
-        resid = slope + theta_hat - phi_hat
-        scale = max(sp_.l2_norm(sp_.function(slope)),
-                    sp_.l2_norm(sp_.function(theta_hat)),
-                    sp_.l2_norm(sp_.function(phi_hat)))
-        if scale == 0.0:
-            return 0.0
-        return sp_.l2_norm(sp_.function(resid)) / scale
+        return _compact_residual(*self.space.l2_norms(_compact_rows(rec)))
 
     # -- the full per-step bundle ----------------------------------------------
 
-    def _coefficient_indicators(self, w: FeFunction, lap_w: FeFunction,
-                                k: float) -> tuple[float, float, float]:
-        """``time_weight``, ``elliptic_estimator`` and the L2 norm of a
-        reconstruction coefficient w with discrete Laplacian ``lap_w``, the
-        norm of ``lap_w`` taken once for both of its weighted terms."""
-        sp_, cs = self.space, self.consts
-        h_lap, h2_lap = sp_.weighted_element_norms(lap_w, (1.0, 2.0))
-        return (_time_weight(k, cs, sp_.h1_seminorm(w), h_lap),
-                _elliptic(cs, h2_lap, sp_.jump_norm(w, 1.5)),
-                sp_.l2_norm(w))
-
     def step_estimates(self, rec: StepRecord,
                        prev_rec: StepRecord | None = None) -> StepEstimates:
-        sp_, cs = self.space, self.consts
+        """Every indicator of the step, each equal bit for bit to the public
+        indicator that defines it.  The step's M-norms, K-seminorms and jump
+        norms are taken in one stacked call per kind, and the norm of each
+        reconstruction Laplacian once for both of its weighted terms."""
+        sp_, cs, h = self.space, self.consts, self.space._h
         k = rec.k
-        k_prev = prev_rec.k if prev_rec is not None else 0.0
 
-        norm_xi_t = sp_.l2_norm(rec.xi_theta)
-        norm_xi_phi = sp_.quad_norm(rec.xi_phi_q4)
-        norm_proj_xi = sp_.l2_norm(rec.proj_xi_phi)
-
+        # the reconstruction coefficients and their discrete Laplacians: the
+        # two-level one, and from step 2 on the three-level one, whose
+        # Laplacian is a multiple of the Laplacian second difference (the
+        # discrete Laplacian is linear)
         w = recon_coeff_two_level(rec)
-        gamma2, eta_w2, norm_w2 = self._coefficient_indicators(
-            w, sp_.discrete_laplacian(w), k)
-
-        eta_u = elliptic_estimator(sp_, rec.U_new, cs, lap=rec.lap_new)
-        delta = step_difference_estimator(sp_, rec, cs)
-        beta = coarsening_estimator(sp_, rec, None)   # fixed mesh: no transfer
-        zeta1 = self.data_time_error(rec)
-        zeta2 = self.data_projection_error(rec)
-
+        coeffs = [w.coeffs]
+        laps = [sp_.discrete_laplacian(w).coeffs]
+        second_diffs = []
+        k_prev = 0.0
         if prev_rec is not None:
+            k_prev = prev_rec.k
             wt, lap_dd, f_dd = recon_coeff_three_level(rec, prev_rec)
-            # the discrete Laplacian is linear, so lap(wt) is a multiple of
-            # the Laplacian second difference
-            lap_wt = sp_.function((-4.0 / (k_prev * (k + k_prev))) * lap_dd.coeffs)
-            gamma3, eta_w3, norm_w3 = self._coefficient_indicators(wt, lap_wt, k)
-            z_norm = sp_.l2_norm(lap_dd)
-            y_norm = sp_.l2_norm(f_dd)
-        else:
-            gamma3, eta_w3, norm_w3 = gamma2, eta_w2, norm_w2
-            z_norm = y_norm = 0.0
+            coeffs.append(wt.coeffs)
+            laps.append((-4.0 / (k_prev * (k + k_prev))) * lap_dd.coeffs)
+            second_diffs = [lap_dd.coeffs, f_dd.coeffs]
+
+        norms = iter(sp_.l2_norms([
+            rec.xi_theta.coeffs, rec.proj_xi_phi.coeffs, rec.lap_new.coeffs,
+            (rec.lap_new.coeffs - rec.lap_prev.coeffs) / k,
+            *_compact_rows(rec), *coeffs, *laps, *second_diffs]))
+        norm_xi_t, norm_proj_xi, lap_new, lap_step = islice(norms, 4)
+        compact = _compact_residual(*islice(norms, 4))
+        coeff_norms = list(islice(norms, len(coeffs)))
+        lap_norms = list(islice(norms, len(laps)))
+        z_norm, y_norm = list(norms) or (0.0, 0.0)
+        seminorms = sp_.h1_seminorms(coeffs)
+        jump_u, jump_step, *coeff_jumps = sp_.jump_norms(
+            [rec.U_new.coeffs, rec.U_new.coeffs - rec.U_prev.coeffs, *coeffs], 1.5)
+
+        # (time weight, elliptic indicator, L2 norm) of each coefficient; at
+        # step 1 the two-level values stand in for the three-level ones
+        indicators = [(_time_weight(k, cs, seminorm, h ** 1.0 * lap),
+                       _elliptic(cs, h ** 2.0 * lap, jump), norm)
+                      for seminorm, lap, jump, norm
+                      in zip(seminorms, lap_norms, coeff_jumps, coeff_norms)]
+        gamma2, eta_w2, norm_w2 = indicators[0]
+        gamma3, eta_w3, norm_w3 = indicators[-1]
 
         return StepEstimates(
             n=rec.n, k=k, k_prev=k_prev,
-            eta_U=eta_u,
+            eta_U=_elliptic(cs, h ** 2.0 * lap_new, jump_u),
             gamma_two=gamma2, gamma_three=gamma3,
             eta_w_two=eta_w2, eta_w_three=eta_w3,
             norm_w_two=norm_w2, norm_w_three=norm_w3,
             norm_xi_theta=norm_xi_t,
-            delta=delta, beta_coarsen=beta,
-            zeta1=zeta1, zeta2=zeta2,
-            norm_xi_phi=norm_xi_phi,
+            delta=_elliptic(cs, h ** 2.0 * lap_step, jump_step),
+            beta_coarsen=coarsening_estimator(sp_, rec, None),  # fixed mesh
+            zeta1=self.data_time_error(rec), zeta2=self.data_projection_error(rec),
+            norm_xi_phi=sp_.quad_norm(rec.xi_phi_q4),
             norm_proj_xi_phi=norm_proj_xi,
             z_norm=z_norm, y_norm=y_norm,
-            compact_residual=self.compact_form_residual(rec),
+            compact_residual=compact,
         )
+
+
+def _compact_rows(rec: StepRecord) -> tuple[np.ndarray, ...]:
+    """Coefficients of the slope, the corrected-midpoint Laplacian, the
+    projected corrected forcing and the residual of the compact form."""
+    slope = (rec.U_new.coeffs - rec.U_prev.coeffs) / rec.k
+    theta_hat = (0.5 * (rec.lap_prev.coeffs + rec.lap_new.coeffs)
+                 - rec.xi_theta.coeffs)
+    phi_hat = (0.5 * (rec.proj_f_prev.coeffs + rec.proj_f_new.coeffs)
+               - rec.proj_xi_phi.coeffs)
+    return slope, theta_hat, phi_hat, slope + theta_hat - phi_hat
+
+
+def _compact_residual(slope: float, theta_hat: float, phi_hat: float,
+                      resid: float) -> float:
+    """The residual's L2 norm relative to the largest of its three terms'
+    (0 when all three vanish), from the four norms."""
+    scale = max(slope, theta_hat, phi_hat)
+    return 0.0 if scale == 0.0 else resid / scale
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ below the O(h^2) signals measured by the study harness.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,24 +138,30 @@ class BandMatrix(sp.dia_matrix):
     operand (a matrix, another dtype or length, a sparse matrix) goes to
     scipy's ``__matmul__``; the shape check also keeps a vector of the
     wrong length from the kernel, which does not check it.
-    ``matvec_into`` runs the same kernel into a buffer the caller holds.
 
-    The kernel's leading arguments (shape, band shape, offsets, data) are
-    read once per matrix and held, and so is the offset-0 band that
-    ``diagonal()`` returns.  Both hold the arrays themselves, so a product
-    sees an in-place change to ``data``; assigning a new ``data``,
-    ``offsets`` or shape, as some scipy methods do, drops them, and they
-    are read again on the next use."""
+    ``matvec_add(vector, out)`` adds ``self @ vector`` into ``out``: it is
+    the kernel with this matrix's leading arguments (shape, band shape,
+    offsets, data) bound by ``functools.partial``, a C-level callable, so a
+    caller that holds zeroed float64 buffers of the matching lengths
+    (``solve_spd``, the stacked norms of ``P1Space``) reaches the kernel
+    with no Python frame between.  Nothing is checked on that path.
+
+    ``matvec_add`` is built once per matrix and held, and so is the
+    offset-0 band that ``diagonal()`` returns.  Both hold the arrays
+    themselves, so a product sees an in-place change to ``data``;
+    assigning a new ``data``, ``offsets`` or shape, as some scipy methods
+    do, drops them, and they are built again on the next use."""
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if name in ("data", "offsets", "_shape"):
-            self.__dict__.pop("_kernel_args", None)
+            self.__dict__.pop("matvec_add", None)
             self.__dict__.pop("_main_diagonal", None)
 
     @functools.cached_property
-    def _kernel_args(self) -> tuple:
-        return (*self.shape, *self.data.shape, self.offsets, self.data)
+    def matvec_add(self) -> functools.partial:
+        return functools.partial(dia_matvec, *self.shape, *self.data.shape,
+                                 self.offsets, self.data)
 
     @functools.cached_property
     def _main_diagonal(self) -> np.ndarray | None:
@@ -174,20 +181,14 @@ class BandMatrix(sp.dia_matrix):
         return super().diagonal(k)
 
     def __matmul__(self, other):
+        matvec_add = self.matvec_add
+        n_rows, n_cols = matvec_add.args[:2]
         if (isinstance(other, np.ndarray) and other.dtype == np.float64
-                and other.shape == (self._kernel_args[1],)):
-            return self.matvec_into(other, np.empty(self._kernel_args[0]))
+                and other.shape == (n_cols,)):
+            out = np.zeros(n_rows)
+            matvec_add(other, out)
+            return out
         return super().__matmul__(other)
-
-    def matvec_into(self, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write ``self @ vector`` into ``out`` and return it, with the bits
-        of ``@``: zero ``out``, then call the kernel.  Both must be float64
-        vectors of the matching lengths, C-contiguous for ``out``; nothing
-        is checked, so only callers that hold such buffers (``solve_spd``)
-        call it."""
-        out.fill(0.0)
-        dia_matvec(*self._kernel_args, vector, out)
-        return out
 
 
 def _band(n: int, diagonal: float, axis: float, skew: float) -> BandMatrix:
@@ -225,15 +226,24 @@ class P1Space:
     space stores no per-triangle geometry, per-point coordinates or facet
     data.  ``quad_norm`` and the two error norms form their weighted squares
     in one buffer per call (the error norms a block of cell rows at a time)
-    and sum it in one pass, with the bits of the allocating expressions;
-    ``weighted_element_norms`` scales one L2 norm by several powers of h.
+    and sum it in one pass, with the bits of the allocating expressions.
+
+    ``l2_norms``, ``h1_seminorms`` and ``jump_norms`` are the stacked forms
+    of ``l2_norm``, ``h1_seminorm`` and ``jump_norm``: they take a sequence
+    of coefficient rows and return one value per row, each the bytes of the
+    one-function method, which is their one-row case.  The M- and K-norms
+    add each row's product into one zeroed buffer by the matrix's held
+    kernel; the jump norm scatters all rows onto the vertex grid at once
+    and sums each row's squares over its own contiguous block.  So an
+    estimator takes all norms of one kind in one call.
 
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs and used by the substep worker of
     ``ThetaScheme.iter_steps`` beside the caller's thread.  Methods taking
     an ``FeFunction`` raise ``ValueError`` for a function on another mesh,
-    and methods taking degree-4 quadrature values raise it for an array
-    not of shape (n_triangles, 6).
+    the stacked norms raise it for rows not of shape (k, n_dofs), and
+    methods taking degree-4 quadrature values raise it for an array not of
+    shape (n_triangles, 6).
     """
 
     def __init__(self, mesh: Mesh):
@@ -357,39 +367,87 @@ class P1Space:
 
     # -- norms ---------------------------------------------------------------
 
+    def _rows(self, rows) -> np.ndarray:
+        """Coefficient rows as a C-ordered float64 array of shape
+        (k, n_dofs), the layout the kernel and the grid scatter take."""
+        rows = np.ascontiguousarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.mesh.n_dofs:
+            raise ValueError(
+                f"expected coefficient rows of shape (k, {self.mesh.n_dofs}), "
+                f"got {rows.shape}")
+        return rows
+
+    def _band_norms(self, matrix: BandMatrix, rows) -> list[float]:
+        """sqrt(max(v . (matrix @ v), 0)) for each row v, the product taken
+        into one zeroed buffer by the matrix's held kernel."""
+        rows = self._rows(rows)
+        matvec_add = matrix.matvec_add
+        out = np.empty(rows.shape[1])
+        norms = []
+        for v in rows:
+            out.fill(0.0)
+            matvec_add(v, out)
+            norms.append(math.sqrt(max(v.dot(out), 0.0)))
+        return norms
+
+    def l2_norms(self, rows) -> list[float]:
+        """``l2_norm`` of each row of coefficients, bit for bit."""
+        return self._band_norms(self.mass, rows)
+
+    def h1_seminorms(self, rows) -> list[float]:
+        """``h1_seminorm`` of each row of coefficients, bit for bit."""
+        return self._band_norms(self.stiffness, rows)
+
     def l2_norm(self, v: FeFunction) -> float:
         self._check(v)
-        return float(np.sqrt(max(v.coeffs.dot(self.mass @ v.coeffs), 0.0)))
+        return self.l2_norms(v.coeffs[None])[0]
 
     def h1_seminorm(self, v: FeFunction) -> float:
         self._check(v)
-        return float(np.sqrt(max(v.coeffs.dot(self.stiffness @ v.coeffs), 0.0)))
+        return self.h1_seminorms(v.coeffs[None])[0]
 
     def weighted_element_norm(self, v: FeFunction, power: float) -> float:
         """(sum_K ||h_K^power v||_K^2)^{1/2}, exact for P1: h^power times
         ``l2_norm``."""
-        norm, = self.weighted_element_norms(v, (power,))
-        return norm
-
-    def weighted_element_norms(self, v: FeFunction, powers) -> tuple[float, ...]:
-        """``weighted_element_norm(v, p)`` for each p in ``powers``, with
-        ``l2_norm(v)`` taken once."""
-        norm = self.l2_norm(v)
-        return tuple(self._h ** power * norm for power in powers)
+        return self._h ** power * self.l2_norm(v)
 
     def element_gradients(self, v: FeFunction) -> np.ndarray:
         """Constant gradient of v per triangle, shape (nt, 2)."""
         self._check(v)
-        return np.stack(self._cell_gradients(v), axis=-1).reshape(-1, 2)
+        return np.stack(self._cell_gradients(v.coeffs[None]),
+                        axis=-1).reshape(-1, 2)
 
-    def _cell_gradients(self, v: FeFunction) -> tuple[np.ndarray, ...]:
+    def _cell_gradients(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """x and y gradients of the lower and then the upper triangle of
-        every cell, each of shape (n, n): differences of the vertex values
-        V[row, column] times n."""
+        every cell, each of shape (k, n, n) for k rows of coefficients:
+        differences of the vertex values V[row, column] times n."""
         n = self.mesh.n_cells
-        V = v.vertex_values().reshape(n + 1, n + 1) * n
-        return (V[:-1, 1:] - V[:-1, :-1], V[1:, 1:] - V[:-1, 1:],
-                V[1:, 1:] - V[1:, :-1], V[1:, :-1] - V[:-1, :-1])
+        full = np.zeros((rows.shape[0], self.mesh.n_vertices))
+        full[:, self.mesh.interior_vertices] = rows
+        V = full.reshape(-1, n + 1, n + 1) * n
+        return (V[:, :-1, 1:] - V[:, :-1, :-1], V[:, 1:, 1:] - V[:, :-1, 1:],
+                V[:, 1:, 1:] - V[:, 1:, :-1], V[:, 1:, :-1] - V[:, :-1, :-1])
+
+    def jump_norms(self, rows, power: float) -> list[float]:
+        """``jump_norm(v, power)`` of each row of coefficients, bit for
+        bit: the differences are formed on the stack of rows, and each
+        row's squares are summed over its own contiguous block."""
+        n = self.mesh.n_cells
+        dx_low, dy_low, dx_up, dy_up = self._cell_gradients(self._rows(rows))
+        # sqrt 2 times the jumps across the diagonals; the jumps across the
+        # horizontal edges between cell rows and the vertical edges between
+        # cell columns
+        diag = (dx_low - dx_up) - (dy_low - dy_up)
+        horizontal = dy_up[:, :-1] - dy_low[:, 1:]
+        vertical = dx_low[:, :, :-1] - dx_up[:, :, 1:]
+        diag *= diag
+        horizontal *= horizontal
+        vertical *= vertical
+        weight = 2.0 * power + 1.0
+        axis_weight, diag_weight = (1.0 / n) ** weight, self._h ** weight
+        return [math.sqrt(axis_weight * (hh.sum() + vv.sum())
+                          + diag_weight * 0.5 * dd.sum())
+                for hh, vv, dd in zip(horizontal, vertical, diag)]
 
     def jump_norm(self, v: FeFunction, power: float) -> float:
         """(sum_e h_e^{2 power} J_e^2 |e|)^{1/2} with J_e the jump of the
@@ -399,19 +457,7 @@ class P1Space:
         h), a horizontal or a vertical edge (length h / sqrt 2), and the
         gradients are differences of the vertex values."""
         self._check(v)
-        n = self.mesh.n_cells
-        dx_low, dy_low, dx_up, dy_up = self._cell_gradients(v)
-        # sqrt 2 times the jumps across the diagonals; the jumps across the
-        # horizontal edges between cell rows and the vertical edges between
-        # cell columns
-        diag = (dx_low - dx_up) - (dy_low - dy_up)
-        horizontal = dy_up[:-1] - dy_low[1:]
-        vertical = dx_low[:, :-1] - dx_up[:, 1:]
-        weight = 2.0 * power + 1.0
-        axis = (horizontal * horizontal).sum() + (vertical * vertical).sum()
-        total = ((1.0 / n) ** weight * axis
-                 + self._h ** weight * 0.5 * (diag * diag).sum())
-        return float(np.sqrt(total))
+        return self.jump_norms(v.coeffs[None], power)[0]
 
     # -- errors against exact fields ------------------------------------------
 

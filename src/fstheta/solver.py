@@ -4,14 +4,16 @@ All systems in this package are either a mass matrix or a shifted
 mass-stiffness combination M/c + aK, both symmetric positive definite on
 the Dirichlet space, so plain PCG with a diagonal preconditioner is enough.
 The solver needs only ``shape``, ``diagonal()`` and ``@`` of its matrix, and
-uses ``matvec_into(vector, out)`` where the matrix has it.  The package
-passes 7-diagonal ``fem.BandMatrix`` operators, ``dia_matrix`` whose vector
-products call scipy's DIA kernel directly, into a fresh output for ``@`` and
-into the solver's held buffer for ``matvec_into``: their products add
-diagonal by diagonal in ascending offset order, so each entry is the same
-left-to-right sum over ascending columns that the canonical CSR form gives,
-bit for bit (a stored zero of the band adds 0 * x).  The solver reads the
-method by name, so it does not import ``fem``.
+uses ``matvec_add(vector, out)``, which adds the product into ``out``, where
+the matrix has it.  The package passes 7-diagonal ``fem.BandMatrix``
+operators, ``dia_matrix`` whose ``matvec_add`` is scipy's DIA kernel with the
+matrix's arguments bound (a C-level callable, so each product of the loop
+runs no Python frame of its own); ``@`` calls the same kernel on a fresh
+zeroed output.  Their products add diagonal by diagonal in ascending offset
+order, so each entry is the same left-to-right sum over ascending columns
+that the canonical CSR form gives, bit for bit (a stored zero of the band
+adds 0 * x).  The solver reads the attribute by name, so it does not import
+``fem``.
 
 Inner products are taken as ``a.dot(b)`` and norms as
 ``math.sqrt(v.dot(v))``: ``a @ b`` and ``np.linalg.norm`` reach the same
@@ -75,11 +77,14 @@ def solve_spd(matrix, rhs) -> np.ndarray:
 
     The loop holds [x, s] with s = -r and [p, A p] in two buffers of
     length 2n, so one scaling of [p, A p] by alpha and one addition update
-    x and s together.  A matrix with ``matvec_into(vector, out)``
-    (``fem.BandMatrix``) writes A p into its half of the buffer, and the
-    loop allocates nothing per iteration (a test checks it with
-    ``tracemalloc``); any other matrix is wrapped once, at entry, by an
-    adapter that copies ``matrix @ v`` into the buffer it is given.
+    x and s together.  Each product zeroes its half of the buffer and adds
+    A p into it by the matrix's ``matvec_add`` (``fem.BandMatrix``), called
+    straight from the loop; alpha and beta are held as 0-d arrays and set
+    in place, and every update writes into a held buffer, so the loop
+    allocates nothing per iteration (a test checks it with ``tracemalloc``)
+    and hands numpy no Python float.  Any other matrix is wrapped once, at
+    entry, by an adapter that adds ``matrix @ v`` into the zeroed buffer it
+    is given.
     Every operation on s is the exact IEEE negation of the one on r:
     (-a)(-b) = ab in the dot products, -r + y = -(r - y), and
     beta p - (-z) = beta p + z.  So the iterates keep the bits of the loop
@@ -88,9 +93,9 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     A constant diagonal d (every system of the package) takes the Jacobi
     step as one 0-d scale and stops on r.z <= tol^2 / d, which needs no
     inner product beyond the r.z the next direction uses; any other
-    diagonal stops on ||r|| <= tol.  The true-residual re-check writes its
-    product into a held buffer through the same ``matvec_into``, so a
-    matrix that offers only ``@`` sees one product per iteration and one
+    diagonal stops on ||r|| <= tol.  The true-residual re-check adds its
+    product into a zeroed held buffer through the same ``matvec_add``, so
+    a matrix that offers only ``@`` sees one product per iteration and one
     for the re-check.
     """
     b = np.asarray(rhs, dtype=float)
@@ -131,10 +136,10 @@ def solve_spd(matrix, rhs) -> np.ndarray:
         inv_diag = 1.0 / diag
         rz_tol = None
 
-    matvec_into = getattr(matrix, "matvec_into", None)
-    if matvec_into is None:
-        def matvec_into(v, out):
-            out[...] = matrix @ v
+    matvec_add = getattr(matrix, "matvec_add", None)
+    if matvec_add is None:
+        def matvec_add(v, out):
+            out += matrix @ v
 
     xs = np.zeros(2 * n)
     x, s = xs[:n], xs[n:]
@@ -144,23 +149,30 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     scaled = np.empty(2 * n)
     neg_z = np.multiply(s, inv_diag)
     np.negative(neg_z, out=p)
-    p_dot, s_dot, multiply = p.dot, s.dot, np.multiply
+    # every ufunc in the loop takes its output as the third positional
+    # argument, which numpy parses faster than the keyword
+    alpha, beta = np.empty(()), np.empty(())
+    p_dot, s_dot, q_fill = p.dot, s.dot, q.fill
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     rz = float(s_dot(neg_z))
     for it in range(1, max_it + 1):
-        matvec_into(p, q)
+        q_fill(0.0)
+        matvec_add(p, q)
         pAp = float(p_dot(q))
         if not pAp > 0.0:
             raise SolverError(
                 f"search direction with curvature {pAp:.3e}, not positive; "
                 "matrix is not SPD",
                 residual=math.sqrt(s_dot(s)) / b_norm, iterations=it)
-        xs += multiply(rz / pAp, pq, out=scaled)
-        multiply(s, inv_diag, out=neg_z)
+        alpha[()] = rz / pAp
+        add(xs, multiply(pq, alpha, scaled), xs)
+        multiply(s, inv_diag, neg_z)
         rz_new = float(s_dot(neg_z))
         if (rz_new <= rz_tol if rz_tol is not None
                 else math.sqrt(s_dot(s)) <= tol):
             r = scaled[:n]
-            matvec_into(x, r)
+            r.fill(0.0)
+            matvec_add(x, r)
             r -= b
             true_res = math.sqrt(r.dot(r))
             if not true_res <= 10.0 * tol:
@@ -169,8 +181,8 @@ def solve_spd(matrix, rhs) -> np.ndarray:
                     f"with true residual {true_res:.3e}",
                     residual=true_res / b_norm, iterations=it)
             return np.ldexp(x, e)
-        p *= rz_new / rz
-        p -= neg_z
+        beta[()] = rz_new / rz
+        subtract(multiply(p, beta, p), neg_z, p)
         rz = rz_new
     res = math.sqrt(s_dot(s))
     raise SolverError(

@@ -220,13 +220,15 @@ def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,
     ``out_dir`` (when given) also when the study stops partway, by an error
     or an interrupt, before the exception propagates.  An empty level list,
     or one with a level that ``Mesh`` rejects, raises ``ConfigurationError``
-    before any level runs.
+    before any level runs, and so does a ``fmt`` or ``variant`` that
+    ``emit`` rejects.
     """
     levels = list(levels)
     if not levels:
         raise ConfigurationError("a study needs at least one level")
     for level in levels:
         check_level(level)
+    _check_tables(fmt, variant)
     case = case_id if isinstance(case_id, CaseSpec) else make_case(case_id)
     reports: list[RunReport] = []
     try:
@@ -345,13 +347,17 @@ def _write_markdown(path: Path, title: str, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def emit(reports: list[RunReport], fmt: str = "csv", out_dir="results",
-         variant: str = "both") -> list[Path]:
-    """Write the four summary tables; returns the written paths."""
+def _check_tables(fmt: str, variant: str) -> None:
     if fmt not in ("csv", "md", "markdown"):
         raise ConfigurationError(f"format must be csv or md, got {fmt!r}")
     if variant not in VARIANTS:
         raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
+def emit(reports: list[RunReport], fmt: str = "csv", out_dir="results",
+         variant: str = "both") -> list[Path]:
+    """Write the four summary tables; returns the written paths."""
+    _check_tables(fmt, variant)
     ext = "csv" if fmt == "csv" else "md"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -519,8 +519,9 @@ def test_engine_is_stateless(space2):
 @pytest.mark.parametrize("run", ["case1-level4", "varstep-level3"])
 def test_step_estimates_equal_the_composed_indicators(run, monkeypatch):
     # step_estimates takes the norm of each reconstruction Laplacian once for
-    # both weighted terms and forms the data errors in held buffers; every
-    # field must equal the composition of the public indicators
+    # both weighted terms, in its one stacked M-norm call, and forms the data
+    # errors in held buffers; every field must equal the composition of the
+    # public indicators, whose l2_norm is the stacked call on one row
     if run == "case1-level4":
         case, level, grid = make_case(1), 4, make_uniform_grid(16, 1.0)
     else:
@@ -531,9 +532,9 @@ def test_step_estimates_equal_the_composed_indicators(run, monkeypatch):
     engine = EstimatorEngine(space, params, case.forcing_f)
     records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
     normed = []
-    l2_norm = space.l2_norm
-    monkeypatch.setattr(space, "l2_norm",
-                        lambda v: normed.append(v.coeffs.tobytes()) or l2_norm(v))
+    l2_norms = space.l2_norms
+    monkeypatch.setattr(space, "l2_norms", lambda rows: normed.extend(
+        np.asarray(row, dtype=float).tobytes() for row in rows) or l2_norms(rows))
     prev = None
     for rec in records:
         laps = [space.discrete_laplacian(recon_coeff_two_level(rec))]

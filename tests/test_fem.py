@@ -12,7 +12,8 @@ from fstheta.fem import BandMatrix
 from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
                      facet_jumps, fe_as_field, full_coordinate_field,
                      gathered_element_norm,
-                     gathered_jump_norm, interior_facets, l2_project,
+                     gathered_jump_norm, grid_jump_norm, interior_facets,
+                     l2_project,
                      nodal_interpolant, quadrature_points,
                      single_pass_h1_error,
                      summed_weighted_quad_norm, sympy_local_matrices,
@@ -193,9 +194,10 @@ def test_band_diagonal_off_zero_goes_to_scipy(level, monkeypatch):
 
 
 def test_band_products_see_changes_to_the_bands():
-    # the kernel's arguments and the offset-0 band are held per matrix; a
-    # product must see an in-place change to the bands, and a new data or
-    # offsets array (scipy's setdiag assigns both for a new offset)
+    # the kernel with its arguments bound and the offset-0 band are held per
+    # matrix; a product, by @ or by the held kernel into a zeroed buffer,
+    # must see an in-place change to the bands, and a new data or offsets
+    # array (scipy's setdiag assigns both for a new offset)
     space, (mass, *_) = _band_operators(4)
     a = BandMatrix((mass.data.copy(), mass.offsets.copy()), shape=mass.shape)
     v = np.random.default_rng(4).standard_normal(space.n_dofs)
@@ -203,8 +205,8 @@ def test_band_products_see_changes_to_the_bands():
 
     def check():
         assert (a @ v).tobytes() == (_scipy_dia(a) @ v).tobytes()
-        out = np.empty(space.n_dofs)
-        assert a.matvec_into(v, out) is out
+        out = np.zeros(space.n_dofs)
+        a.matvec_add(v, out)
         assert out.tobytes() == (_scipy_dia(a) @ v).tobytes()
         assert a.diagonal().tobytes() == _scipy_dia(a).diagonal().tobytes()
 
@@ -439,6 +441,48 @@ def test_operator_norms_match_gathered_oracles(level):
     z = space.function()
     assert space.weighted_element_norm(z, 2) == 0.0
     assert space.jump_norm(z, 1.5) == 0.0
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_stacked_norms_equal_the_single_vector_norms_bit_for_bit(level):
+    # step_estimates takes its norms in one stacked call per kind; each row,
+    # wherever it sits in the stack, must give the bytes of the one-function
+    # method and of the allocating expressions it replaced
+    space = P1Space(build_uniform_mesh(level))
+    n = space.n_dofs
+    mass, stiffness = _scipy_dia(space.mass), _scipy_dia(space.stiffness)
+    smooth = [nodal_interpolant(space, g, 0.3).coeffs
+              for g in (SIN2, LINEAR, make_case(1).exact_u)]
+    rows = np.array([*np.random.default_rng(level).standard_normal((10, n)),
+                     *smooth, np.zeros(n)])
+    assert rows.shape == (14, n)
+    for stack in (rows[:1], rows[10:11], rows):
+        functions = [space.function(row) for row in stack]
+        for stacked, single, matrix in (
+                (space.l2_norms(stack), space.l2_norm, mass),
+                (space.h1_seminorms(stack), space.h1_seminorm, stiffness)):
+            assert len(stacked) == len(stack)
+            for got, v in zip(stacked, functions):
+                want = float(np.sqrt(max(v.coeffs.dot(matrix @ v.coeffs), 0.0)))
+                assert np.float64(got).tobytes() == np.float64(single(v)).tobytes()
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        for power in (1.0, 1.5, 2.0):
+            stacked = space.jump_norms(stack, power)
+            assert len(stacked) == len(stack)
+            for got, v in zip(stacked, functions):
+                want = grid_jump_norm(space, v, power)
+                assert np.float64(got).tobytes() == np.float64(
+                    space.jump_norm(v, power)).tobytes()
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert space.l2_norms(rows[-1:]) == space.h1_seminorms(rows[-1:]) == [0.0]
+    assert space.jump_norms(rows[-1:], 1.5) == [0.0]
+    # a row of another length would make the kernel read past its end
+    for bad in (rows[:, :-1], rows[0], rows[None]):
+        for norms in (space.l2_norms, space.h1_seminorms):
+            with pytest.raises(ValueError, match="coefficient rows"):
+                norms(bad)
+        with pytest.raises(ValueError, match="coefficient rows"):
+            space.jump_norms(bad, 1.5)
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])

@@ -500,6 +500,24 @@ def test_a_bad_level_is_rejected_before_any_level_runs(monkeypatch, tmp_path,
     assert runs == [] and not out.exists()
 
 
+@pytest.mark.parametrize("options,message", [
+    ({"fmt": "tex"}, "format must be csv or md, got 'tex'"),
+    ({"variant": "four"},
+     f"variant must be one of {study.VARIANTS}, got 'four'")],
+    ids=["format", "variant"])
+def test_a_bad_table_option_is_rejected_before_any_level_runs(
+        monkeypatch, tmp_path, options, message):
+    runs = []
+    run_single = study.run_single
+    monkeypatch.setattr(study, "run_single",
+                        lambda *a, **kw: runs.append(a[1]) or run_single(*a, **kw))
+    out = tmp_path / "res"
+    with pytest.raises(ConfigurationError) as err:
+        run_study(1, [1, 2, 3], out_dir=out, **options)
+    assert str(err.value) == message
+    assert runs == [] and not out.exists()
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
 def test_constants_must_be_finite_and_positive(value):
     for field in dataclasses.fields(ConstantsConfig):
