@@ -5,8 +5,7 @@ from .errors import ConfigurationError
 from .estimators import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
                          EstimatorReport, StepEstimates, coarsening_estimator,
                          elliptic_estimator, recon_coeff_three_level,
-                         recon_coeff_two_level, step_difference_estimator,
-                         time_weight)
+                         recon_coeff_two_level)
 from .fem import FeFunction, P1Space, ScalarField
 from .mesh import Mesh, build_uniform_mesh
 from .scheme import (THETA_DEFAULT, SchemeParams, StepRecord, ThetaScheme,
@@ -22,7 +21,6 @@ __all__ = [
     "ConstantsConfig", "EstimatorAccumulator", "EstimatorEngine",
     "EstimatorReport", "StepEstimates", "coarsening_estimator",
     "elliptic_estimator", "recon_coeff_three_level", "recon_coeff_two_level",
-    "step_difference_estimator", "time_weight",
     "FeFunction", "P1Space", "ScalarField",
     "Mesh", "build_uniform_mesh",
     "THETA_DEFAULT", "SchemeParams", "StepRecord", "ThetaScheme",

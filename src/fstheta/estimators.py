@@ -117,28 +117,6 @@ def elliptic_estimator(space: P1Space, v: FeFunction, consts: ConstantsConfig,
                      space.jump_norm(v, 1.5))
 
 
-def time_weight(space: P1Space, w: FeFunction, k: float, consts: ConstantsConfig,
-                lap: FeFunction | None = None) -> float:
-    """Weight of one step in the quadratic-reconstruction time estimator:
-    (k^2/sqrt(30)) (c1 |w|_1 + C11 ||h lap(w)||)."""
-    if lap is None:
-        lap = space.discrete_laplacian(w)
-    return _time_weight(k, consts, space.h1_seminorm(w),
-                        space.weighted_element_norm(lap, 1.0))
-
-
-def step_difference_estimator(space: P1Space, rec: StepRecord,
-                              consts: ConstantsConfig) -> float:
-    """Spatial indicator of the per-step solution change:
-    C12 ||h^2 (lap^n - lap^{n-1})/k|| + C22 ||h^{3/2} J[grad(U^n - U^{n-1})]||
-    (the jump term deliberately carries no 1/k)."""
-    vol = space.weighted_element_norm(
-        space.function((rec.lap_new.coeffs - rec.lap_prev.coeffs) / rec.k), 2.0)
-    jump = space.jump_norm(
-        space.function(rec.U_new.coeffs - rec.U_prev.coeffs), 1.5)
-    return _elliptic(consts, vol, jump)
-
-
 def coarsening_estimator(space: P1Space, rec: StepRecord, transfer=None) -> float:
     """Norm of (T - I) applied to -lap^{n-1} + U^{n-1}/k for a transfer
     operator T between consecutive spaces; exactly zero for the identity
@@ -229,22 +207,13 @@ class EstimatorEngine:
         return self.consts.c11 * max(defect(rec.fq_prev, rec.proj_f_prev),
                                      defect(rec.fq_new, rec.proj_f_new))
 
-    # -- consistency check ----------------------------------------------------
-
-    def compact_form_residual(self, rec: StepRecord) -> float:
-        """Relative residual of the single-equation form of the step:
-        (U^n - U^{n-1})/k + corrected-midpoint Laplacian - projected
-        corrected forcing.  Vanishes to solver tolerance when the substep
-        algebra and the corrections are consistent."""
-        return _compact_residual(*self.space.l2_norms(_compact_rows(rec)))
-
     # -- the full per-step bundle ----------------------------------------------
 
     def step_estimates(self, rec: StepRecord,
                        prev_rec: StepRecord | None = None) -> StepEstimates:
-        """Every indicator of the step, each equal bit for bit to the public
-        indicator that defines it.  The step's M-norms, K-seminorms and jump
-        norms are taken in one stacked call per kind, and the norm of each
+        """Every indicator of the step, each formed once here from the
+        step's norms.  The step's M-norms, K-seminorms and jump norms are
+        taken in one stacked call per kind, and the norm of each
         reconstruction Laplacian once for both of its weighted terms."""
         sp_, cs, h = self.space, self.consts, self.space._h
         k = rec.k
@@ -294,6 +263,7 @@ class EstimatorEngine:
             eta_w_two=eta_w2, eta_w_three=eta_w3,
             norm_w_two=norm_w2, norm_w_three=norm_w3,
             norm_xi_theta=norm_xi_t,
+            # the step difference's jump term deliberately carries no 1/k
             delta=_elliptic(cs, h ** 2.0 * lap_step, jump_step),
             beta_coarsen=coarsening_estimator(sp_, rec, None),  # fixed mesh
             zeta1=self.data_time_error(rec), zeta2=self.data_projection_error(rec),
@@ -317,8 +287,10 @@ def _compact_rows(rec: StepRecord) -> tuple[np.ndarray, ...]:
 
 def _compact_residual(slope: float, theta_hat: float, phi_hat: float,
                       resid: float) -> float:
-    """The residual's L2 norm relative to the largest of its three terms'
-    (0 when all three vanish), from the four norms."""
+    """Relative residual of the single-equation form of the step: the
+    residual's L2 norm over the largest of its three terms' (0 when all
+    three vanish), from the four norms.  It vanishes to solver tolerance
+    when the substep algebra and the corrections are consistent."""
     scale = max(slope, theta_hat, phi_hat)
     return 0.0 if scale == 0.0 else resid / scale
 

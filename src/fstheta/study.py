@@ -288,7 +288,7 @@ def _table_errors(reports, variant):
 def _estimator_table(reports, variant, layout):
     """Table of estimator columns, each followed by its EOC column.
 
-    ``layout`` is an ordered list of (report column, owning variant) pairs;
+    ``layout`` holds (report column, owning variant) pairs in column order;
     columns owned by the other variant are dropped unless variant="both".
     """
     cols = [c for c, owner in layout
@@ -308,27 +308,17 @@ def _estimator_table(reports, variant, layout):
     return header, rows
 
 
-def _table_reconstruction(reports, variant):
-    return _estimator_table(reports, variant, [
-        ("E_ell", "always"), ("E_rec_two", "two"), ("E_rec_three", "three")])
-
-
-def _table_time(reports, variant):
-    return _estimator_table(reports, variant, [
-        ("E_T1_two", "two"), ("E_T1_three", "three"),
-        ("E_T2", "always"), ("E_T3", "three")])
-
-
-def _table_space(reports, variant):
-    return _estimator_table(reports, variant, [
-        ("E_S1_two", "two"), ("E_S1_three", "three"), ("E_S2", "always")])
-
-
+# each table by file name: the errors table (None), or the layout of an
+# estimator table for ``_estimator_table``
 _TABLES = {
-    "errors": _table_errors,
-    "reconstruction_estimators": _table_reconstruction,
-    "time_estimators": _table_time,
-    "space_estimators": _table_space,
+    "errors": None,
+    "reconstruction_estimators": (
+        ("E_ell", "always"), ("E_rec_two", "two"), ("E_rec_three", "three")),
+    "time_estimators": (
+        ("E_T1_two", "two"), ("E_T1_three", "three"),
+        ("E_T2", "always"), ("E_T3", "three")),
+    "space_estimators": (
+        ("E_S1_two", "two"), ("E_S1_three", "three"), ("E_S2", "always")),
 }
 
 
@@ -348,7 +338,7 @@ def _write_markdown(path: Path, title: str, header, rows):
 
 
 def _check_tables(fmt: str, variant: str) -> None:
-    if fmt not in ("csv", "md", "markdown"):
+    if fmt not in ("csv", "md"):
         raise ConfigurationError(f"format must be csv or md, got {fmt!r}")
     if variant not in VARIANTS:
         raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -358,15 +348,15 @@ def emit(reports: list[RunReport], fmt: str = "csv", out_dir="results",
          variant: str = "both") -> list[Path]:
     """Write the four summary tables; returns the written paths."""
     _check_tables(fmt, variant)
-    ext = "csv" if fmt == "csv" else "md"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     case_id = reports[0].case_id if reports else 0
     written = []
-    for name, builder in _TABLES.items():
-        header, rows = builder(reports, variant)
-        path = out / f"case{case_id}_{name}.{ext}"
-        if ext == "csv":
+    for name, layout in _TABLES.items():
+        header, rows = (_table_errors(reports, variant) if layout is None
+                        else _estimator_table(reports, variant, layout))
+        path = out / f"case{case_id}_{name}.{fmt}"
+        if fmt == "csv":
             _write_csv(path, header, rows)
         else:
             title = f"case {case_id}: {name.replace('_', ' ')}"

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from fstheta import (THETA_DEFAULT, CaseSpec, FeFunction, Mesh, ScalarField,
                      StepEstimates, StepRecord, StudyResult, ThetaScheme,
-                     elliptic_estimator, solve_spd, time_weight)
+                     elliptic_estimator, solve_spd)
 from fstheta.fem import _Q4_BARY, _Q4_W, _Q5_BARY
 from fstheta.solver import MAX_ITERATIONS_PER_DOF, REL_TOLERANCE
 from fstheta.scheme import correction_coeffs, substep_defect
@@ -580,9 +580,20 @@ def fail_scheme_solve(monkeypatch, n_fail: int, tag_fail: str) -> None:
     monkeypatch.setattr(ThetaScheme, "_solve", failing)
 
 
+def time_weight(space, w: FeFunction, k: float, consts,
+                lap: FeFunction | None = None) -> float:
+    """Weight of one step in the quadratic-reconstruction time estimator:
+    (k^2/sqrt(30)) (c1 |w|_1 + C11 ||h lap(w)||)."""
+    if lap is None:
+        lap = space.discrete_laplacian(w)
+    return (k * k / math.sqrt(30.0)) * (
+        consts.c1 * space.h1_seminorm(w)
+        + consts.C11 * space.weighted_element_norm(lap, 1.0))
+
+
 def composed_step_estimates(engine, rec: StepRecord,
                             prev_rec: StepRecord | None) -> StepEstimates:
-    """``EstimatorEngine.step_estimates`` composed of the public indicators
+    """``EstimatorEngine.step_estimates`` composed of single indicators
     (``time_weight`` and ``elliptic_estimator`` called apart, so each
     reconstruction Laplacian's norm is taken twice) and of ``FeFunction``
     arithmetic and allocating array expressions throughout."""

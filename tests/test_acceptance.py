@@ -15,12 +15,12 @@ import scipy.linalg
 from fstheta import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
                      P1Space, SchemeParams, ThetaScheme, build_uniform_mesh,
                      elliptic_estimator, eoc, make_case, make_uniform_grid,
-                     recon_coeff_three_level, time_weight)
+                     recon_coeff_three_level)
 from fstheta.estimators import REPORT_COLUMNS
 
 from helpers import (estimator_series, l2_project, quadrature_exactness_check,
                      scalar_substep_factor, sympy_local_matrices,
-                     synthetic_record, zero_field)
+                     synthetic_record, time_weight, zero_field)
 
 PI = np.pi
 

@@ -11,7 +11,7 @@ from fstheta import (ConstantsConfig, EstimatorAccumulator,
                      ThetaScheme, build_uniform_mesh, coarsening_estimator,
                      elliptic_estimator, eoc, make_case, make_uniform_grid,
                      recon_coeff_three_level, recon_coeff_two_level,
-                     step_difference_estimator, time_weight, verify_forcing)
+                     verify_forcing)
 from fstheta.estimators import REPORT_COLUMNS, StepEstimates
 from fstheta.scheme import THETA_DEFAULT, correction_coeffs, substep_defect
 
@@ -238,22 +238,12 @@ def test_elliptic_estimator_second_order_on_interpolants():
     assert all(abs(o - 2.0) <= 0.2 for o in orders)
 
 
-def test_time_weight_zero_and_homogeneity(space3):
-    consts = ConstantsConfig()
-    assert time_weight(space3, space3.function(), 0.25, consts) == 0.0
-    w = _random_fe(space3, 43)
-    base = time_weight(space3, w, 0.25, consts)
-    got = time_weight(space3, -2.0 * w, 0.25, consts)
-    assert abs(got - 2.0 * base) <= 1e-12 * base
-    # k enters quadratically
-    assert abs(time_weight(space3, w, 0.5, consts) - 4.0 * base) <= 1e-12 * base
-
-
 def test_step_difference_zero_for_stationary(space3):
     u = _random_fe(space3, 47)
     lap = _random_fe(space3, 48)
     rec = _synthetic_record(space3, 1, 0.0, 0.25, (u, u), laps=(lap, lap))
-    assert step_difference_estimator(space3, rec, ConstantsConfig()) == 0.0
+    engine = EstimatorEngine(space3, _params(), zero_field())
+    assert engine.step_estimates(rec).delta == 0.0
 
 
 def test_step_difference_homogeneous_in_increment(space3):
@@ -261,15 +251,15 @@ def test_step_difference_homogeneous_in_increment(space3):
     du = _random_fe(space3, 50)
     lap0 = _random_fe(space3, 51)
     dlap = _random_fe(space3, 52)
-    consts = ConstantsConfig()
+    engine = EstimatorEngine(space3, _params(), zero_field())
 
-    def rec_for(scale):
-        return _synthetic_record(
+    def delta_for(scale):
+        return engine.step_estimates(_synthetic_record(
             space3, 1, 0.0, 0.25, (u0, u0 + scale * du),
-            laps=(lap0, lap0 + scale * dlap))
+            laps=(lap0, lap0 + scale * dlap))).delta
 
-    base = step_difference_estimator(space3, rec_for(1.0), consts)
-    got = step_difference_estimator(space3, rec_for(3.0), consts)
+    base = delta_for(1.0)
+    got = delta_for(3.0)
     assert abs(got - 3.0 * base) <= 1e-12 * base
 
 
@@ -350,7 +340,7 @@ def test_compact_residual_zero_for_zero_trajectory(space2):
     z = space2.function()
     rec = _synthetic_record(space2, 1, 0.0, 0.25, (z, z))
     engine = EstimatorEngine(space2, _params(), zero_field())
-    assert engine.compact_form_residual(rec) == 0.0
+    assert engine.step_estimates(rec).compact_residual == 0.0
 
 
 def test_step_estimates_all_zero_on_zero_run(space2):

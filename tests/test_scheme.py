@@ -417,7 +417,7 @@ def test_compact_form_residual_small_on_case1(space3):
     scheme = ThetaScheme(space3, p, case.forcing_f)
     engine = EstimatorEngine(space3, p, case.forcing_f)
     for rec in scheme.iter_steps(scheme.initial_state(case.u0)):
-        assert engine.compact_form_residual(rec) <= 1e-9
+        assert engine.step_estimates(rec).compact_residual <= 1e-9
 
 
 def test_second_order_against_independent_ode_reference():
@@ -463,7 +463,7 @@ def test_compact_form_holds_for_any_splitting_weights(space3, alpha1, alpha2):
     scheme = ThetaScheme(space3, p, case.forcing_f)
     engine = EstimatorEngine(space3, p, case.forcing_f)
     for rec in scheme.iter_steps(scheme.initial_state(case.u0)):
-        assert engine.compact_form_residual(rec) <= 1e-9
+        assert engine.step_estimates(rec).compact_residual <= 1e-9
 
 
 def test_compact_form_specific_to_default_theta(space3):
@@ -473,7 +473,7 @@ def test_compact_form_specific_to_default_theta(space3):
     p = _params(n_steps=8, theta=0.25)
     scheme = ThetaScheme(space3, p, case.forcing_f)
     engine = EstimatorEngine(space3, p, case.forcing_f)
-    worst = max(engine.compact_form_residual(rec)
+    worst = max(engine.step_estimates(rec).compact_residual
                 for rec in scheme.iter_steps(scheme.initial_state(case.u0)))
     assert worst > 1e-6
 

@@ -249,10 +249,10 @@ def test_degenerate_right_hand_sides_solve_to_the_allocating_loops_bits(level):
 @pytest.mark.parametrize("level", [1, 4, 6, 7])
 def test_a_counting_stand_in_solves_to_the_same_bits(level):
     # a stand-in that exposes only shape, diagonal() and @ (as the tracer's
-    # does) has no matvec_into, so the solver copies its products into the
-    # held buffer; that path must give the band path's bytes and make every
-    # product through @: one per iteration, which the allocating loop
-    # counts, and the residual re-check
+    # does) has no matvec_add, so the solver wraps it in an adapter that
+    # adds ``matrix @ v`` into the held buffer; that path must give the band
+    # path's bytes and make every product through @: one per iteration,
+    # which the allocating loop counts, and the residual re-check
     space, a_theta, a_tilde = _scheme_matrices(level)
     rhs = np.random.default_rng(level).standard_normal(space.n_dofs)
     for matrix in (space.mass, a_theta, a_tilde):

@@ -502,9 +502,10 @@ def test_a_bad_level_is_rejected_before_any_level_runs(monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("options,message", [
     ({"fmt": "tex"}, "format must be csv or md, got 'tex'"),
+    ({"fmt": "markdown"}, "format must be csv or md, got 'markdown'"),
     ({"variant": "four"},
      f"variant must be one of {study.VARIANTS}, got 'four'")],
-    ids=["format", "variant"])
+    ids=["format", "markdown", "variant"])
 def test_a_bad_table_option_is_rejected_before_any_level_runs(
         monkeypatch, tmp_path, options, message):
     runs = []

@@ -4,6 +4,7 @@ calls or patches still resolves, by the same call path."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import fstheta
@@ -11,14 +12,14 @@ import fstheta.cli
 import fstheta.fem
 import fstheta.scheme
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 PUBLIC = {
     "ConfigurationError",
     "ConstantsConfig", "EstimatorAccumulator", "EstimatorEngine",
     "EstimatorReport", "StepEstimates", "coarsening_estimator",
     "elliptic_estimator", "recon_coeff_three_level", "recon_coeff_two_level",
-    "step_difference_estimator", "time_weight",
     "FeFunction", "P1Space", "ScalarField",
     "Mesh", "build_uniform_mesh",
     "THETA_DEFAULT", "SchemeParams", "StepRecord", "ThetaScheme",
@@ -43,6 +44,43 @@ def test_test_only_names_left_the_package():
     assert not hasattr(fstheta, "zero_field")
     assert not hasattr(fstheta.P1Space, "l2_project")
     assert not hasattr(fstheta.StudyResult, "estimator_series")
+    # each step indicator has one definition, in EstimatorEngine.step_estimates
+    assert not hasattr(fstheta, "time_weight")
+    assert not hasattr(fstheta, "step_difference_estimator")
+    assert not hasattr(fstheta.EstimatorEngine, "compact_form_residual")
+
+
+def _names_used(tree) -> set[str]:
+    """Names and attribute names that ``tree`` reads, outside the bodies of
+    the functions that define them."""
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and node.id not in defining:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_public_function_has_a_caller_in_the_package_or_the_benchmark():
+    # a public function that only the tests call is a second definition of
+    # its quantity or a test oracle; either way it leaves the package
+    sources = [path for path in sorted((ROOT / "src" / "fstheta").glob("*.py"))
+               if path.name != "__init__.py"] + sorted(PERFBENCH.glob("*.py"))
+    used = set().union(*(_names_used(ast.parse(path.read_text()))
+                         for path in sources))
+    functions = [name for name in fstheta.__all__
+                 if inspect.isfunction(getattr(fstheta, name))]
+    assert "elliptic_estimator" in functions and "run_study" in functions
+    uncalled = sorted(set(functions) - used)
+    assert not uncalled, f"no caller outside the tests: {uncalled}"
 
 
 def test_every_name_the_workloads_call_resolves():
