@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_checks(result, case: int) -> list[str]:
     failures = []
-    hs = [r.h_cell for r in result.reports]
     for rep in result.reports:
         if rep.bound_two < rep.max_nodal_l2_error:
             failures.append(f"level {rep.level}: two-level bound "
@@ -100,7 +99,7 @@ def _run_checks(result, case: int) -> list[str]:
                             f"{t1_three:.4e} not below two-level {t1_two:.4e}")
     if case == 1 and len(result.reports) >= 2:
         for lvl, order in zip([r.level for r in result.reports][1:],
-                              eoc(result.errors(), hs)):
+                              eoc(result.errors(), result.mesh_sizes())):
             if abs(order - 2.0) > 0.15:
                 failures.append(f"error EOC {order:.2f} at level {lvl} "
                                 f"outside 2.0 +- 0.15")

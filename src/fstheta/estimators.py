@@ -174,38 +174,56 @@ class EstimatorEngine:
 
     # -- forcing data errors -------------------------------------------------
 
-    def data_time_error(self, rec: StepRecord) -> float:
-        """Mean interpolation error of the forcing over the step,
-        (1/k) int ||f(s) - interp(s)|| ds by three-point Gauss in time."""
+    def _data_errors(self, rec: StepRecord) -> tuple[float, float, float]:
+        """(zeta1, zeta2, ||xi_phi||) of the step.
+
+        zeta1 is the mean interpolation error of the forcing over the step,
+        (1/k) int ||f(s) - interp(s)|| ds by three-point Gauss in time;
+        zeta2 is c11 max over the endpoint forcings of ||h (I - P0)(f + xi)||,
+        with xi at the quadrature points in ``rec.xi_phi_q4`` and P0 xi in
+        ``rec.proj_xi_phi``.  The three norms of each kind take one pass
+        over their fields, the rows of one buffer that the call holds: they
+        are formed in place, squared in one call and weighted and summed row
+        by row in one more each (``P1Space._weighted_norms``), every norm
+        with the bits of ``quad_norm`` on the allocating expression.  The
+        buffers belong to the call, so the engine keeps no state."""
+        sp_, k = self.space, rec.k
+        for vals in (rec.fq_prev, rec.fq_new, rec.xi_phi_q4):
+            sp_._check_quad(vals)
+        fields = np.empty((3, *rec.xi_phi_q4.shape))
+
+        # (f + xi) - P0(f + xi) at both ends, and xi itself
+        for row, fq, proj_f in ((fields[0], rec.fq_prev, rec.proj_f_prev),
+                                (fields[1], rec.fq_new, rec.proj_f_new)):
+            np.add(fq, rec.xi_phi_q4, out=row)
+            np.subtract(row, sp_.eval_q4(proj_f + rec.proj_xi_phi), out=row)
+        np.square(fields[:2], out=fields[:2])
+        np.square(rec.xi_phi_q4, out=fields[2])
+        defect_prev, defect_new, norm_xi_phi = sp_._weighted_norms(fields)
+        h = sp_._h
+        zeta2 = self.consts.c11 * max(h * defect_prev, h * defect_new)
+
+        # f(s) - interp(s) at the three Gauss times
         t_mid = 0.5 * (rec.t_prev + rec.t_new)
-        half = 0.5 * rec.k
-        # f(s) - interp(s) is formed in two buffers held over the three times
-        diff, part = np.empty(rec.fq_prev.shape), np.empty(rec.fq_new.shape)
-        acc = 0.0
-        for off, wq in zip(_GAUSS3_OFFSETS, _GAUSS3_WEIGHTS):
+        half = 0.5 * k
+        # the interpolant's second product is added a block of cell rows at
+        # a time, so its buffer is one block, not a fourth field (which
+        # raised the peak memory of a level-7 run)
+        blocks = list(sp_._row_blocks())
+        part = np.empty(rec.fq_new[blocks[0]].shape)
+        for row, off in zip(fields, _GAUSS3_OFFSETS):
             s = t_mid + half * off
-            l1 = (s - rec.t_prev) / rec.k
-            np.multiply(1.0 - l1, rec.fq_prev, out=diff)
-            diff += np.multiply(l1, rec.fq_new, out=part)
-            f_vals = self.space.eval_field_q4(self.forcing, s)
-            acc += wq * self.space.quad_norm(np.subtract(f_vals, diff, out=diff))
-        return 0.5 * acc
-
-    def data_projection_error(self, rec: StepRecord) -> float:
-        """c11 max over the endpoint forcings of ||h (I - P0)(f + xi)||, with
-        xi at the quadrature points in ``rec.xi_phi_q4`` and P0 xi in
-        ``rec.proj_xi_phi``."""
-        sp_ = self.space
-        diff = np.empty(rec.xi_phi_q4.shape)
-
-        def defect(fq, proj_f):
-            # (f + xi) - P0(f + xi), formed in the buffer both ends share
-            np.add(fq, rec.xi_phi_q4, out=diff)
-            np.subtract(diff, sp_.eval_q4(proj_f + rec.proj_xi_phi), out=diff)
-            return sp_.weighted_quad_norm(diff, 1.0)
-
-        return self.consts.c11 * max(defect(rec.fq_prev, rec.proj_f_prev),
-                                     defect(rec.fq_new, rec.proj_f_new))
+            l1 = (s - rec.t_prev) / k
+            np.multiply(1.0 - l1, rec.fq_prev, out=row)
+            for block in blocks:
+                np.add(row[block], np.multiply(l1, rec.fq_new[block], out=part),
+                       out=row[block])
+            np.subtract(sp_.eval_field_q4(self.forcing, s), row, out=row)
+        np.square(fields, out=fields)
+        acc = 0.0
+        for wq, norm in zip(_GAUSS3_WEIGHTS, sp_._weighted_norms(fields)):
+            acc += wq * norm
+        return 0.5 * acc, zeta2, norm_xi_phi
 
     # -- the full per-step bundle ----------------------------------------------
 
@@ -246,6 +264,7 @@ class EstimatorEngine:
         seminorms = sp_.h1_seminorms(coeffs)
         jump_u, jump_step, *coeff_jumps = sp_.jump_norms(
             [rec.U_new.coeffs, rec.U_new.coeffs - rec.U_prev.coeffs, *coeffs], 1.5)
+        zeta1, zeta2, norm_xi_phi = self._data_errors(rec)
 
         # (time weight, elliptic indicator, L2 norm) of each coefficient; at
         # step 1 the two-level values stand in for the three-level ones
@@ -266,8 +285,7 @@ class EstimatorEngine:
             # the step difference's jump term deliberately carries no 1/k
             delta=_elliptic(cs, h ** 2.0 * lap_step, jump_step),
             beta_coarsen=coarsening_estimator(sp_, rec, None),  # fixed mesh
-            zeta1=self.data_time_error(rec), zeta2=self.data_projection_error(rec),
-            norm_xi_phi=sp_.quad_norm(rec.xi_phi_q4),
+            zeta1=zeta1, zeta2=zeta2, norm_xi_phi=norm_xi_phi,
             norm_proj_xi_phi=norm_proj_xi,
             z_norm=z_norm, y_norm=y_norm,
             compact_residual=compact,

@@ -54,8 +54,9 @@ _Q5_BARY = np.array([
 ])
 _Q5_W = np.array([9.0 / 40.0] + [_Q5_W1] * 3 + [_Q5_W2] * 3)
 
-# values per block of cell rows in ``P1Space.field_error_l2`` and
-# ``field_error_h1`` (256 KB)
+# the most quadrature values in one block of cell rows (256 KB): the span of
+# the held weights and the block of ``P1Space.field_error_l2`` and
+# ``field_error_h1``
 _BLOCK_VALUES = 2 ** 15
 
 
@@ -219,23 +220,27 @@ class P1Space:
     operators (``dia_matrix`` whose vector products call scipy's DIA
     kernel directly) from the stencil of the mesh.  Every element has the area
     ``h^2 / 4`` and the diameter ``h``, so each rule keeps the weights of
-    one cell row and the h-weighted norms are powers of ``h`` times the
-    plain ones.  The quadrature points are held as two per-line tables per
+    one block of cell rows and the h-weighted norms are powers of ``h``
+    times the plain ones.  The quadrature points are held as two per-line tables per
     rule (x by cell column, y by cell row), and the element gradients and
     facet jumps are differences of the vertex values on the grid, so the
     space stores no per-triangle geometry, per-point coordinates or facet
     data.  ``quad_norm`` and the two error norms form their weighted squares
     in one buffer per call (the error norms a block of cell rows at a time)
-    and sum it in one pass, with the bits of the allocating expressions.
+    and sum it in one pass, with the bits of the allocating expressions;
+    ``quad_norm`` is the one-row case of ``_weighted_norms``, which weights
+    and sums the rows of a caller's buffer of squares.
 
     ``l2_norms``, ``h1_seminorms`` and ``jump_norms`` are the stacked forms
     of ``l2_norm``, ``h1_seminorm`` and ``jump_norm``: they take a sequence
     of coefficient rows and return one value per row, each the bytes of the
     one-function method, which is their one-row case.  The M- and K-norms
-    add each row's product into one zeroed buffer by the matrix's held
-    kernel; the jump norm scatters all rows onto the vertex grid at once
-    and sums each row's squares over its own contiguous block.  So an
-    estimator takes all norms of one kind in one call.
+    add each row's product into its own row of one zeroed buffer by the
+    matrix's held kernel and take the dot products in one ``np.vecdot``
+    call; the jump norm writes all rows onto the vertex grid at once and
+    sums each facet family's squares in one reduction along the contiguous
+    axis of its rows.  So an estimator takes all norms of one kind in one
+    call.
 
     All operations are pure given the immutable mesh, so one instance can
     be shared across concurrent runs and used by the substep worker of
@@ -260,9 +265,15 @@ class P1Space:
         self.mass = _band(n, x + x + x + x + x + x, y + y, y + y)
         self.stiffness = _band(n, 4.0, -1.0, 0.0)
 
-        # area * w_q for the 2n triangles of a cell row (see ``_weighted``)
-        self._q4_wa = np.tile(area * _Q4_W, 2 * n)
-        self._q5_wa = np.tile(area * _Q5_W, 2 * n)
+        # area * w_q for the 2n triangles of each cell row of a block: the
+        # most cell rows, a power of two, whose degree-5 values fit in
+        # _BLOCK_VALUES (see ``_weighted``)
+        rows = n
+        while rows > 1 and rows * 2 * n * _Q5_W.size > _BLOCK_VALUES:
+            rows //= 2
+        self._block_rows = rows
+        self._q4_wa = np.tile(area * _Q4_W, 2 * n * rows)
+        self._q5_wa = np.tile(area * _Q5_W, 2 * n * rows)
         # rule -> (x of one cell row's points, y of one cell column's points)
         self._lines = _cell_lines(mesh)
 
@@ -323,19 +334,28 @@ class P1Space:
 
     def _weighted(self, wa: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """|K| w_q times values of shape (n_triangles, q), the products
-        formed one cell row at a time; against the q weights alone they
-        would run in inner loops of q elements, about twice as slow."""
-        return (wa * vals.reshape(self.mesh.n_cells, -1)).reshape(vals.shape)
+        formed one block of cell rows at a time; against the q weights alone
+        they would run in inner loops of q elements, about twice as slow,
+        and against one cell row's in loops of 2nq."""
+        return (wa * vals.reshape(-1, wa.size)).reshape(vals.shape)
 
     def quad_norm(self, vals: np.ndarray) -> float:
         """L2 norm of a field given by its degree-4 quadrature values."""
         self._check_quad(vals)
-        # |K| w_q vals^2 in one buffer, C-ordered whatever the layout of vals,
-        # so that its cell-row view writes into it
-        weighted = np.square(vals, out=np.empty(vals.shape))
-        rows = weighted.reshape(self.mesh.n_cells, -1)
-        np.multiply(self._q4_wa, rows, out=rows)
-        return float(np.sqrt(weighted.sum()))
+        return self._weighted_norms(
+            np.square(vals, out=np.empty((1, *vals.shape))))[0]
+
+    def _weighted_norms(self, squares: np.ndarray) -> list[float]:
+        """L2 norms of k fields given by the squares of their degree-4
+        quadrature values, a C-ordered array of shape (k, n_triangles, 6)
+        that is overwritten: |K| w_q times each square is formed in place,
+        a block of cell rows at a time, and each field's row is summed in one
+        reduction along the contiguous axis, with the bits of a sum over
+        that row alone."""
+        k = squares.shape[0]
+        blocks = squares.reshape(k, -1, self._q4_wa.size)
+        np.multiply(self._q4_wa, blocks, out=blocks)
+        return np.sqrt(squares.reshape(k, -1).sum(axis=1)).tolist()
 
     def weighted_quad_norm(self, vals: np.ndarray, power: float) -> float:
         """Broken norm (sum_K h_K^{2 power} ||.||_K^2)^{1/2} from degree-4
@@ -378,17 +398,17 @@ class P1Space:
         return rows
 
     def _band_norms(self, matrix: BandMatrix, rows) -> list[float]:
-        """sqrt(max(v . (matrix @ v), 0)) for each row v, the product taken
-        into one zeroed buffer by the matrix's held kernel."""
+        """sqrt(max(v . (matrix @ v), 0)) for each row v: each product is
+        added into its own row of one zeroed buffer by the matrix's held
+        kernel, and the dot products are taken in one ``np.vecdot`` call,
+        each the BLAS ``ddot`` that ``v.dot(product)`` makes."""
         rows = self._rows(rows)
+        products = np.zeros(rows.shape)
         matvec_add = matrix.matvec_add
-        out = np.empty(rows.shape[1])
-        norms = []
-        for v in rows:
-            out.fill(0.0)
+        for v, out in zip(rows, products):
             matvec_add(v, out)
-            norms.append(math.sqrt(max(v.dot(out), 0.0)))
-        return norms
+        return [math.sqrt(max(dot, 0.0))
+                for dot in np.vecdot(rows, products).tolist()]
 
     def l2_norms(self, rows) -> list[float]:
         """``l2_norm`` of each row of coefficients, bit for bit."""
@@ -414,40 +434,55 @@ class P1Space:
     def element_gradients(self, v: FeFunction) -> np.ndarray:
         """Constant gradient of v per triangle, shape (nt, 2)."""
         self._check(v)
-        return np.stack(self._cell_gradients(v.coeffs[None]),
-                        axis=-1).reshape(-1, 2)
-
-    def _cell_gradients(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """x and y gradients of the lower and then the upper triangle of
-        every cell, each of shape (k, n, n) for k rows of coefficients:
-        differences of the vertex values V[row, column] times n."""
+        # (cell row, cell column, lower or upper triangle, x or y) is
+        # triangle order, so the gradients are written straight into it
         n = self.mesh.n_cells
-        full = np.zeros((rows.shape[0], self.mesh.n_vertices))
-        full[:, self.mesh.interior_vertices] = rows
-        V = full.reshape(-1, n + 1, n + 1) * n
-        return (V[:, :-1, 1:] - V[:, :-1, :-1], V[:, 1:, 1:] - V[:, :-1, 1:],
-                V[:, 1:, 1:] - V[:, 1:, :-1], V[:, 1:, :-1] - V[:, :-1, :-1])
+        grads = np.empty((1, n, n, 2, 2))
+        self._cell_gradients(v.coeffs[None], (
+            grads[..., 0, 0], grads[..., 0, 1], grads[..., 1, 0], grads[..., 1, 1]))
+        return grads.reshape(-1, 2)
+
+    def _cell_gradients(self, rows: np.ndarray,
+                        out=None) -> tuple[np.ndarray, ...]:
+        """x and y gradients of the lower and then the upper triangle of
+        every cell, each of shape (k, n, n) for k rows of coefficients,
+        written into the four arrays ``out`` (new contiguous ones when
+        omitted): differences of the vertex values V[row, column] times n.
+        The interior dofs fill V[1:n, 1:n] in row-major order (``Mesh``)."""
+        k, n = rows.shape[0], self.mesh.n_cells
+        V = np.zeros((k, n + 1, n + 1))
+        np.multiply(rows.reshape(k, n - 1, n - 1), n, out=V[:, 1:-1, 1:-1])
+        if out is None:
+            out = tuple(np.empty((k, n, n)) for _ in range(4))
+        dx_low, dy_low, dx_up, dy_up = out
+        np.subtract(V[:, :-1, 1:], V[:, :-1, :-1], out=dx_low)
+        np.subtract(V[:, 1:, 1:], V[:, :-1, 1:], out=dy_low)
+        np.subtract(V[:, 1:, 1:], V[:, 1:, :-1], out=dx_up)
+        np.subtract(V[:, 1:, :-1], V[:, :-1, :-1], out=dy_up)
+        return out
 
     def jump_norms(self, rows, power: float) -> list[float]:
         """``jump_norm(v, power)`` of each row of coefficients, bit for
         bit: the differences are formed on the stack of rows, and each
-        row's squares are summed over its own contiguous block."""
-        n = self.mesh.n_cells
-        dx_low, dy_low, dx_up, dy_up = self._cell_gradients(self._rows(rows))
+        facet family's squares are summed in one reduction along the
+        contiguous axis of its rows, each row's sum that of its own
+        contiguous block."""
+        rows = self._rows(rows)
+        k, n = rows.shape[0], self.mesh.n_cells
+        dx_low, dy_low, dx_up, dy_up = self._cell_gradients(rows)
         # sqrt 2 times the jumps across the diagonals; the jumps across the
         # horizontal edges between cell rows and the vertical edges between
         # cell columns
         diag = (dx_low - dx_up) - (dy_low - dy_up)
         horizontal = dy_up[:, :-1] - dy_low[:, 1:]
         vertical = dx_low[:, :, :-1] - dx_up[:, :, 1:]
-        diag *= diag
-        horizontal *= horizontal
-        vertical *= vertical
+        hh, vv, dd = (np.square(jumps, out=jumps).reshape(k, -1)
+                      .sum(axis=1).tolist()
+                      for jumps in (horizontal, vertical, diag))
         weight = 2.0 * power + 1.0
         axis_weight, diag_weight = (1.0 / n) ** weight, self._h ** weight
-        return [math.sqrt(axis_weight * (hh.sum() + vv.sum())
-                          + diag_weight * 0.5 * dd.sum())
-                for hh, vv, dd in zip(horizontal, vertical, diag)]
+        return [math.sqrt(axis_weight * (h + v) + diag_weight * 0.5 * d)
+                for h, v, d in zip(hh, vv, dd)]
 
     def jump_norm(self, v: FeFunction, power: float) -> float:
         """(sum_e h_e^{2 power} J_e^2 |e|)^{1/2} with J_e the jump of the
@@ -469,7 +504,7 @@ class P1Space:
         # |K| w_q (g - v)^2 is formed over vq in place, a block of cell rows
         # at a time, as in ``field_error_h1``
         wa = self._q5_wa
-        for block in self._row_blocks(wa):
+        for block in self._row_blocks():
             d = vq[block]
             np.subtract(gq[block], d, out=d)
             np.square(d, out=d)
@@ -491,7 +526,7 @@ class P1Space:
         # are never written.
         wa = self._q5_wa
         weighted = np.empty(gxq.shape)
-        for block in self._row_blocks(wa):
+        for block in self._row_blocks():
             dx = gxq[block] - gv[block, 0:1]
             dy = gyq[block] - gv[block, 1:2]
             np.square(dx, out=dx)
@@ -501,11 +536,10 @@ class P1Space:
                         out=weighted[block].reshape(-1, wa.size))
         return float(np.sqrt(weighted.sum()))
 
-    def _row_blocks(self, wa: np.ndarray):
-        """Slices of whole cell rows of the triangles, each of about
-        ``_BLOCK_VALUES`` quadrature values for the weights ``wa`` of one
-        cell row."""
-        triangles = 2 * self.mesh.n_cells * max(1, _BLOCK_VALUES // wa.size)
+    def _row_blocks(self):
+        """Slices of the triangles of each block of cell rows, the span of
+        the held weights."""
+        triangles = 2 * self.mesh.n_cells * self._block_rows
         for start in range(0, self.mesh.n_triangles, triangles):
             yield slice(start, start + triangles)
 

@@ -190,6 +190,33 @@ class _Later:
         self.result = functools.partial(fn, *args)
 
 
+class _SubstepPair:
+    """The substep matrices a_theta = M / (theta k) + alpha1 K and
+    a_tilde = M / (theta~ k) + beta1 K of one step loop.  ``at(k)`` writes
+    their bands in place for the step size k, each band the IEEE value of
+    ``M.data * (1 / (shift k)) + K.data * weight``, and returns the pair.
+    P1 couples the same vertex pairs in M and K, so both have the same
+    offsets and the pair is formed diagonal by diagonal.  Each matrix starts
+    as a view of M, which skips scipy's validation of (data, offsets), and
+    takes bands of its own.  A ``BandMatrix`` sees an in-place change to its
+    bands, so the matrices and their bound kernels are built once per
+    loop."""
+
+    def __init__(self, space: P1Space, params: SchemeParams):
+        self._mass, self._stiffness = space.mass.data, space.stiffness.data
+        self._terms = ((params.theta, params.alpha1),
+                       (params.theta_tilde, params.beta1))
+        self.matrices = (BandMatrix(space.mass), BandMatrix(space.mass))
+        for a in self.matrices:
+            a.data = np.empty_like(self._mass)
+
+    def at(self, k: float) -> tuple[BandMatrix, BandMatrix]:
+        for a, (shift, weight) in zip(self.matrices, self._terms):
+            np.add(np.multiply(self._mass, 1.0 / (shift * k), out=a.data),
+                   self._stiffness * weight, out=a.data)
+        return self.matrices
+
+
 class ThetaScheme:
     """Advance the discrete solution through the three substeps per step.
 
@@ -201,27 +228,17 @@ class ThetaScheme:
     step's first right-hand side, so each state is multiplied by K once.
     ``iter_steps`` submits the first stage of step n+1 before it runs the
     second stage of step n, so a worker thread can run the one while the
-    caller runs the other.  The substep-matrix pair is formed from the
-    banded M and K on every step, so any increasing time grid runs the same
-    code.  Distinct runs sharing the same space are independent.
+    caller runs the other.  Each ``iter_steps`` loop holds one pair of
+    substep matrices, whose bands each step writes in place from those of M
+    and K with its own k, so any increasing time grid runs the same code.
+    Distinct runs sharing the same space, and loops of one scheme, are
+    independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
         self.space = space
         self.params = params
         self.forcing = forcing
-
-    def _substep_matrices(self, k: float):
-        p = self.params
-        M, K = self.space.mass, self.space.stiffness
-        # P1 couples the same vertex pairs in M and K, so both bands have the
-        # same offsets and the pair is formed diagonal by diagonal.  Each
-        # matrix starts as a view of M, which skips scipy's validation of
-        # (data, offsets), and takes its own bands.
-        a_theta, a_tilde = BandMatrix(M), BandMatrix(M)
-        a_theta.data = M.data * (1.0 / (p.theta * k)) + K.data * p.alpha1
-        a_tilde.data = M.data * (1.0 / (p.theta_tilde * k)) + K.data * p.beta1
-        return a_theta, a_tilde
 
     def initial_state(self, u0: ScalarField | None = None) -> FeFunction:
         """L2 projection of the initial datum (zero field when omitted)."""
@@ -248,8 +265,11 @@ class ThetaScheme:
         Before step n's four end-of-step mass solves the loop submits step
         n+1's ``_substeps``, from record n's own ``U_new``: from
         ``OVERLAP_MIN_DOFS`` dofs on (read at call time) to one worker
-        thread, which only reads the arrays it is handed and returns new
-        ones; below the cutoff to ``_Later``, so no thread starts.  Either
+        thread, below the cutoff to ``_Later``, so no thread starts.  The
+        worker writes only the bands of the loop's own substep pair, which
+        nothing else reads and which the next submission rewrites only
+        after this one returned; otherwise it reads the arrays it is handed
+        and returns new ones.  Either
         way the records are the same bit for bit, at most one step is ahead,
         a failure raises at the ``next()`` that would yield its step, and
         closing the generator joins the worker."""
@@ -263,13 +283,14 @@ class ThetaScheme:
         with (ThreadPoolExecutor(max_workers=1) if overlap
               else contextlib.nullcontext()) as pool:
             submit = pool.submit if overlap else _Later
-            ahead = submit(self._substeps, prev, 1, fq0, b0, stiff0)
+            pair = _SubstepPair(sp_, p)
+            ahead = submit(self._substeps, prev, 1, fq0, b0, stiff0, pair)
             for n in range(1, p.n_steps + 1):
                 states, fqs, loads, stiff_new = ahead.result()
                 U_new = sp_.function(states[-1])
                 if n < p.n_steps:
                     ahead = submit(self._substeps, U_new, n + 1, fqs[-1],
-                                   loads[-1], stiff_new)
+                                   loads[-1], stiff_new, pair)
                 # the discrete Laplacian and the projection are linear, so
                 # each substep-defect correction takes one mass solve of the
                 # same combination of states or loads
@@ -300,16 +321,17 @@ class ThetaScheme:
         return lap, pf
 
     def _substeps(self, prev: FeFunction, n: int, fq0: np.ndarray,
-                  b0: np.ndarray, stiff_prev: np.ndarray):
+                  b0: np.ndarray, stiff_prev: np.ndarray, pair: _SubstepPair):
         """Sample the forcing at t_theta, t_{1-theta} and t^n and solve the
         three substeps from U^{n-1}, given the forcing samples ``fq0`` and
-        load ``b0`` at t^{n-1} and ``stiff_prev`` = K U^{n-1}.  Returns the
-        three states, the three sample arrays and the three loads, each in
-        time order, and K U^n."""
+        load ``b0`` at t^{n-1} and ``stiff_prev`` = K U^{n-1}, on the
+        matrices ``pair`` holds, whose bands it writes for this step.
+        Returns the three states, the three sample arrays and the three
+        loads, each in time order, and K U^n."""
         sp_, p = self.space, self.params
         t_a, t_m = p.intermediate_times(n)
         k = p.step_size(n)
-        a_theta, a_tilde = self._substep_matrices(k)
+        a_theta, a_tilde = pair.at(k)
         M, K = sp_.mass, sp_.stiffness
 
         fqs = tuple(sp_.eval_field_q4(self.forcing, t)

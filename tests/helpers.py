@@ -11,9 +11,9 @@ import scipy.sparse.linalg as spla
 from fstheta import (THETA_DEFAULT, CaseSpec, FeFunction, Mesh, ScalarField,
                      StepEstimates, StepRecord, StudyResult, ThetaScheme,
                      elliptic_estimator, solve_spd)
-from fstheta.fem import _Q4_BARY, _Q4_W, _Q5_BARY
+from fstheta.fem import _Q4_BARY, _Q4_W, _Q5_BARY, BandMatrix
 from fstheta.solver import MAX_ITERATIONS_PER_DOF, REL_TOLERANCE
-from fstheta.scheme import correction_coeffs, substep_defect
+from fstheta.scheme import _SubstepPair, correction_coeffs, substep_defect
 
 
 # values of ``fstheta.scheme.OVERLAP_MIN_DOFS`` that force either path of the
@@ -327,7 +327,8 @@ def substep_states(scheme, rec: StepRecord):
     b0 = scheme.space.load_from_quad_values(rec.fq_prev)
     (u_a, u_m, u_1), _, _, _ = scheme._substeps(
         rec.U_prev, rec.n, rec.fq_prev, b0,
-        scheme.space.stiffness @ rec.U_prev.coeffs)
+        scheme.space.stiffness @ rec.U_prev.coeffs,
+        _SubstepPair(scheme.space, scheme.params))
     assert np.array_equal(u_1, rec.U_new.coeffs)
     return rec.U_prev.coeffs, u_a, u_m, u_1
 
@@ -555,7 +556,8 @@ def eager_end_of_step(scheme, rec: StepRecord) -> tuple:
     sp_, p = scheme.space, scheme.params
     b0 = sp_.load_from_quad_values(rec.fq_prev)
     states, _, loads, _ = scheme._substeps(
-        rec.U_prev, rec.n, rec.fq_prev, b0, sp_.stiffness @ rec.U_prev.coeffs)
+        rec.U_prev, rec.n, rec.fq_prev, b0, sp_.stiffness @ rec.U_prev.coeffs,
+        _SubstepPair(sp_, p))
     assert np.array_equal(states[-1], rec.U_new.coeffs)
     defect = substep_defect(p.theta, p.alpha1, rec.U_prev.coeffs, *states)
 
@@ -662,3 +664,60 @@ def composed_step_estimates(engine, rec: StepRecord,
         norm_proj_xi_phi=sp_.l2_norm(rec.proj_xi_phi),
         z_norm=z_norm, y_norm=y_norm,
         compact_residual=compact_residual())
+
+
+def fresh_substep_matrices(space, params, k: float):
+    """The substep pair (a_theta, a_tilde) for step size k, built afresh:
+    each matrix a view of M given new bands M.data / (shift k) + K.data *
+    weight by assignment.  The oracle of the pair a step loop holds and
+    rewrites in place."""
+    M, K = space.mass, space.stiffness
+    a_theta, a_tilde = BandMatrix(M), BandMatrix(M)
+    a_theta.data = M.data * (1.0 / (params.theta * k)) + K.data * params.alpha1
+    a_tilde.data = M.data * (1.0 / (params.theta_tilde * k)) + K.data * params.beta1
+    return a_theta, a_tilde
+
+
+def flat_quad_norm(space, vals) -> float:
+    """``P1Space.quad_norm`` as one flat sum over a fresh buffer of the
+    weighted squares, weighted one cell row at a time."""
+    weighted = np.square(vals, out=np.empty(vals.shape))
+    rows = weighted.reshape(space.mesh.n_cells, -1)
+    np.multiply(space._q4_wa[:rows.shape[1]], rows, out=rows)
+    return float(np.sqrt(weighted.sum()))
+
+
+def data_time_error(engine, rec: StepRecord) -> float:
+    """zeta1 of ``rec``: (1/k) int ||f(s) - interp(s)|| ds by three-point
+    Gauss in time, f(s) - interp(s) formed in two buffers held over the
+    three times and each norm taken by ``flat_quad_norm``."""
+    sp_ = engine.space
+    t_mid = 0.5 * (rec.t_prev + rec.t_new)
+    half = 0.5 * rec.k
+    diff, part = np.empty(rec.fq_prev.shape), np.empty(rec.fq_new.shape)
+    acc = 0.0
+    for off, wq in zip((-math.sqrt(0.6), 0.0, math.sqrt(0.6)),
+                       (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)):
+        s = t_mid + half * off
+        l1 = (s - rec.t_prev) / rec.k
+        np.multiply(1.0 - l1, rec.fq_prev, out=diff)
+        diff += np.multiply(l1, rec.fq_new, out=part)
+        f_vals = sp_.eval_field_q4(engine.forcing, s)
+        acc += wq * flat_quad_norm(sp_, np.subtract(f_vals, diff, out=diff))
+    return 0.5 * acc
+
+
+def data_projection_error(engine, rec: StepRecord) -> float:
+    """zeta2 of ``rec``: c11 max over the endpoint forcings of
+    ||h (I - P0)(f + xi)||, each defect formed in one buffer and its norm
+    taken by ``flat_quad_norm``."""
+    sp_ = engine.space
+    diff = np.empty(rec.xi_phi_q4.shape)
+
+    def defect(fq, proj_f):
+        np.add(fq, rec.xi_phi_q4, out=diff)
+        np.subtract(diff, sp_.eval_q4(proj_f + rec.proj_xi_phi), out=diff)
+        return sp_._h ** 1.0 * flat_quad_norm(sp_, diff)
+
+    return engine.consts.c11 * max(defect(rec.fq_prev, rec.proj_f_prev),
+                                   defect(rec.fq_new, rec.proj_f_new))

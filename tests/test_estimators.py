@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from fstheta.estimators import REPORT_COLUMNS, StepEstimates
 from fstheta.scheme import THETA_DEFAULT, correction_coeffs, substep_defect
 
 from helpers import (composed_step_estimates, corrected_forcing_interpolant,
-                     direct_xi_theta, fe_as_field, forcing_interpolant,
+                     data_projection_error, data_time_error, direct_xi_theta,
+                     fe_as_field, flat_quad_norm, forcing_interpolant,
                      forcing_substep_defect, four_laplacian_xi_theta,
                      lap_time_interpolant, nodal_interpolant,
                      project_quad_values, quadrature_exactness_check,
@@ -302,18 +304,20 @@ def test_data_errors_vanish_for_time_linear_fe_forcing(space2):
     base = _random_fe(space2, 57)
     field = fe_as_field(base)
     f = ScalarField("lin", lambda x, y, t: (1.0 + 2.0 * t) * field(x, y, t))
-    engine, rec, _ = _engine_record(space2, f)
+    engine, rec, prev = _engine_record(space2, f)
     assert np.abs(rec.xi_phi_q4).max() <= 1e-12
-    assert engine.data_time_error(rec) <= 1e-12
-    assert engine.data_projection_error(rec) <= 1e-9
+    se = engine.step_estimates(rec, prev)
+    assert se.zeta1 <= 1e-12
+    assert se.zeta2 <= 1e-9
 
 
 def test_data_projection_error_positive_for_rough_forcing(space2):
     f = ScalarField("rough", lambda x, y, t: (1.0 + 2.0 * t)
                     * np.sin(3 * PI * x) * np.sin(2 * PI * y))
-    engine, rec, _ = _engine_record(space2, f)
-    assert engine.data_time_error(rec) <= 1e-12
-    assert engine.data_projection_error(rec) > 1e-3
+    engine, rec, prev = _engine_record(space2, f)
+    se = engine.step_estimates(rec, prev)
+    assert se.zeta1 <= 1e-12
+    assert se.zeta2 > 1e-3
 
 
 def test_data_time_error_second_order_in_k(space2):
@@ -327,7 +331,7 @@ def test_data_time_error_second_order_in_k(space2):
         engine = EstimatorEngine(space2, p, f)
         total = 0.0
         for rec in scheme.iter_steps(scheme.initial_state()):
-            total += rec.k * engine.data_time_error(rec)
+            total += rec.k * engine.step_estimates(rec).zeta1
         vals.append(total)
         ks.append(1.0 / n_steps)
     orders = eoc(vals, ks)
@@ -506,21 +510,73 @@ def test_engine_is_stateless(space2):
         fresh.step_estimates(records[1], records[0])
 
 
-@pytest.mark.parametrize("run", ["case1-level4", "varstep-level3"])
+# (case, theta, alpha1, time grid, level) of the runs whose steps the data
+# errors and the composed indicators check: the built-in cases at the
+# default and a non-default theta and alpha1, on a uniform and a seeded
+# +-50 % grid; the first six steps of each run are checked
+_DATA_RUNS = {
+    f"case{case}-theta{theta or 'default'}-alpha{alpha1 or 'default'}"
+    f"-{grid}-level{level}": (case, theta, alpha1, grid, level)
+    for case in (1, 2, 3) for theta in (None, 0.25) for alpha1 in (0.6, None)
+    for grid in ("uniform", "random") for level in (3, 5)}
+_CHECKED_STEPS = 6
+
+
+def _data_run(case_id, theta, alpha1, grid, level):
+    """Space, engine and the first ``_CHECKED_STEPS`` records of a run."""
+    case = make_case(case_id)
+    n_steps = 2 ** level
+    space = P1Space(build_uniform_mesh(level))
+    params = SchemeParams(make_uniform_grid(n_steps, 1.0) if grid == "uniform"
+                          else random_grid(level, n_steps),
+                          **({} if theta is None else {"theta": theta}),
+                          alpha1=alpha1)
+    scheme = ThetaScheme(space, params, case.forcing_f)
+    engine = EstimatorEngine(space, params, case.forcing_f)
+    steps = scheme.iter_steps(scheme.initial_state(case.u0))
+    return space, engine, list(islice(steps, _CHECKED_STEPS))
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("run", _DATA_RUNS.values(), ids=_DATA_RUNS.keys())
+def test_data_errors_equal_the_one_norm_at_a_time_oracles_bit_for_bit(run):
+    # step_estimates forms zeta1, zeta2 and ||xi_phi|| three fields at a time
+    # in one buffer and sums each field's row in one reduction; each must be
+    # the bytes of the one-field-at-a-time forms that sum a fresh buffer of
+    # weighted squares flat
+    space, engine, records = _data_run(*run)
+    prev = None
+    for rec in records:
+        se = engine.step_estimates(rec, prev)
+        assert _bits(se.zeta1) == _bits(data_time_error(engine, rec))
+        assert _bits(se.zeta2) == _bits(data_projection_error(engine, rec))
+        assert _bits(se.norm_xi_phi) == _bits(flat_quad_norm(space, rec.xi_phi_q4))
+        for vals in (rec.fq_prev, rec.fq_new, rec.xi_phi_q4):
+            assert _bits(space.quad_norm(vals)) == _bits(flat_quad_norm(space, vals))
+        prev = rec
+
+
+@pytest.mark.parametrize("run", ["case1-level4", "varstep-level3", *_DATA_RUNS])
 def test_step_estimates_equal_the_composed_indicators(run, monkeypatch):
     # step_estimates takes the norm of each reconstruction Laplacian once for
     # both weighted terms, in its one stacked M-norm call, and forms the data
-    # errors in held buffers; every field must equal the composition of the
-    # public indicators, whose l2_norm is the stacked call on one row
-    if run == "case1-level4":
-        case, level, grid = make_case(1), 4, make_uniform_grid(16, 1.0)
+    # errors in one buffer per step; every field must equal the composition
+    # of the public indicators, whose l2_norm is the stacked call on one row
+    if run in _DATA_RUNS:
+        space, engine, records = _data_run(*_DATA_RUNS[run])
     else:
-        case, level, grid = varstep_case(), 3, random_grid(3, 8)
-    space = P1Space(build_uniform_mesh(level))
-    params = SchemeParams(grid)
-    scheme = ThetaScheme(space, params, case.forcing_f)
-    engine = EstimatorEngine(space, params, case.forcing_f)
-    records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
+        if run == "case1-level4":
+            case, level, grid = make_case(1), 4, make_uniform_grid(16, 1.0)
+        else:
+            case, level, grid = varstep_case(), 3, random_grid(3, 8)
+        space = P1Space(build_uniform_mesh(level))
+        params = SchemeParams(grid)
+        scheme = ThetaScheme(space, params, case.forcing_f)
+        engine = EstimatorEngine(space, params, case.forcing_f)
+        records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
     normed = []
     l2_norms = space.l2_norms
     monkeypatch.setattr(space, "l2_norms", lambda rows: normed.extend(

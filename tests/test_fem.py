@@ -4,10 +4,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from fstheta import (FeFunction, P1Space, ScalarField, SchemeParams,
-                     ThetaScheme, build_uniform_mesh, eoc, make_case,
-                     make_uniform_grid)
+                     build_uniform_mesh, eoc, make_case, make_uniform_grid)
 from fstheta.fem import _Q4_W as fem_Q4_W
 from fstheta.fem import BandMatrix
+from fstheta.scheme import _SubstepPair
 
 from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
                      facet_jumps, fe_as_field, full_coordinate_field,
@@ -105,8 +105,7 @@ def _band_operators(level):
     operators = [space.mass, space.stiffness]
     for kw in ({}, {"theta": 0.25, "alpha1": 0.6}):
         params = SchemeParams(make_uniform_grid(2 ** level, 1.0), **kw)
-        scheme = ThetaScheme(space, params, zero_field())
-        operators.extend(scheme._substep_matrices(params.step_size(1)))
+        operators.extend(_SubstepPair(space, params).at(params.step_size(1)))
     return space, operators
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import threading
 
@@ -12,11 +13,11 @@ from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
                      build_uniform_mesh, glowinski_alpha, make_case,
                      make_uniform_grid, solve_spd)
 from fstheta.fem import BandMatrix
-from fstheta.scheme import THETA_DEFAULT
+from fstheta.scheme import THETA_DEFAULT, _SubstepPair
 
 from helpers import (INLINE, OVERLAPPED, eager_end_of_step, fail_scheme_solve,
-                     l2_project, random_grid, scalar_substep_factor,
-                     varstep_case, zero_field)
+                     fresh_substep_matrices, l2_project, random_grid,
+                     scalar_substep_factor, varstep_case, zero_field)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,54 @@ def test_overlapped_and_inline_records_are_bit_identical(monkeypatch):
     assert all(_same_record(a, b) for a, b in zip(inline, overlapped))
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"theta": 0.25, "alpha1": 0.6}],
+                         ids=["default", "theta0.25-alpha0.6"])
+def test_the_held_substep_pair_equals_a_fresh_pair_on_every_step(kwargs):
+    # one pair whose bands each step of a +-50 % grid writes in place: its
+    # bands, diagonal and products are those of a pair built afresh for the
+    # step's own k, byte for byte
+    space = P1Space(build_uniform_mesh(4))
+    params = SchemeParams(random_grid(9, 16), **kwargs)
+    pair = _SubstepPair(space, params)
+    v = np.random.default_rng(9).standard_normal(space.n_dofs)
+    for n in range(1, params.n_steps + 1):
+        k = params.step_size(n)
+        held = pair.at(k)
+        assert held is pair.matrices
+        for a, fresh in zip(held, fresh_substep_matrices(space, params, k)):
+            assert a.data.tobytes() == fresh.data.tobytes()
+            assert np.array_equal(a.offsets, fresh.offsets)
+            assert a.diagonal().tobytes() == fresh.diagonal().tobytes()
+            assert (a @ v).tobytes() == (fresh @ v).tobytes()
+            out = np.zeros(space.n_dofs)
+            a.matvec_add(v, out)
+            assert out.tobytes() == (fresh @ v).tobytes()
+
+
+@pytest.mark.parametrize("cutoff", [INLINE, OVERLAPPED],
+                         ids=["inline", "overlapped"])
+def test_two_step_loops_of_one_scheme_advanced_alternately_are_independent(
+        monkeypatch, cutoff):
+    # each loop holds its own substep pair: loops from two initial states,
+    # three steps apart on a grid where every step has its own k, yield the
+    # records of two separate runs
+    monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", cutoff)
+    space = P1Space(build_uniform_mesh(4))
+    case = varstep_case()
+    scheme = ThetaScheme(space, SchemeParams(random_grid(5, 12)), case.forcing_f)
+    starts = (scheme.initial_state(case.u0), scheme.initial_state())
+    separate = [list(scheme.iter_steps(U0)) for U0 in starts]
+    first, second = (scheme.iter_steps(U0) for U0 in starts)
+    with contextlib.closing(first), contextlib.closing(second):
+        together = [[next(first) for _ in range(3)], []]
+        for _ in range(9):
+            together[1].append(next(second))
+            together[0].append(next(first))
+        together[1].extend(second)
+        assert next(first, None) is None
+    for got, want in zip(together, separate):
+        assert len(got) == len(want) == 12
+        assert all(_same_record(a, b) for a, b in zip(got, want))
 @pytest.mark.parametrize("cutoff", [INLINE, OVERLAPPED],
                          ids=["inline", "overlapped"])
 def test_each_step_substeps_from_the_previous_records_own_state(
@@ -333,8 +382,7 @@ def test_banded_operators_match_their_csr_form_bit_for_bit(level):
     for kw in ({}, {"theta": 0.25, "alpha1": 0.6}):
         p = _params(**kw)
         k = p.time(1) - p.time(0)
-        scheme = ThetaScheme(space, p, zero_field())
-        a_theta, a_tilde = scheme._substep_matrices(k)
+        a_theta, a_tilde = _SubstepPair(space, p).at(k)
         for a, shift, weight in ((a_theta, p.theta, p.alpha1),
                                  (a_tilde, p.theta_tilde, p.beta1)):
             summed = M.tocsr() * (1.0 / (shift * k)) + K.tocsr() * weight

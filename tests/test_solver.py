@@ -9,9 +9,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from fstheta import (P1Space, SchemeParams, SolverError, ThetaScheme,
-                     build_uniform_mesh, make_case, make_uniform_grid,
-                     solve_spd)
+from fstheta import (P1Space, SchemeParams, SolverError, build_uniform_mesh,
+                     make_case, make_uniform_grid, solve_spd)
+from fstheta.scheme import _SubstepPair
 
 from helpers import allocating_pcg
 
@@ -169,10 +169,8 @@ def _scheme_matrices(level, **kwargs):
     """M and the substep pair (a_theta, a_tilde) of a 2^level-step grid."""
     space = P1Space(build_uniform_mesh(level))
     n_steps = 2 ** level
-    scheme = ThetaScheme(space, SchemeParams(make_uniform_grid(n_steps, 1.0),
-                                             **kwargs),
-                         make_case(1).forcing_f)
-    return (space, *scheme._substep_matrices(1.0 / n_steps))
+    params = SchemeParams(make_uniform_grid(n_steps, 1.0), **kwargs)
+    return (space, *_SubstepPair(space, params).at(1.0 / n_steps))
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6, 7])

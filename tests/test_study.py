@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import threading
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from helpers import (INLINE, OVERLAPPED, error_metrics, fail_scheme_solve,
 PI = np.pi
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+REFERENCE_DIR = (Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+                 / "study-c1")
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +574,24 @@ def test_golden_tables(tmp_path, fmt, ext):
         assert golden.exists(), f"golden file {golden.name} missing"
         assert path.read_text() == golden.read_text(), \
             f"{path.name} deviates from the golden table"
+
+
+def test_per_step_estimators_stay_within_1e_9_of_the_benchmark_references(
+        tmp_path):
+    # the goldens keep 4 digits; the benchmark gates the per-step CSVs of
+    # case 1 at 1e-9 relative, and its references at levels 3-5 are read here
+    # (only read) so that a drift in the evaluation path fails tier-1 too
+    run_study(1, range(3, 6), out_dir=tmp_path)
+    for level in (3, 4, 5):
+        name = f"case1_level{level}_estimators.csv"
+        got, want = ([line.split(",") for line in path.read_text().splitlines()]
+                     for path in (tmp_path / name, REFERENCE_DIR / name))
+        assert got[0] == want[0] == list(REPORT_COLUMNS)
+        assert len(got) == len(want) == 1 + 2 ** level
+        for got_row, want_row in zip(got[1:], want[1:]):
+            for column, a, b in zip(REPORT_COLUMNS, got_row, want_row):
+                assert math.isclose(float(a), float(b), rel_tol=1e-9,
+                                    abs_tol=0.0), (name, got_row[0], column)
 
 
 # -- command line ------------------------------------------------------------------
