@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fem import FeFunction, P1Space, ScalarField
 from .scheme import SchemeParams, StepRecord
+from .solver import tagged_solve
 
 _SQRT30 = math.sqrt(30.0)
 _GAUSS3_OFFSETS = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
@@ -110,11 +111,13 @@ def _time_weight(k: float, consts: ConstantsConfig, h1: float,
 def elliptic_estimator(space: P1Space, v: FeFunction, consts: ConstantsConfig,
                        lap: FeFunction | None = None) -> float:
     """Residual bound for the distance between v and its elliptic lift:
-    C12 ||h^2 lap(v)|| + C22 ||h^{3/2} J[grad v]||."""
+    C12 ||h^2 lap(v)|| + C22 ||h^{3/2} J[grad v]||.  Without ``lap`` the
+    discrete Laplacian of v is solved for, tagged "laplacian of v"."""
+    jump = space.jump_norm(v, 1.5)    # rejects a v of another mesh first
     if lap is None:
-        lap = space.discrete_laplacian(v)
-    return _elliptic(consts, space.weighted_element_norm(lap, 2.0),
-                     space.jump_norm(v, 1.5))
+        lap = space.function(tagged_solve(
+            space.mass, space.stiffness @ v.coeffs, None, "laplacian of v"))
+    return _elliptic(consts, space.weighted_element_norm(lap, 2.0), jump)
 
 
 def coarsening_estimator(space: P1Space, rec: StepRecord, transfer=None) -> float:
@@ -242,7 +245,8 @@ class EstimatorEngine:
         # discrete Laplacian is linear)
         w = recon_coeff_two_level(rec)
         coeffs = [w.coeffs]
-        laps = [sp_.discrete_laplacian(w).coeffs]
+        laps = [tagged_solve(sp_.mass, sp_.stiffness @ w.coeffs, rec.n,
+                             "laplacian of the reconstruction")]
         second_diffs = []
         k_prev = 0.0
         if prev_rec is not None:

@@ -1,10 +1,11 @@
 """P1 Lagrange finite elements on the uniform mesh.
 
 The mass and stiffness matrices are exact (consistent mass, no lumping)
-and written directly from the mesh's 7-point stencil; loads and
-projections of general fields use a degree-4 triangle rule, error norms
-against exact solutions a degree-5 rule, so quadrature error stays well
-below the O(h^2) signals measured by the study harness.
+and written directly from the mesh's 7-point stencil; loads of general
+fields use a degree-4 triangle rule, error norms against exact solutions a
+degree-5 rule, so quadrature error stays well below the O(h^2) signals
+measured by the study harness.  The space assembles, evaluates and takes
+norms; it solves nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import dia_matvec
 
 from .mesh import Mesh
-from .solver import solve_spd
 
 # ---------------------------------------------------------------------------
 # symmetric quadrature rules on the reference triangle
@@ -362,7 +362,7 @@ class P1Space:
         quadrature values: h^power times ``quad_norm``."""
         return self._h ** power * self.quad_norm(vals)
 
-    # -- loads and projections ----------------------------------------------
+    # -- loads ----------------------------------------------------------------
 
     def load_vector(self, g: ScalarField, t: float) -> np.ndarray:
         """Interior-dof load b[i] = int g(.,t) phi_i by the degree-4 rule."""
@@ -375,15 +375,6 @@ class P1Space:
                         weights=contrib.ravel(),
                         minlength=self.mesh.n_vertices)
         return b[self.mesh.interior_vertices]
-
-    def project_load(self, load: np.ndarray) -> FeFunction:
-        return self.function(solve_spd(self.mass, load))
-
-    def discrete_laplacian(self, v: FeFunction) -> FeFunction:
-        """The nonnegative operator d with (d, chi) = (grad v, grad chi) for
-        every chi in the space; a mass solve of the stiffness product."""
-        self._check(v)
-        return self.project_load(self.stiffness @ v.coeffs)
 
     # -- norms ---------------------------------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fem import BandMatrix, FeFunction, P1Space, ScalarField
-from .solver import SolverError, solve_spd
+from .solver import tagged_solve
 
 THETA_DEFAULT = 1.0 - math.sqrt(2.0) / 2.0
 
@@ -221,18 +221,18 @@ class ThetaScheme:
     """Advance the discrete solution through the three substeps per step.
 
     A step has two stages: ``_substeps`` samples the forcing, solves the
-    three substeps and multiplies U^n by K, and ``_end_of_step`` solves the
-    discrete Laplacian and the forcing projection at the step's end, which
-    the next step reuses as its start, and the two substep-defect
-    corrections.  K U^n serves both the Laplacian at t^n and the next
-    step's first right-hand side, so each state is multiplied by K once.
-    ``iter_steps`` submits the first stage of step n+1 before it runs the
-    second stage of step n, so a worker thread can run the one while the
-    caller runs the other.  Each ``iter_steps`` loop holds one pair of
-    substep matrices, whose bands each step writes in place from those of M
-    and K with its own k, so any increasing time grid runs the same code.
-    Distinct runs sharing the same space, and loops of one scheme, are
-    independent.
+    three substeps and multiplies U^n by K, and ``iter_steps`` passes one
+    list of (tag, right-hand side) to ``_mass_solves``: the discrete
+    Laplacian and the forcing projection at the step's end, which the next
+    step reuses as its start, and the two substep-defect corrections.
+    K U^n serves both the Laplacian at t^n and the next step's first
+    right-hand side, so each state is multiplied by K once.  ``iter_steps``
+    submits the first stage of step n+1 before it runs the second stage of
+    step n, so a worker thread can run the one while the caller runs the
+    other.  Each ``iter_steps`` loop holds one pair of substep matrices,
+    whose bands each step writes in place from those of M and K with its
+    own k, so any increasing time grid runs the same code.  Distinct runs
+    sharing the same space, and loops of one scheme, are independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
@@ -246,15 +246,13 @@ class ThetaScheme:
             return self.space.function()
         sp_ = self.space
         load = sp_.load_vector(u0, self.params.time(0))
-        return sp_.function(self._solve(sp_.mass, load, 0, "initial projection"))
+        return sp_.function(tagged_solve(sp_.mass, load, 0, "initial projection"))
 
-    def _solve(self, matrix, rhs, n: int, tag: str) -> np.ndarray:
-        """solve_spd, with failures tagged by step and quantity."""
-        try:
-            return solve_spd(matrix, rhs)
-        except SolverError as err:
-            raise SolverError(f"step {n}, {tag}: {err}", residual=err.residual,
-                              iterations=err.iterations) from err
+    def _mass_solves(self, n: int, *solves) -> list[FeFunction]:
+        """One mass solve of step n per (tag, right-hand side), in order."""
+        sp_ = self.space
+        return [sp_.function(tagged_solve(sp_.mass, rhs, n, tag))
+                for tag, rhs in solves]
 
     def iter_steps(self, U0: FeFunction):
         """Yield the N step records in order, every field computed.  Each
@@ -269,15 +267,17 @@ class ThetaScheme:
         worker writes only the bands of the loop's own substep pair, which
         nothing else reads and which the next submission rewrites only
         after this one returned; otherwise it reads the arrays it is handed
-        and returns new ones.  Either
-        way the records are the same bit for bit, at most one step is ahead,
-        a failure raises at the ``next()`` that would yield its step, and
-        closing the generator joins the worker."""
+        and returns new ones.  Either way the records are the same bit for
+        bit, at most one step is ahead, a failure raises at the ``next()``
+        that would yield its step, and closing the generator joins the
+        worker."""
         sp_, p = self.space, self.params
         fq0 = sp_.eval_field_q4(self.forcing, p.time(0))
         b0 = sp_.load_from_quad_values(fq0)
         stiff0 = sp_.stiffness @ U0.coeffs
-        lap_prev, proj_f_prev = self._node_fields(stiff0, b0, 1, "t^{n-1}")
+        lap_prev, proj_f_prev = self._mass_solves(
+            1, ("laplacian at t^{n-1}", stiff0),
+            ("forcing projection at t^{n-1}", b0))
         prev = U0
         overlap = sp_.n_dofs >= OVERLAP_MIN_DOFS
         with (ThreadPoolExecutor(max_workers=1) if overlap
@@ -294,10 +294,13 @@ class ThetaScheme:
                 # the discrete Laplacian and the projection are linear, so
                 # each substep-defect correction takes one mass solve of the
                 # same combination of states or loads
-                lap_new, proj_f_new, xi_theta, proj_xi_phi = self._end_of_step(
-                    n, stiff_new, loads[-1],
-                    substep_defect(p.theta, p.alpha1, prev.coeffs, *states),
-                    substep_defect(p.theta, p.alpha2, b0, *loads))
+                lap_new, proj_f_new, xi_theta, proj_xi_phi = self._mass_solves(
+                    n, ("laplacian at t^n", stiff_new),
+                    ("forcing projection at t^n", loads[-1]),
+                    ("laplacian substep defect", sp_.stiffness @ substep_defect(
+                        p.theta, p.alpha1, prev.coeffs, *states)),
+                    ("forcing projection substep defect",
+                     substep_defect(p.theta, p.alpha2, b0, *loads)))
                 yield StepRecord(
                     n=n, t_prev=p.time(n - 1), t_new=p.time(n),
                     U_prev=prev, U_new=U_new,
@@ -308,17 +311,6 @@ class ThetaScheme:
                     fq_prev=fq0, fq_new=fqs[-1])
                 prev, fq0, b0 = U_new, fqs[-1], loads[-1]
                 lap_prev, proj_f_prev = lap_new, proj_f_new
-
-    def _node_fields(self, stiff_u: np.ndarray, b: np.ndarray, n: int,
-                     node: str):
-        """Discrete Laplacian of the state u, given as ``stiff_u`` = K u, and
-        L2 projection of the load ``b`` at one time node of step n."""
-        sp_ = self.space
-        lap = sp_.function(self._solve(sp_.mass, stiff_u, n,
-                                       f"laplacian at {node}"))
-        pf = sp_.function(self._solve(sp_.mass, b, n,
-                                      f"forcing projection at {node}"))
-        return lap, pf
 
     def _substeps(self, prev: FeFunction, n: int, fq0: np.ndarray,
                   b0: np.ndarray, stiff_prev: np.ndarray, pair: _SubstepPair):
@@ -341,27 +333,13 @@ class ThetaScheme:
         al1, be1, al2, be2 = p.alpha1, p.beta1, p.alpha2, p.beta2
         rhs = (M @ prev.coeffs) / (p.theta * k) - be1 * stiff_prev \
             + al2 * ba + be2 * b0
-        u_a = self._solve(a_theta, rhs, n, "first substep")
+        u_a = tagged_solve(a_theta, rhs, n, "first substep")
 
         rhs = (M @ u_a) / (p.theta_tilde * k) - al1 * (K @ u_a) \
             + be2 * bm + al2 * ba
-        u_m = self._solve(a_tilde, rhs, n, "second substep")
+        u_m = tagged_solve(a_tilde, rhs, n, "second substep")
 
         rhs = (M @ u_m) / (p.theta * k) - be1 * (K @ u_m) \
             + al2 * b1 + be2 * bm
-        u_1 = self._solve(a_theta, rhs, n, "third substep")
+        u_1 = tagged_solve(a_theta, rhs, n, "third substep")
         return (u_a, u_m, u_1), fqs, loads, K @ u_1
-
-    def _end_of_step(self, n: int, stiff_u: np.ndarray, b: np.ndarray,
-                     defect: np.ndarray, xi_phi_load: np.ndarray):
-        """The four mass solves of step n's end: the Laplacian of U^n from
-        ``stiff_u`` = K U^n, the projection of its load ``b``, and the two
-        corrections from the state ``defect`` and the load defect
-        ``xi_phi_load``."""
-        sp_ = self.space
-        lap, pf = self._node_fields(stiff_u, b, n, "t^n")
-        xi_theta = sp_.function(self._solve(sp_.mass, sp_.stiffness @ defect, n,
-                                            "laplacian substep defect"))
-        proj_xi_phi = sp_.function(self._solve(sp_.mass, xi_phi_load, n,
-                                               "forcing projection substep defect"))
-        return lap, pf, xi_theta, proj_xi_phi

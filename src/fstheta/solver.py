@@ -34,6 +34,9 @@ tests) keeps a vector of reciprocals and the |r| <= tol test.  The
 benchmark's gate references record these iterates' rounding, so any
 change to the order of a sum in the loop waits for references that a
 benchmark change regenerates.
+
+``tagged_solve`` is the package's one caller of ``solve_spd``: every solve
+of a run goes through it with its step and quantity, so a failure names both.
 """
 
 from __future__ import annotations
@@ -189,3 +192,15 @@ def solve_spd(matrix, rhs) -> np.ndarray:
         f"no convergence within {max_it} iterations "
         f"(relative residual {res / b_norm:.3e})",
         residual=res / b_norm, iterations=max_it)
+
+
+def tagged_solve(matrix, rhs, n: int | None, tag: str) -> np.ndarray:
+    """``solve_spd(matrix, rhs)``, a failure re-raised as a SolverError
+    whose message starts "step n, tag: " ("tag: " for n None, a solve of
+    no step) and which keeps the residual and iteration count."""
+    try:
+        return solve_spd(matrix, rhs)
+    except SolverError as err:
+        where = tag if n is None else f"step {n}, {tag}"
+        raise SolverError(f"{where}: {err}", residual=err.residual,
+                          iterations=err.iterations) from err

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
-                         EstimatorReport, elliptic_estimator)
+from .estimators import (REPORT_COLUMNS, ConstantsConfig, EstimatorAccumulator,
+                         EstimatorEngine, EstimatorReport, elliptic_estimator)
 from .fem import P1Space, ScalarField
 from .mesh import build_uniform_mesh, check_level
 from .scheme import (THETA_DEFAULT, SchemeParams, ThetaScheme, make_uniform_grid)
@@ -123,7 +123,6 @@ class RunReport:
     case_id: int
     level: int
     h_cell: float
-    h_element: float
     k: float
     n_steps: int
     max_nodal_l2_error: float
@@ -146,6 +145,9 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
     From ``OVERLAP_MIN_DOFS`` dofs on, ``iter_steps`` solves the substeps
     of step n+1 on its worker thread while this loop evaluates step n; the
     report is the same bit for bit either way.
+
+    A step whose report row, L2 or H1 error or compact residual is not
+    finite raises ``FloatingPointError`` "step n, <column>: ..." there.
     """
     consts = consts or ConstantsConfig()
     mesh = build_uniform_mesh(level)
@@ -158,6 +160,7 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
 
     U0 = scheme.initial_state(case.u0)
     max_err = space.field_error_l2(case.exact_u, params.time(0), U0)
+    _check_finite(0, (("L2 error", max_err),))
     sum_k_grad2 = 0.0
     max_compact = 0.0
     prev = None
@@ -169,11 +172,14 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
             acc = EstimatorAccumulator(params, initial_elliptic=eta0, rho0=rho0)
         se = engine.step_estimates(rec, prev)
         acc.add(se)
-        max_compact = max(max_compact, se.compact_residual)
         err = space.field_error_l2(case.exact_u, rec.t_new, rec.U_new)
-        max_err = max(max_err, err)
         grad_err = space.field_error_h1(case.exact_grad_u, rec.t_new,
                                         rec.U_new)
+        _check_finite(rec.n, (*zip(REPORT_COLUMNS, acc.rows[-1]),
+                              ("L2 error", err), ("H1 error", grad_err),
+                              ("compact residual", se.compact_residual)))
+        max_compact = max(max_compact, se.compact_residual)
+        max_err = max(max_err, err)
         sum_k_grad2 += rec.k * grad_err ** 2
         prev = rec
 
@@ -185,7 +191,7 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
     eff_three = total_three / max_err if max_err > 0.0 else float("nan")
     return RunReport(
         case_id=case.case_id, level=level,
-        h_cell=2.0 ** (-level), h_element=math.sqrt(2.0) * 2.0 ** (-level),
+        h_cell=2.0 ** (-level),
         k=params.step_size(1), n_steps=steps,
         max_nodal_l2_error=max_err, e_total=e_total,
         report=report,
@@ -193,6 +199,13 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
         bound_two=report.final("bound_two"), bound_three=report.final("bound_three"),
         max_compact_residual=max_compact,
     )
+
+
+def _check_finite(n: int, named_values) -> None:
+    """Raise FloatingPointError naming step n and its first non-finite value."""
+    for name, value in named_values:
+        if not math.isfinite(value):
+            raise FloatingPointError(f"step {n}, {name}: {value!r} is not finite")
 
 
 @dataclass
@@ -205,9 +218,6 @@ class StudyResult:
 
     def errors(self) -> list[float]:
         return [r.max_nodal_l2_error for r in self.reports]
-
-    def totals(self) -> list[float]:
-        return [r.e_total for r in self.reports]
 
 
 def run_study(case_id, levels, *, theta: float = THETA_DEFAULT,

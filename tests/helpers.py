@@ -2,15 +2,19 @@
 from the library code paths they check."""
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import fstheta.estimators
+import fstheta.scheme
+import fstheta.solver
 from fstheta import (THETA_DEFAULT, CaseSpec, FeFunction, Mesh, ScalarField,
-                     StepEstimates, StepRecord, StudyResult, ThetaScheme,
-                     elliptic_estimator, solve_spd)
+                     StepEstimates, StepRecord, StudyResult, elliptic_estimator,
+                     solve_spd)
 from fstheta.fem import _Q4_BARY, _Q4_W, _Q5_BARY, BandMatrix
 from fstheta.solver import MAX_ITERATIONS_PER_DOF, REL_TOLERANCE
 from fstheta.scheme import _SubstepPair, correction_coeffs, substep_defect
@@ -309,14 +313,25 @@ def nodal_interpolant(space, g: ScalarField, t: float) -> FeFunction:
     return space.function(g(xy[:, 0], xy[:, 1], t))
 
 
+def project_load(space, load: np.ndarray) -> FeFunction:
+    """The FE function whose mass product is ``load``: a plain mass solve."""
+    return space.function(solve_spd(space.mass, load))
+
+
+def discrete_laplacian(space, v: FeFunction) -> FeFunction:
+    """The nonnegative operator d with (d, chi) = (grad v, grad chi) for
+    every chi in the space: a plain mass solve of the stiffness product."""
+    return project_load(space, space.stiffness @ v.coeffs)
+
+
 def l2_project(space, g: ScalarField, t: float) -> FeFunction:
     """L2 projection of g(., t) onto the Dirichlet space (mass solve)."""
-    return space.project_load(space.load_vector(g, t))
+    return project_load(space, space.load_vector(g, t))
 
 
 def project_quad_values(space, vals) -> FeFunction:
     """L2 projection of a field given by its degree-4 quadrature values."""
-    return space.project_load(space.load_from_quad_values(vals))
+    return project_load(space, space.load_from_quad_values(vals))
 
 
 def substep_states(scheme, rec: StepRecord):
@@ -337,7 +352,7 @@ def four_laplacian_xi_theta(scheme, rec: StepRecord) -> FeFunction:
     """Substep-defect correction of the discrete Laplacians formed from one
     mass solve per substep state (weights alpha1/beta1)."""
     sp_, p = scheme.space, scheme.params
-    laps = [sp_.discrete_laplacian(sp_.function(u))
+    laps = [discrete_laplacian(sp_, sp_.function(u))
             for u in substep_states(scheme, rec)]
     return substep_defect(p.theta, p.alpha1, *laps)
 
@@ -572,14 +587,49 @@ def eager_end_of_step(scheme, rec: StepRecord) -> tuple:
 def fail_scheme_solve(monkeypatch, n_fail: int, tag_fail: str) -> None:
     """Make the scheme's solve of ``tag_fail`` in step ``n_fail`` fail, with
     the tagged ``SolverError`` of a non-finite right-hand side."""
-    solve = ThetaScheme._solve
+    solve = fstheta.scheme.tagged_solve
 
-    def failing(scheme, matrix, rhs, n, tag):
+    def failing(matrix, rhs, n, tag):
         if (n, tag) == (n_fail, tag_fail):
             rhs = np.full_like(rhs, np.nan)
-        return solve(scheme, matrix, rhs, n, tag)
+        return solve(matrix, rhs, n, tag)
 
-    monkeypatch.setattr(ThetaScheme, "_solve", failing)
+    monkeypatch.setattr(fstheta.scheme, "tagged_solve", failing)
+
+
+class SolveRecord(NamedTuple):
+    on_caller: bool     # made on the thread that installed the recorder
+    n: int | None
+    tag: str
+
+
+def record_solves(monkeypatch) -> list[SolveRecord]:
+    """Record every tagged solve of the scheme and the estimators, in call
+    order, and check that each makes exactly one ``solve_spd`` call through
+    the binding ``tagged_solve`` calls and that no ``solve_spd`` call runs
+    outside a tagged solve.  Returns the list of records."""
+    caller = threading.current_thread()
+    records, inside = [], threading.local()
+    solve, tagged = fstheta.solver.solve_spd, fstheta.solver.tagged_solve
+
+    def counting_solve(matrix, rhs):
+        assert getattr(inside, "calls", None) == 0, "solve_spd outside a tagged solve"
+        inside.calls += 1
+        return solve(matrix, rhs)
+
+    def recording(matrix, rhs, n, tag):
+        records.append(SolveRecord(threading.current_thread() is caller, n, tag))
+        inside.calls = 0
+        try:
+            return tagged(matrix, rhs, n, tag)
+        finally:
+            assert inside.calls == 1, (n, tag, inside.calls)
+            del inside.calls
+
+    monkeypatch.setattr(fstheta.solver, "solve_spd", counting_solve)
+    for module in (fstheta.scheme, fstheta.estimators):
+        monkeypatch.setattr(module, "tagged_solve", recording)
+    return records
 
 
 def time_weight(space, w: FeFunction, k: float, consts,
@@ -587,7 +637,7 @@ def time_weight(space, w: FeFunction, k: float, consts,
     """Weight of one step in the quadratic-reconstruction time estimator:
     (k^2/sqrt(30)) (c1 |w|_1 + C11 ||h lap(w)||)."""
     if lap is None:
-        lap = space.discrete_laplacian(w)
+        lap = discrete_laplacian(space, w)
     return (k * k / math.sqrt(30.0)) * (
         consts.c1 * space.h1_seminorm(w)
         + consts.C11 * space.weighted_element_norm(lap, 1.0))
@@ -633,7 +683,7 @@ def composed_step_estimates(engine, rec: StepRecord,
                 elliptic_estimator(sp_, w, cs, lap=lap), sp_.l2_norm(w))
 
     w = ((rec.lap_new - rec.lap_prev) - (rec.proj_f_new - rec.proj_f_prev)) / k
-    gamma2, eta_w2, norm_w2 = coefficient(w, sp_.discrete_laplacian(w))
+    gamma2, eta_w2, norm_w2 = coefficient(w, discrete_laplacian(sp_, w))
     if prev_rec is None:
         k_prev, gamma3, eta_w3, norm_w3, z_norm, y_norm = \
             0.0, gamma2, eta_w2, norm_w2, 0.0, 0.0

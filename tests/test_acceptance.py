@@ -83,8 +83,8 @@ def test_criterion_1_runtime(case1_sweep):
 # -- criterion 2: total error first order ---------------------------------------
 
 def test_criterion_2_total_error_order(case1_sweep):
-    pairs = [(lv, o) for lv, o in _eoc_pairs(case1_sweep, case1_sweep.totals())
-             if lv[0] >= 4]
+    totals = [r.e_total for r in case1_sweep.reports]
+    pairs = [(lv, o) for lv, o in _eoc_pairs(case1_sweep, totals) if lv[0] >= 4]
     detail = ", ".join(f"{a}->{b}: {o:.2f}" for (a, b), o in pairs)
     ok = all(abs(o - 1.0) <= 0.1 for _, o in pairs)
     _verdict("2", ok, f"e_total EOCs {detail}")

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import fstheta.fem
-import fstheta.scheme
+import fstheta.solver
 from fstheta import (ConstantsConfig, EstimatorAccumulator,
                      EstimatorEngine, P1Space, ScalarField, SchemeParams,
-                     ThetaScheme, build_uniform_mesh, coarsening_estimator,
-                     elliptic_estimator, eoc, make_case, make_uniform_grid,
-                     recon_coeff_three_level, recon_coeff_two_level,
-                     verify_forcing)
+                     SolverError, ThetaScheme, build_uniform_mesh,
+                     coarsening_estimator, elliptic_estimator, eoc, make_case,
+                     make_uniform_grid, recon_coeff_three_level,
+                     recon_coeff_two_level, verify_forcing)
 from fstheta.estimators import REPORT_COLUMNS, StepEstimates
 from fstheta.scheme import THETA_DEFAULT, correction_coeffs, substep_defect
 
 from helpers import (composed_step_estimates, corrected_forcing_interpolant,
                      data_projection_error, data_time_error, direct_xi_theta,
+                     discrete_laplacian,
                      fe_as_field, flat_quad_norm, forcing_interpolant,
                      forcing_substep_defect, four_laplacian_xi_theta,
                      lap_time_interpolant, nodal_interpolant,
@@ -225,6 +225,18 @@ def test_elliptic_estimator_zero_and_homogeneity(space3):
     for c in (-3.0, 0.5):
         got = elliptic_estimator(space3, c * v, consts)
         assert abs(got - abs(c) * base) <= 1e-12 * base
+
+
+def test_elliptic_estimator_solves_its_laplacian_through_the_tagged_solve(
+        space3):
+    v = _random_fe(space3, 41)
+    bad = space3.function(np.where(np.arange(space3.n_dofs) == 5, np.inf, 0.0))
+    consts = ConstantsConfig()
+    assert elliptic_estimator(space3, v, consts) == elliptic_estimator(
+        space3, v, consts, lap=discrete_laplacian(space3, v))
+    with pytest.raises(SolverError) as err:
+        elliptic_estimator(space3, bad, consts)
+    assert str(err.value) == "laplacian of v: right-hand side is not finite"
 
 
 def test_elliptic_estimator_second_order_on_interpolants():
@@ -583,7 +595,7 @@ def test_step_estimates_equal_the_composed_indicators(run, monkeypatch):
         np.asarray(row, dtype=float).tobytes() for row in rows) or l2_norms(rows))
     prev = None
     for rec in records:
-        laps = [space.discrete_laplacian(recon_coeff_two_level(rec))]
+        laps = [discrete_laplacian(space, recon_coeff_two_level(rec))]
         if prev is not None:
             _, lap_dd, _ = recon_coeff_three_level(rec, prev)
             laps.append((-4.0 / (prev.k * (rec.k + prev.k))) * lap_dd)
@@ -661,7 +673,7 @@ def test_three_level_laplacian_identity(varstep_run):
     for prev, rec in zip(records, records[1:]):
         wt, lap_dd, _ = recon_coeff_three_level(rec, prev)
         got = (-4.0 / (prev.k * (rec.k + prev.k))) * lap_dd
-        assert _rel_diff(sp_, got, sp_.discrete_laplacian(wt)) <= 1e-10
+        assert _rel_diff(sp_, got, discrete_laplacian(sp_, wt)) <= 1e-10
 
 
 def test_eight_solves_per_step_from_step_two(monkeypatch, space3):
@@ -676,8 +688,8 @@ def test_eight_solves_per_step_from_step_two(monkeypatch, space3):
             return solve(*args, **kwargs)
         return wrapper
 
-    for module in (fstheta.scheme, fstheta.fem):
-        monkeypatch.setattr(module, "solve_spd", counting(module.solve_spd))
+    monkeypatch.setattr(fstheta.solver, "solve_spd",
+                        counting(fstheta.solver.solve_spd))
     case = varstep_case()
     p = SchemeParams(random_grid(4, 8))
     scheme = ThetaScheme(space3, p, case.forcing_f)

@@ -15,9 +15,10 @@ from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
 from fstheta.fem import BandMatrix
 from fstheta.scheme import THETA_DEFAULT, _SubstepPair
 
-from helpers import (INLINE, OVERLAPPED, eager_end_of_step, fail_scheme_solve,
-                     fresh_substep_matrices, l2_project, random_grid,
-                     scalar_substep_factor, varstep_case, zero_field)
+from helpers import (INLINE, OVERLAPPED, discrete_laplacian, eager_end_of_step,
+                     fail_scheme_solve, fresh_substep_matrices, l2_project,
+                     random_grid, scalar_substep_factor, varstep_case,
+                     zero_field)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,7 @@ def test_iter_steps_chains_states_and_end_of_step_fields(space3):
         assert rec.proj_f_prev is prev.proj_f_new
     # the step-1 fields at t^0 are computed from U0 and the forcing
     assert np.array_equal(records[0].lap_prev.coeffs,
-                          space3.discrete_laplacian(U0).coeffs)
+                          discrete_laplacian(space3, U0).coeffs)
     assert np.array_equal(records[0].proj_f_prev.coeffs,
                           l2_project(space3, case.forcing_f, 0.0).coeffs)
     # a second pass repeats the first bit for bit
@@ -543,7 +544,7 @@ def test_solver_failure_identifies_step(monkeypatch, space3):
     def failing(matrix, rhs):
         raise SolverError("no convergence", residual=0.5, iterations=7)
 
-    monkeypatch.setattr("fstheta.scheme.solve_spd", failing)
+    monkeypatch.setattr("fstheta.solver.solve_spd", failing)
     scheme = ThetaScheme(space3, _params(), make_case(1).forcing_f)
     with pytest.raises(SolverError) as err:
         next(scheme.iter_steps(space3.function()))

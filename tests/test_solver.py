@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from fstheta import (P1Space, SchemeParams, SolverError, build_uniform_mesh,
                      make_case, make_uniform_grid, solve_spd)
 from fstheta.scheme import _SubstepPair
+from fstheta.solver import tagged_solve
 
 from helpers import allocating_pcg
 
@@ -94,6 +95,20 @@ def test_non_finite_rhs_raises_without_iterating(bad):
     with pytest.raises(SolverError, match="not finite") as err:
         solve_spd(_random_spd(20, 4), b)
     assert err.value.iterations == 0
+
+
+@pytest.mark.parametrize("n,prefix", [(3, "step 3, some quantity: "),
+                                      (None, "some quantity: ")],
+                         ids=["step", "no-step"])
+def test_a_tagged_solve_names_its_step_and_quantity(n, prefix):
+    a = np.array([[1.0, -1.0], [1.0, 1.0]])
+    with pytest.raises(SolverError) as err:
+        tagged_solve(a, np.array([1.0, 0.0]), n, "some quantity")
+    cause = err.value.__cause__
+    assert isinstance(cause, SolverError)
+    assert str(err.value) == prefix + str(cause)
+    assert err.value.residual == cause.residual
+    assert err.value.iterations == cause.iterations == 20
 
 
 class _DriftingDiagonal:

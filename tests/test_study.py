@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fstheta.fem
 import fstheta.scheme
 from fstheta import (CaseSpec, ConfigurationError, ConstantsConfig,
                      EstimatorAccumulator, EstimatorEngine, P1Space, RunReport,
@@ -18,9 +17,9 @@ from fstheta import study
 from fstheta.cli import main as cli_main
 from fstheta.estimators import REPORT_COLUMNS
 
-from helpers import (INLINE, OVERLAPPED, error_metrics, fail_scheme_solve,
-                     full_coordinate_case, random_grid, scaled_case,
-                     varstep_case, zero_field)
+from helpers import (INLINE, OVERLAPPED, SolveRecord, error_metrics,
+                     fail_scheme_solve, full_coordinate_case, random_grid,
+                     record_solves, scaled_case, varstep_case, zero_field)
 
 PI = np.pi
 
@@ -116,9 +115,9 @@ def test_error_metrics_zero_everything():
 
 def test_the_laplacian_at_t0_is_solved_once(monkeypatch):
     # run_single takes the initial elliptic indicator from the Laplacian at
-    # t^0 that step 1 carries: 1 initial projection, 10 solves in step 1 and
-    # 8 in each later step.  A plain loop whose indicator solves its own
-    # Laplacian at t^0 gives the same report bit for bit.
+    # t^0 that step 1 carries, so its one solve is the carry's.  A plain
+    # loop whose indicator solves its own Laplacian at t^0 gives the same
+    # report bit for bit.
     case = varstep_case()
     space = P1Space(build_uniform_mesh(3))
     params = SchemeParams(make_uniform_grid(8, 1.0))
@@ -133,18 +132,13 @@ def test_the_laplacian_at_t0_is_solved_once(monkeypatch):
         acc.add(engine.step_estimates(rec, prev))
         prev = rec
 
-    calls = []
-
-    def counting(solve):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-        return wrapper
-
-    for module in (fstheta.scheme, fstheta.fem):
-        monkeypatch.setattr(module, "solve_spd", counting(module.solve_spd))
+    solves = record_solves(monkeypatch)
     rep = run_single(case, 3)
-    assert len(calls) == 1 + 10 + 8 * 7
+    laplacians_at_t0 = [s for s in solves if s.n in (None, 0)
+                        or s.tag == "laplacian at t^{n-1}"]
+    assert laplacians_at_t0 == [
+        SolveRecord(True, 0, "initial projection"),
+        SolveRecord(True, 1, "laplacian at t^{n-1}")]
     assert rep.report.rows == acc.rows
 
 
@@ -208,6 +202,70 @@ def test_scaling_the_data_by_minus_two_doubles_every_column_exactly(case):
     for row, ref in zip(got.report.rows, base.report.rows):
         assert row[:2] == ref[:2]
         assert row[2:] == tuple(2.0 * v for v in ref[2:])
+
+
+def test_data_just_below_overflow_scale_the_bound_exactly():
+    base = run_single(make_case(1), 3)
+    got = run_single(scaled_case(make_case(1), 1e150), 3)
+    assert abs(got.bound_two / 1e150 - base.bound_two) <= 1e-12 * base.bound_two
+
+
+@pytest.mark.parametrize("lam", [1e155, 1e307])
+def test_a_non_finite_report_column_fails_at_its_step(lam):
+    # from about 1e155 on the squares of the step-1 indicators overflow, so
+    # E_T1_two is NaN from step 1 on; numpy's overflow warnings are silenced
+    # so that the run, not the warning filter, reports it
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError) as err:
+        run_single(scaled_case(make_case(1), lam), 3)
+    assert str(err.value) == "step 1, E_T1_two: nan is not finite"
+
+
+@pytest.mark.parametrize("method,message", [
+    ("field_error_l2", "step 0, L2 error: inf is not finite"),
+    ("field_error_h1", "step 1, H1 error: inf is not finite")],
+    ids=["l2", "h1"])
+def test_a_non_finite_error_norm_fails_at_its_step(monkeypatch, method, message):
+    # the L2 error is first taken of U0, the H1 error first at step 1
+    monkeypatch.setattr(P1Space, method, lambda *args: math.inf)
+    with pytest.raises(FloatingPointError) as err:
+        run_single(make_case(1), 3)
+    assert str(err.value) == message
+
+
+def test_a_non_finite_compact_residual_fails_at_its_step(monkeypatch):
+    # max(0.0, nan) is 0.0, so without the check a NaN residual would read
+    # as a perfect one in max_compact_residual
+    estimate = EstimatorEngine.step_estimates
+
+    def nan_residual_at_3(engine, rec, prev_rec=None):
+        se = estimate(engine, rec, prev_rec)
+        return dataclasses.replace(se, compact_residual=math.nan) \
+            if rec.n == 3 else se
+
+    monkeypatch.setattr(EstimatorEngine, "step_estimates", nan_residual_at_3)
+    with pytest.raises(FloatingPointError) as err:
+        run_single(make_case(1), 3)
+    assert str(err.value) == "step 3, compact residual: nan is not finite"
+
+
+def test_a_failed_reconstruction_laplacian_names_its_step():
+    # at 1e307 the Laplacian of step 1's reconstruction overflows, so step
+    # 2's w holds inf and its Laplacian solve fails; run_single stops at
+    # step 1 already (above), so the step loop and the engine run it here
+    case = scaled_case(make_case(1), 1e307)
+    space = P1Space(build_uniform_mesh(3))
+    params = SchemeParams(make_uniform_grid(8, 1.0))
+    scheme = ThetaScheme(space, params, case.forcing_f)
+    engine = EstimatorEngine(space, params, case.forcing_f)
+    prev = None
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverError) as err:
+        for rec in scheme.iter_steps(scheme.initial_state(case.u0)):
+            engine.step_estimates(rec, prev)
+            prev = rec
+    assert str(err.value) == ("step 2, laplacian of the reconstruction: "
+                              "right-hand side is not finite")
 
 
 # -- evaluation overlapped with the time loop ----------------------------------------
@@ -314,36 +372,28 @@ def _errors_of_both_paths(monkeypatch, run) -> list:
     return errors
 
 
-def test_the_scheme_thread_makes_only_substep_solves_after_the_t0_carry(
-        monkeypatch):
-    # the worker of iter_steps makes the substep solves and nothing else; the
-    # calling thread projects the initial datum, makes the carry at t^0 and
-    # each step's end-of-step solves, and the estimators' Laplacian of w
+def test_every_solve_of_a_run_goes_through_the_tagged_solve(monkeypatch):
+    # each solve_spd call of a run is made inside one tagged solve
+    # (record_solves checks it): 1 initial projection, 10 solves in step 1
+    # and 8 in each later step.  The worker of iter_steps makes the substep
+    # solves and nothing else; the calling thread projects the initial
+    # datum, makes the carry at t^0 and each step's end-of-step solves, and
+    # the estimators' Laplacian of w
     monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
-    main = threading.current_thread()
-    tags, fem_solves = {True: [], False: []}, {True: 0, False: 0}
-    solve, fem_solve = ThetaScheme._solve, fstheta.fem.solve_spd
-
-    def recording(scheme, matrix, rhs, n, tag):
-        tags[threading.current_thread() is main].append(tag)
-        return solve(scheme, matrix, rhs, n, tag)
-
-    def recording_fem(*args, **kwargs):
-        fem_solves[threading.current_thread() is main] += 1
-        return fem_solve(*args, **kwargs)
-
-    monkeypatch.setattr(ThetaScheme, "_solve", recording)
-    monkeypatch.setattr(fstheta.fem, "solve_spd", recording_fem)
+    solves = record_solves(monkeypatch)
     run_single(make_case(1), 3)
-    assert tags[False] == ["first substep", "second substep",
-                           "third substep"] * 8
-    assert tags[True] == [
-        "initial projection", "laplacian at t^{n-1}",
-        "forcing projection at t^{n-1}"] + [
-        "laplacian at t^n", "forcing projection at t^n",
-        "laplacian substep defect", "forcing projection substep defect"] * 8
-    # the estimators solve one Laplacian (of w) per step
-    assert fem_solves == {True: 8, False: 0}
+    assert len(solves) == 1 + 10 + 8 * 7
+    substeps = ("first substep", "second substep", "third substep")
+    assert [s for s in solves if not s.on_caller] == [
+        SolveRecord(False, n, tag) for n in range(1, 9) for tag in substeps]
+    assert [s for s in solves if s.on_caller] == [
+        SolveRecord(True, 0, "initial projection"),
+        SolveRecord(True, 1, "laplacian at t^{n-1}"),
+        SolveRecord(True, 1, "forcing projection at t^{n-1}")] + [
+        SolveRecord(True, n, tag) for n in range(1, 9) for tag in (
+            "laplacian at t^n", "forcing projection at t^n",
+            "laplacian substep defect", "forcing projection substep defect",
+            "laplacian of the reconstruction")]
 
 
 def test_a_failed_carry_at_t0_raises_the_same_tagged_error(monkeypatch):
@@ -428,7 +478,6 @@ def test_run_study_two_levels(small_study):
     assert [r.level for r in reports] == [3, 4]
     for r in reports:
         assert r.k == r.h_cell == 2.0 ** (-r.level)
-        assert r.h_element == np.sqrt(2.0) * r.h_cell
         assert r.n_steps == 2 ** r.level
         assert r.max_compact_residual <= 1e-9
     orders = eoc(small_study.errors(), small_study.mesh_sizes())

@@ -9,8 +9,12 @@ from pathlib import Path
 
 import fstheta
 import fstheta.cli
+import fstheta.estimators
 import fstheta.fem
+import fstheta.mesh
 import fstheta.scheme
+import fstheta.solver
+import fstheta.study
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -103,11 +107,14 @@ def test_every_name_the_tracer_patches_resolves(monkeypatch):
     for owner, attr in ((fstheta.P1Space, "__init__"),
                         (fstheta.ThetaScheme, "iter_steps")):
         assert callable(getattr(owner, attr))
-    # the solver is bound at module level where the scheme and the space call
-    # it, so patching those bindings sees every solve
+    # every solve of the package goes through solver.tagged_solve, which
+    # calls solve_spd through its module's binding, so patching that binding
+    # sees every solve; no other module of the package binds solve_spd
     solve = fstheta.solve_spd
-    assert fstheta.scheme.solve_spd is solve and fstheta.fem.solve_spd is solve
+    assert fstheta.solver.solve_spd is solve
     with tracing.Tracer():
-        assert fstheta.scheme.solve_spd is not solve
-        assert fstheta.fem.solve_spd is not solve
-    assert fstheta.scheme.solve_spd is solve and fstheta.fem.solve_spd is solve
+        assert fstheta.solver.solve_spd is not solve
+    assert fstheta.solver.solve_spd is solve
+    for module in (fstheta.cli, fstheta.estimators, fstheta.fem, fstheta.mesh,
+                   fstheta.scheme, fstheta.study):
+        assert not hasattr(module, "solve_spd"), module.__name__
