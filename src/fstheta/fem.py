@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._base import MAXPRINT as _MAXPRINT
 from scipy.sparse._sparsetools import dia_matvec
 
 from .mesh import Mesh
@@ -153,6 +154,20 @@ class BandMatrix(sp.dia_matrix):
     assigning a new ``data``, ``offsets`` or shape, as some scipy methods
     do, drops them, and they are built again on the next use."""
 
+    @classmethod
+    def _of_bands(cls, data: np.ndarray, offsets: np.ndarray,
+                  shape: tuple[int, int]) -> "BandMatrix":
+        """The matrix of float64 bands ``data`` (bands by columns) at the
+        distinct offsets ``offsets``, an index array of scipy's dtype for
+        ``shape``: the attributes scipy's ``(data, offsets)`` constructor
+        sets, set without its copies and checks, which took about 15 us of
+        each construction at level 4.  A test checks them against that
+        constructor at levels 1 to 7."""
+        a = cls.__new__(cls)
+        a.__dict__.update(_shape=shape, maxprint=_MAXPRINT, data=data,
+                          offsets=offsets)
+        return a
+
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if name in ("data", "offsets", "_shape"):
@@ -192,25 +207,34 @@ class BandMatrix(sp.dia_matrix):
         return super().__matmul__(other)
 
 
-def _band(n: int, diagonal: float, axis: float, skew: float) -> BandMatrix:
-    """A P1 operator on the (n-1)^2 interior dofs of the uniform mesh,
-    m = n - 1 per row, with ``diagonal`` at offset 0, ``axis`` at +-1 and
-    +-m and ``skew`` at +-(m+1).  Entry j of the band at offset dr * m + dc
-    couples dof j = (row, column) with the dof at (row - dr, column - dc),
-    and is 0 where that lies off the grid.  Products with a vector go
-    straight to scipy's DIA kernel (``BandMatrix``)."""
+def _bands(n: int, *stencils) -> list[BandMatrix]:
+    """P1 operators on the (n-1)^2 interior dofs of the uniform mesh,
+    m = n - 1 per row, one per (diagonal, axis, skew) of ``stencils``, with
+    ``diagonal`` at offset 0, ``axis`` at +-1 and +-m and ``skew`` at
+    +-(m+1).  Entry j of the band at offset dr * m + dc couples dof
+    j = (row, column) with the dof at (row - dr, column - dc), and is 0
+    where that lies off the grid.  The bands and offsets are the arrays
+    scipy's ``(data, offsets)`` constructor makes of them, set without its
+    checks (``BandMatrix._of_bands``).  Products with a vector go straight
+    to scipy's DIA kernel (``BandMatrix``)."""
     m = n - 1
     if m == 1:  # one dof: the offsets +-1 and +-m would coincide
-        return BandMatrix((np.array([[diagonal]]), [0]), shape=(1, 1))
+        return [BandMatrix._of_bands(np.array([[diagonal]]),
+                                     np.zeros(1, dtype=np.int32), (1, 1))
+                for diagonal, _, _ in stencils]
+    shifts = np.array(_BAND)[:, :, None]            # (band, row or column, 1)
     idx = np.arange(m)
-    data = np.empty((len(_BAND), m, m))
-    for band, (dr, dc) in enumerate(_BAND):
-        value = diagonal if dr == dc == 0 else skew if dr == dc else axis
-        rows = (idx >= dr) & (idx < m + dr)
-        cols = (idx >= dc) & (idx < m + dc)
-        data[band] = np.where(rows[:, None] & cols, value, 0.0)
-    offsets = [dr * m + dc for dr, dc in _BAND]
-    return BandMatrix((data.reshape(len(_BAND), -1), offsets), shape=(m * m, m * m))
+    inside = (idx >= shifts) & (idx < m + shifts)   # (band, row or column, m)
+    on_grid = (inside[:, 0, :, None] & inside[:, 1, None, :]).reshape(
+        len(_BAND), m * m)
+    values = np.array([[diagonal if dr == dc == 0 else skew if dr == dc
+                        else axis for dr, dc in _BAND]
+                       for diagonal, axis, skew in stencils])
+    # (operator, band, dof): each operator's bands are one contiguous block
+    data = np.where(on_grid, values[:, :, None], 0.0)
+    offsets = np.array([dr * m + dc for dr, dc in _BAND], dtype=np.int32)
+    return [BandMatrix._of_bands(bands, offsets, (m * m, m * m))
+            for bands in data]
 
 
 class P1Space:
@@ -262,8 +286,11 @@ class P1Space:
         # triangles at a vertex and the two at an edge; the mass diagonal is
         # summed left to right, the order of element-by-element assembly
         x, y = area * (2.0 / 12.0), area * (1.0 / 12.0)
-        self.mass = _band(n, x + x + x + x + x + x, y + y, y + y)
-        self.stiffness = _band(n, 4.0, -1.0, 0.0)
+        self.mass, self.stiffness = _bands(
+            n, (x + x + x + x + x + x, y + y, y + y), (4.0, -1.0, 0.0))
+        # the spectrum of D^-1 M lies in [1/2, 2] at every h: the element
+        # mass matrices' does (A. J. Wathen, IMA J. Numer. Anal. 7 (1987))
+        self.mass.jacobi_spectrum = (0.5, 2.0)
 
         # area * w_q for the 2n triangles of each cell row of a block: the
         # most cell rows, a power of two, whose degree-5 values fit in

@@ -16,7 +16,8 @@ from fstheta import (THETA_DEFAULT, CaseSpec, FeFunction, Mesh, ScalarField,
                      StepEstimates, StepRecord, StudyResult, elliptic_estimator,
                      solve_spd)
 from fstheta.fem import _Q4_BARY, _Q4_W, _Q5_BARY, BandMatrix
-from fstheta.solver import MAX_ITERATIONS_PER_DOF, REL_TOLERANCE
+from fstheta.solver import (MAX_ITERATIONS_PER_DOF, REL_TOLERANCE,
+                            _chebyshev_quadratic)
 from fstheta.scheme import _SubstepPair, correction_coeffs, substep_defect
 
 
@@ -354,7 +355,8 @@ def four_laplacian_xi_theta(scheme, rec: StepRecord) -> FeFunction:
     sp_, p = scheme.space, scheme.params
     laps = [discrete_laplacian(sp_, sp_.function(u))
             for u in substep_states(scheme, rec)]
-    return substep_defect(p.theta, p.alpha1, *laps)
+    return sp_.function(substep_defect(p.theta, p.alpha1,
+                                       *(lap.coeffs for lap in laps)))
 
 
 def direct_xi_theta(scheme, rec: StepRecord) -> FeFunction:
@@ -362,8 +364,7 @@ def direct_xi_theta(scheme, rec: StepRecord) -> FeFunction:
     sparse LU factorization of the mass matrix instead of CG."""
     sp_, p = scheme.space, scheme.params
     defect = substep_defect(p.theta, p.alpha1, *substep_states(scheme, rec))
-    lu = spla.splu(sp_.mass.tocsc())
-    return sp_.function(lu.solve(sp_.stiffness @ defect))
+    return sp_.function(direct_solve(sp_.mass, sp_.stiffness @ defect))
 
 
 def scaled_case(case: CaseSpec, lam: float) -> CaseSpec:
@@ -521,21 +522,54 @@ def varstep_case() -> CaseSpec:
 
 
 def allocating_pcg(matrix, rhs) -> np.ndarray:
-    """The diagonally preconditioned CG loop of ``solve_spd`` as it was
-    written before its updates went in place: a fresh array for every
-    scaled vector, z and p, and ``np.linalg.norm`` for the residual.  Same
-    tolerance and iteration cap; the input checks and the true-residual
-    re-check are left out, and non-convergence raises AssertionError."""
+    """The preconditioned CG loop of ``solve_spd`` as it was written before
+    its updates went in place: a fresh array for every scaled vector, z and
+    p.  The Jacobi step stops on ``np.linalg.norm`` of the residual.  A
+    matrix with a constant diagonal d that carries ``jacobi_spectrum``
+    takes the polynomial step, u = a1 d r + A r and z = a0 d^2 r + A u,
+    each product added into the scaled r by the matrix's ``matvec_add``
+    (``@`` and an addition for a matrix without one), and stops on
+    r.z <= tol^2 d^2 q_min.  Same tolerance and iteration cap; the input
+    checks and the true-residual re-check are left out, and
+    non-convergence raises AssertionError."""
     b = np.asarray(rhs, dtype=float)
     n = b.shape[0]
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n)
     tol = REL_TOLERANCE * b_norm
-    inv_diag = 1.0 / np.asarray(matrix.diagonal(), dtype=float)
+    diag = np.asarray(matrix.diagonal(), dtype=float)
+    spectrum = getattr(matrix, "jacobi_spectrum", None)
+    if spectrum is None or np.ptp(diag) != 0.0:
+        inv_diag = 1.0 / diag
+
+        def precondition(r):
+            return r * inv_diag
+
+        def converged(r, rz):
+            return float(np.linalg.norm(r)) <= tol
+    else:
+        d = float(diag[0])
+        a1, a0, q_min = _chebyshev_quadratic(*spectrum)
+        a1, a0 = a1 * d, a0 * d * d
+
+        add_product = getattr(matrix, "matvec_add", None)
+        if add_product is None:
+            def add_product(v, out):
+                out += matrix @ v
+
+        def precondition(r):
+            u = a1 * r
+            add_product(r, u)
+            z = a0 * r
+            add_product(u, z)
+            return z
+
+        def converged(r, rz):
+            return rz <= tol * tol * q_min * d * d
     x = np.zeros(n)
     r = b.copy()
-    z = r * inv_diag
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(MAX_ITERATIONS_PER_DOF * n):
@@ -543,13 +577,18 @@ def allocating_pcg(matrix, rhs) -> np.ndarray:
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        if float(np.linalg.norm(r)) <= tol:
-            return x
-        z = r * inv_diag
+        z = precondition(r)
         rz_new = float(r @ z)
+        if converged(r, rz_new):
+            return x
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise AssertionError("the reference CG loop did not converge")
+
+
+def direct_solve(matrix, rhs) -> np.ndarray:
+    """``matrix`` x = ``rhs`` by scipy's sparse LU (``splu``)."""
+    return spla.splu(sp.csc_matrix(matrix)).solve(np.asarray(rhs, dtype=float))
 
 
 def single_pass_h1_error(space, g_grad, t: float, v: FeFunction) -> float:

@@ -99,6 +99,25 @@ def test_stencil_operators_equal_the_assembled_band_bit_for_bit(level):
         assert (got @ x).tobytes() == (oracle @ x).tobytes()
 
 
+@pytest.mark.parametrize("level", range(1, 8))
+def test_stencil_operators_equal_scipys_validated_build(level):
+    # M and K are set from their bands without scipy's (data, offsets)
+    # constructor; that constructor, given the same arrays, must accept them
+    # and hold the same bytes, dtypes and attributes
+    space = P1Space(build_uniform_mesh(level))
+    for got in (space.mass, space.stiffness):
+        want = BandMatrix((got.data, got.offsets), shape=got.shape)
+        assert got.shape == want.shape
+        for name in ("data", "offsets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert a.flags.c_contiguous
+        assert not np.shares_memory(space.mass.data, space.stiffness.data)
+        extra = {"jacobi_spectrum"} if got is space.mass else set()
+        assert set(vars(got)) == set(vars(want)) | extra
+        assert repr(got) == repr(want) and got.nnz == want.nnz
+
+
 def _band_operators(level):
     """M, K and the substep pairs at default parameters and at theta = 0.25
     with alpha1 = 0.6, with the space."""

@@ -1,11 +1,14 @@
 import contextlib
 import dataclasses
+import functools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 import fstheta.scheme
 from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
@@ -13,7 +16,8 @@ from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
                      build_uniform_mesh, glowinski_alpha, make_case,
                      make_uniform_grid, solve_spd)
 from fstheta.fem import BandMatrix
-from fstheta.scheme import THETA_DEFAULT, _SubstepPair
+from fstheta.scheme import (THETA_DEFAULT, _SubstepPair, correction_coeffs,
+                            substep_defect)
 
 from helpers import (INLINE, OVERLAPPED, discrete_laplacian, eager_end_of_step,
                      fail_scheme_solve, fresh_substep_matrices, l2_project,
@@ -202,6 +206,27 @@ def test_overlapped_and_inline_records_are_bit_identical(monkeypatch):
     inline, overlapped = runs
     assert len(inline) == len(overlapped) == 16
     assert all(_same_record(a, b) for a, b in zip(inline, overlapped))
+
+
+@pytest.mark.parametrize("theta,alpha", [(THETA_DEFAULT, None), (0.25, 0.6)],
+                         ids=["default", "theta0.25"])
+def test_substep_defect_has_its_expressions_bits_in_two_buffers(theta, alpha):
+    alpha = glowinski_alpha(theta) if alpha is None else alpha
+    rng = np.random.default_rng(11)
+    v_prev, v_theta, v_onemtheta, v_new = values = [
+        rng.standard_normal((2048, 6)) for _ in range(4)]
+    for v in values:
+        v[::5] = -0.0
+    c0, c1, ca, cm = correction_coeffs(theta, alpha)
+    want = c0 * v_prev + c1 * v_new - ca * v_theta - cm * v_onemtheta
+    tracemalloc.start()
+    try:
+        got = substep_defect(theta, alpha, *values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 3 * v_prev.nbytes     # the result and one term buffer
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"theta": 0.25, "alpha1": 0.6}],
@@ -400,6 +425,13 @@ def test_banded_operators_match_their_csr_form_bit_for_bit(level):
         assert isinstance(a, sp.dia_matrix)
         assert list(a.offsets) == offsets
         csr = a.tocsr()
+        if a is M:
+            # the polynomial step adds each product into a scaled vector;
+            # scipy's CSR kernel adds the entries of a row into it in the
+            # same ascending column order as the band's
+            csr.jacobi_spectrum = M.jacobi_spectrum
+            csr.matvec_add = functools.partial(
+                csr_matvec, *csr.shape, csr.indptr, csr.indices, csr.data)
         for _ in range(3):
             v = rng.standard_normal(space.n_dofs)
             assert np.array_equal(a @ v, csr @ v)

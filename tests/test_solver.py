@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import fstheta.solver
 from fstheta import (P1Space, SchemeParams, SolverError, build_uniform_mesh,
-                     make_case, make_uniform_grid, solve_spd)
+                     make_case, make_uniform_grid, run_single, solve_spd)
 from fstheta.scheme import _SubstepPair
-from fstheta.solver import tagged_solve
+from fstheta.solver import _chebyshev_quadratic, tagged_solve
 
-from helpers import allocating_pcg
+from helpers import allocating_pcg, direct_solve
 
 
 def _random_spd(n, seed):
@@ -129,13 +131,25 @@ class _DriftingDiagonal:
 
 
 class _Counting:
-    """Exposes only ``shape``, ``diagonal()`` and ``@`` of a matrix, and
-    counts the products, as the benchmark tracer's stand-in does."""
+    """Exposes only ``shape``, ``diagonal()``, ``@`` and the
+    ``jacobi_spectrum`` bounds (where the matrix has them) of a matrix, and
+    counts the products, like the benchmark tracer's stand-in, which
+    forwards no bounds."""
 
     def __init__(self, matrix):
         self._matrix = matrix
         self.shape = matrix.shape
         self.products = 0
+        if hasattr(matrix, "jacobi_spectrum"):
+            self.jacobi_spectrum = matrix.jacobi_spectrum
+
+    def iterations(self) -> int:
+        """The iterations of the solves counted so far: one product each
+        and one for the re-check, or with the polynomial step three each
+        and two for the first direction."""
+        if hasattr(self, "jacobi_spectrum"):
+            return (self.products - 3) // 3
+        return self.products - 1
 
     def diagonal(self):
         return self._matrix.diagonal()
@@ -261,18 +275,26 @@ def test_degenerate_right_hand_sides_solve_to_the_allocating_loops_bits(level):
 
 @pytest.mark.parametrize("level", [1, 4, 6, 7])
 def test_a_counting_stand_in_solves_to_the_same_bits(level):
-    # a stand-in that exposes only shape, diagonal() and @ (as the tracer's
-    # does) has no matvec_add, so the solver wraps it in an adapter that
-    # adds ``matrix @ v`` into the held buffer; that path must give the band
-    # path's bytes and make every product through @: one per iteration,
-    # which the allocating loop counts, and the residual re-check
+    # a stand-in that exposes only shape, diagonal(), @ and the bounds (the
+    # tracer's forwards no bounds) has no matvec_add, so the solver wraps it
+    # in an adapter that adds ``matrix @ v`` into the held buffer; that path
+    # must give the allocating loop's bytes and make every product through
+    # @: one per iteration (three on M), which the allocating loop counts,
+    # and the residual re-check.  Into a zeroed buffer the adapter adds the
+    # band path's bytes; the polynomial step on M adds its products into a
+    # scaled s, where the kernel adds each band in turn and the adapter
+    # adds the finished product, so there the two differ in rounding only.
     space, a_theta, a_tilde = _scheme_matrices(level)
     rhs = np.random.default_rng(level).standard_normal(space.n_dofs)
     for matrix in (space.mass, a_theta, a_tilde):
         counted, iterations = _Counting(matrix), _Counting(matrix)
         x = solve_spd(counted, rhs)
-        assert x.tobytes() == solve_spd(matrix, rhs).tobytes()
-        allocating_pcg(iterations, rhs)
+        assert x.tobytes() == allocating_pcg(iterations, rhs).tobytes()
+        band = solve_spd(matrix, rhs)
+        if matrix is space.mass:
+            assert np.abs(x - band).max() <= 1e-13 * np.abs(band).max()
+        else:
+            assert x.tobytes() == band.tobytes()
         assert iterations.products >= 1
         assert counted.products == iterations.products + 1
 
@@ -280,10 +302,11 @@ def test_a_counting_stand_in_solves_to_the_same_bits(level):
 @pytest.mark.parametrize("which", ["mass", "a_theta"])
 def test_iterations_on_a_band_matrix_allocate_nothing(which):
     # the loop holds its vectors in buffers made before the first iteration
-    # and a BandMatrix writes its products into one of them, so a solve of
-    # many iterations traces the same peak and leaves the same blocks as a
-    # solve of one.  Both matrices have a constant diagonal, so an
-    # eigenvector converges in one Jacobi-PCG iteration.
+    # and a BandMatrix writes its products into them, so a solve of many
+    # iterations traces the same peak and leaves the same blocks as a solve
+    # of one.  Both matrices have a constant diagonal, so an eigenvector
+    # converges in one iteration, of Jacobi-PCG on a_theta and of the
+    # polynomial step on M.
     space, a_theta, _ = _scheme_matrices(5)
     matrix = space.mass if which == "mass" else a_theta
     eigenvector = scipy.linalg.eigh(matrix.toarray())[1][:, -1]
@@ -293,7 +316,7 @@ def test_iterations_on_a_band_matrix_allocate_nothing(which):
     for rhs in (eigenvector, rough):
         counted = _Counting(matrix)
         solve_spd(counted, rhs)
-        iterations.append(counted.products - 1)     # less the re-check
+        iterations.append(counted.iterations())
         tracemalloc.start()
         try:
             x = solve_spd(matrix, rhs)
@@ -303,8 +326,8 @@ def test_iterations_on_a_band_matrix_allocate_nothing(which):
             tracemalloc.stop()
         peaks.append(peak)
         blocks.append(len(snapshot.traces))
-        assert x.tobytes() == solve_spd(counted, rhs).tobytes()
-    assert iterations[0] <= 2 and iterations[1] >= 20
+        assert x.tobytes() == allocating_pcg(matrix, rhs).tobytes()
+    assert iterations[0] <= 2 and iterations[1] >= (7 if which == "mass" else 20)
     assert peaks[1] == peaks[0]
     assert blocks[1] == blocks[0]
 
@@ -318,6 +341,114 @@ def test_in_place_loop_matches_allocating_loop_on_dense_and_csr_inputs():
     _assert_same_bits(sp.csr_matrix(_random_spd(30, 5)), np.arange(30, dtype=float))
     _assert_same_bits(sp.csr_matrix(_random_spd(40, 11)),
                       np.random.default_rng(12).standard_normal(40))
+
+
+# -- the polynomial step on M ---------------------------------------------------
+
+def _p(lam):
+    """The degree-2 polynomial with 1 - lam p(lam) = T3((5 - 4 lam) / 3) /
+    T3(5/3), the Chebyshev polynomial of [1/2, 2]."""
+    return (1092.0 - 960.0 * lam + 256.0 * lam * lam) / 365.0
+
+
+def test_the_chebyshev_quadratic_of_the_mass_bounds_is_exact():
+    # q = 365/256 p, and each coefficient and the least value of q on
+    # [1/2, 2] (at its vertex 15/8) is a float with no rounding
+    assert _chebyshev_quadratic(0.5, 2.0) == (-3.75, 4.265625, 0.75)
+    lam = np.linspace(0.5, 2.0, 1001)
+    q = lam * lam - 3.75 * lam + 4.265625
+    assert np.allclose(q * 256.0 / 365.0, _p(lam), rtol=1e-15, atol=0.0)
+    assert abs(1.0 - lam * _p(lam)).max() <= 27.0 / 365.0 + 1e-15
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_the_jacobi_scaled_mass_spectrum_lies_in_its_bounds(level):
+    space = P1Space(build_uniform_mesh(level))
+    mass = space.mass
+    assert mass.jacobi_spectrum == (0.5, 2.0)
+    d = mass.diagonal()
+    eig = scipy.linalg.eigvalsh(mass.toarray() / np.sqrt(np.outer(d, d)))
+    assert eig.min() >= 0.5 and eig.max() <= 2.0
+    assert _p(eig).min() >= 192.0 / 365.0
+
+
+@pytest.mark.parametrize("level", [1, 4, 7])
+def test_the_substep_matrices_carry_no_spectrum_bounds(level):
+    # they are built as BandMatrix(space.mass), which copies the bands of M
+    # and not its attributes, so they keep the Jacobi step
+    space, a_theta, a_tilde = _scheme_matrices(level)
+    assert not hasattr(a_theta, "jacobi_spectrum")
+    assert not hasattr(a_tilde, "jacobi_spectrum")
+    assert not hasattr(space.stiffness, "jacobi_spectrum")
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_the_polynomial_step_agrees_with_a_direct_solve(level):
+    space = P1Space(build_uniform_mesh(level))
+    rng = np.random.default_rng(level)
+    for rhs in (space.load_vector(make_case(1).forcing_f, 0.5),
+                space.stiffness @ rng.standard_normal(space.n_dofs),
+                rng.standard_normal(space.n_dofs)):
+        want = direct_solve(space.mass, rhs)
+        got = solve_spd(space.mass, rhs)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+class _KernelCounting:
+    """M with its ``matvec_add`` counted: the kernel path, same bits."""
+
+    def __init__(self, matrix):
+        self.shape, self.diagonal = matrix.shape, matrix.diagonal
+        self.jacobi_spectrum = matrix.jacobi_spectrum
+        self.products = 0
+        kernel = matrix.matvec_add
+
+        def matvec_add(v, out):
+            self.products += 1
+            kernel(v, out)
+        self.matvec_add = matvec_add
+
+
+def test_every_mass_solve_of_a_run_takes_at_most_10_iterations(monkeypatch):
+    # Jacobi-PCG took 20 to 27 iterations on these systems
+    solve = fstheta.solver.solve_spd
+
+    def counting_solve(matrix, rhs):
+        if not hasattr(matrix, "jacobi_spectrum"):
+            return solve(matrix, rhs)
+        counted = _KernelCounting(matrix)
+        x = solve(counted, rhs)
+        if counted.products:        # a zero right-hand side makes none
+            iterations.append((counted.products - 3) // 3)
+        return x
+
+    monkeypatch.setattr(fstheta.solver, "solve_spd", counting_solve)
+    for level in range(3, 8):
+        iterations = []
+        run_single(make_case(1), level)
+        # at least the five mass solves of each of the 2^level steps
+        assert len(iterations) >= 5 * 2 ** level
+        assert 5 <= min(iterations) and max(iterations) <= 10, (
+            level, min(iterations), max(iterations))
+
+
+def test_a_solution_beyond_the_float_range_raises_a_tagged_error():
+    # x = M^-1 b is about 128 times b at level 3, so b near 1e308 gives a
+    # solution beyond the float range: the scaling back must raise a
+    # SolverError that the funnel tags, not overflow with a warning
+    space = P1Space(build_uniform_mesh(3))
+    rhs = 1e308 * np.random.default_rng(3).uniform(0.5, 1.0, space.n_dofs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as err:
+            tagged_solve(space.mass, rhs, 1, "laplacian of the reconstruction")
+    assert str(err.value).startswith(
+        "step 1, laplacian of the reconstruction: solution exceeds the float "
+        "range: max |x| is ")
+    assert err.value.iterations >= 1
+    # the same system a power of two lower solves, to the scaled bits
+    x = solve_spd(space.mass, np.ldexp(rhs, -10))
+    assert np.isfinite(x).all() and np.abs(x).max() > 2.0 ** 1013
 
 
 _OPTIMIZED_SCRIPT = """

@@ -210,15 +210,21 @@ def test_data_just_below_overflow_scale_the_bound_exactly():
     assert abs(got.bound_two / 1e150 - base.bound_two) <= 1e-12 * base.bound_two
 
 
-@pytest.mark.parametrize("lam", [1e155, 1e307])
-def test_a_non_finite_report_column_fails_at_its_step(lam):
+@pytest.mark.parametrize("lam,error,message", [
+    (1e155, FloatingPointError, "step 1, E_T1_two: nan is not finite"),
+    (1e307, SolverError, "step 1, laplacian of the reconstruction: solution "
+                         "exceeds the float range: max |x| is 1.129e+02 * 2^1021")],
+    ids=["1e+155", "1e+307"])
+def test_a_non_finite_report_column_fails_at_its_step(lam, error, message):
     # from about 1e155 on the squares of the step-1 indicators overflow, so
     # E_T1_two is NaN from step 1 on; numpy's overflow warnings are silenced
-    # so that the run, not the warning filter, reports it
+    # so that the run, not the warning filter, reports it.  At 1e307 the
+    # Laplacian of step 1's reconstruction exceeds the float range, and its
+    # solve raises before the indicators are formed.
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(FloatingPointError) as err:
+            pytest.raises(error) as err:
         run_single(scaled_case(make_case(1), lam), 3)
-    assert str(err.value) == "step 1, E_T1_two: nan is not finite"
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("method,message", [
@@ -250,9 +256,9 @@ def test_a_non_finite_compact_residual_fails_at_its_step(monkeypatch):
 
 
 def test_a_failed_reconstruction_laplacian_names_its_step():
-    # at 1e307 the Laplacian of step 1's reconstruction overflows, so step
-    # 2's w holds inf and its Laplacian solve fails; run_single stops at
-    # step 1 already (above), so the step loop and the engine run it here
+    # at 1e307 the Laplacian of step 1's reconstruction exceeds the float
+    # range, and its solve names the step and the quantity; the step loop
+    # and the engine run it here, without run_single's column checks
     case = scaled_case(make_case(1), 1e307)
     space = P1Space(build_uniform_mesh(3))
     params = SchemeParams(make_uniform_grid(8, 1.0))
@@ -264,8 +270,9 @@ def test_a_failed_reconstruction_laplacian_names_its_step():
         for rec in scheme.iter_steps(scheme.initial_state(case.u0)):
             engine.step_estimates(rec, prev)
             prev = rec
-    assert str(err.value) == ("step 2, laplacian of the reconstruction: "
-                              "right-hand side is not finite")
+    assert str(err.value) == (
+        "step 1, laplacian of the reconstruction: solution exceeds the float "
+        "range: max |x| is 1.129e+02 * 2^1021")
 
 
 # -- evaluation overlapped with the time loop ----------------------------------------
