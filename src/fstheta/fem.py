@@ -5,20 +5,21 @@ and written directly from the mesh's 7-point stencil; loads of general
 fields use a degree-4 triangle rule, error norms against exact solutions a
 degree-5 rule, so quadrature error stays well below the O(h^2) signals
 measured by the study harness.  The space assembles, evaluates and takes
-norms; it solves nothing.
+norms; it solves nothing.  Its band products run scipy's DIA kernel, loaded
+from its extension file without importing any scipy module.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._base import MAXPRINT as _MAXPRINT
-from scipy.sparse._sparsetools import dia_matvec
 
 from .mesh import Mesh
 
@@ -131,80 +132,76 @@ class FeFunction:
 _BAND = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
-class BandMatrix(sp.dia_matrix):
-    """A ``dia_matrix`` of float64 bands whose product with a float64
-    vector calls scipy's DIA kernel ``dia_matvec`` directly, skipping the
-    per-call dispatch of ``dia_matrix.__matmul__`` (about half the cost of
-    a product at level 4).  It is the kernel scipy itself calls, on the
-    same zeroed output, so every product has scipy's bits.  Any other
-    operand (a matrix, another dtype or length, a sparse matrix) goes to
-    scipy's ``__matmul__``; the shape check also keeps a vector of the
-    wrong length from the kernel, which does not check it.
+def _load_dia_matvec():
+    """scipy's DIA kernel ``dia_matvec``, from the ``sparse/_sparsetools``
+    extension file of the installed scipy, loaded as ``fstheta._sparsetools``:
+    its import as ``scipy.sparse._sparsetools`` runs the ``scipy.sparse``
+    package init, about 0.14 s.  A later ``import scipy.sparse`` loads a copy
+    of its own of the same library."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy, whose DIA kernel fstheta calls, is not installed")
+    directory = os.path.join(spec.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("fstheta._sparsetools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dia_matvec
+    raise ImportError(f"no _sparsetools extension of scipy in {directory}")
 
-    ``matvec_add(vector, out)`` adds ``self @ vector`` into ``out``: it is
-    the kernel with this matrix's leading arguments (shape, band shape,
-    offsets, data) bound by ``functools.partial``, a C-level callable, so a
-    caller that holds zeroed float64 buffers of the matching lengths
+
+dia_matvec = _load_dia_matvec()
+
+
+class BandMatrix:
+    """A matrix of float64 bands ``data`` (bands by columns) at the
+    distinct int32 ``offsets``, scipy's DIA layout.  Its products are
+    scipy's DIA kernel, which scipy's own ``dia_matrix`` product calls on
+    the same zeroed output, so every product has scipy's bits.  ``@`` takes
+    a float64 vector of length ``shape[1]`` and raises ``ValueError`` on
+    any other operand (the kernel checks nothing and would read past a
+    short vector); ``diagonal()`` is the offset-0 band, a view of ``data``.
+
+    ``matvec_add(vector, out)`` adds ``self @ vector`` into ``out``: the
+    kernel with this matrix's shape, band shape, offsets and data bound by
+    ``functools.partial`` at construction, a C-level callable, so a caller
+    that holds zeroed float64 buffers of the matching lengths
     (``solve_spd``, the stacked norms of ``P1Space``) reaches the kernel
-    with no Python frame between.  Nothing is checked on that path.
+    with no Python frame between and nothing checked.  It holds the arrays
+    themselves, so a product sees an in-place change to ``data``; the bands
+    change only in place."""
 
-    ``matvec_add`` is built once per matrix and held, and so is the
-    offset-0 band that ``diagonal()`` returns.  Both hold the arrays
-    themselves, so a product sees an in-place change to ``data``;
-    assigning a new ``data``, ``offsets`` or shape, as some scipy methods
-    do, drops them, and they are built again on the next use."""
+    def __init__(self, data: np.ndarray, offsets: np.ndarray,
+                 shape: tuple[int, int]):
+        self.data, self.offsets, self.shape = data, offsets, shape
+        self.matvec_add = functools.partial(dia_matvec, *shape, *data.shape,
+                                            offsets, data)
+        self._diagonal = data[offsets.tolist().index(0), :min(shape)]
 
-    @classmethod
-    def _of_bands(cls, data: np.ndarray, offsets: np.ndarray,
-                  shape: tuple[int, int]) -> "BandMatrix":
-        """The matrix of float64 bands ``data`` (bands by columns) at the
-        distinct offsets ``offsets``, an index array of scipy's dtype for
-        ``shape``: the attributes scipy's ``(data, offsets)`` constructor
-        sets, set without its copies and checks, which took about 15 us of
-        each construction at level 4.  A test checks them against that
-        constructor at levels 1 to 7."""
-        a = cls.__new__(cls)
-        a.__dict__.update(_shape=shape, maxprint=_MAXPRINT, data=data,
-                          offsets=offsets)
-        return a
+    @property
+    def nnz(self) -> int:
+        """The entries stored inside the matrix: ``dia_matrix.nnz``."""
+        rows, cols = self.shape
+        stored = (np.minimum(rows + self.offsets, min(self.data.shape[1], cols))
+                  - np.maximum(self.offsets, 0))
+        return int(np.maximum(stored, 0).sum())
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name in ("data", "offsets", "_shape"):
-            self.__dict__.pop("matvec_add", None)
-            self.__dict__.pop("_main_diagonal", None)
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        if k != 0:
+            raise ValueError(f"a BandMatrix gives its main diagonal only, not k = {k}")
+        return self._diagonal
 
-    @functools.cached_property
-    def matvec_add(self) -> functools.partial:
-        return functools.partial(dia_matvec, *self.shape, *self.data.shape,
-                                 self.offsets, self.data)
-
-    @functools.cached_property
-    def _main_diagonal(self) -> np.ndarray | None:
-        """The offset-0 band, a view of ``data`` as scipy's ``diagonal()``
-        returns it, or None where scipy would pad or fill it."""
-        length = min(self.shape)
-        at, = np.nonzero(self.offsets == 0)
-        if at.size == 0 or self.data.shape[1] < length:
-            return None
-        return self.data[at[0], :length]
-
-    def diagonal(self, k=0):
-        """scipy's ``diagonal(k)``, answered from the held offset-0 band
-        for k = 0 without scipy's search of the offsets."""
-        if k == 0 and (band := self._main_diagonal) is not None:
-            return band
-        return super().diagonal(k)
-
-    def __matmul__(self, other):
-        matvec_add = self.matvec_add
-        n_rows, n_cols = matvec_add.args[:2]
-        if (isinstance(other, np.ndarray) and other.dtype == np.float64
-                and other.shape == (n_cols,)):
-            out = np.zeros(n_rows)
-            matvec_add(other, out)
-            return out
-        return super().__matmul__(other)
+    def __matmul__(self, vector):
+        rows, cols = self.shape
+        if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
+                and vector.shape == (cols,)):
+            raise ValueError(f"a BandMatrix of shape {self.shape} multiplies "
+                             f"only a float64 vector of length {cols}")
+        out = np.zeros(rows)
+        self.matvec_add(vector, out)
+        return out
 
 
 def _bands(n: int, *stencils) -> list[BandMatrix]:
@@ -214,14 +211,12 @@ def _bands(n: int, *stencils) -> list[BandMatrix]:
     +-(m+1).  Entry j of the band at offset dr * m + dc couples dof
     j = (row, column) with the dof at (row - dr, column - dc), and is 0
     where that lies off the grid.  The bands and offsets are the arrays
-    scipy's ``(data, offsets)`` constructor makes of them, set without its
-    checks (``BandMatrix._of_bands``).  Products with a vector go straight
-    to scipy's DIA kernel (``BandMatrix``)."""
+    scipy's ``dia_matrix((data, offsets))`` makes of them (a test compares
+    them at levels 1 to 7)."""
     m = n - 1
     if m == 1:  # one dof: the offsets +-1 and +-m would coincide
-        return [BandMatrix._of_bands(np.array([[diagonal]]),
-                                     np.zeros(1, dtype=np.int32), (1, 1))
-                for diagonal, _, _ in stencils]
+        return [BandMatrix(np.array([[d]]), np.zeros(1, dtype=np.int32), (1, 1))
+                for d, _, _ in stencils]
     shifts = np.array(_BAND)[:, :, None]            # (band, row or column, 1)
     idx = np.arange(m)
     inside = (idx >= shifts) & (idx < m + shifts)   # (band, row or column, m)
@@ -233,16 +228,15 @@ def _bands(n: int, *stencils) -> list[BandMatrix]:
     # (operator, band, dof): each operator's bands are one contiguous block
     data = np.where(on_grid, values[:, :, None], 0.0)
     offsets = np.array([dr * m + dc for dr, dc in _BAND], dtype=np.int32)
-    return [BandMatrix._of_bands(bands, offsets, (m * m, m * m))
-            for bands in data]
+    return [BandMatrix(bands, offsets, (m * m, m * m)) for bands in data]
 
 
 class P1Space:
     """Dirichlet P1 space on the uniform mesh with its matrices and
     quadrature data, all built in the constructor.  ``mass`` and
     ``stiffness`` are written directly as 7-diagonal ``BandMatrix``
-    operators (``dia_matrix`` whose vector products call scipy's DIA
-    kernel directly) from the stencil of the mesh.  Every element has the area
+    operators (bands whose vector products are scipy's DIA kernel) from
+    the stencil of the mesh.  Every element has the area
     ``h^2 / 4`` and the diameter ``h``, so each rule keeps the weights of
     one block of cell rows and the h-weighted norms are powers of ``h``
     times the plain ones.  The quadrature points are held as two per-line tables per
@@ -405,28 +399,32 @@ class P1Space:
 
     # -- norms ---------------------------------------------------------------
 
-    def _rows(self, rows) -> np.ndarray:
-        """Coefficient rows as a C-ordered float64 array of shape
-        (k, n_dofs), the layout the kernel and the grid scatter take."""
-        rows = np.ascontiguousarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self.mesh.n_dofs:
-            raise ValueError(
-                f"expected coefficient rows of shape (k, {self.mesh.n_dofs}), "
-                f"got {rows.shape}")
-        return rows
+    def _rows(self, rows, out=None) -> np.ndarray:
+        """Coefficient rows stacked into a C-ordered float64 array of shape
+        (k, n_dofs), the layout the kernel and the grid scatter take:
+        ``out`` when given, else a new array."""
+        n = self.mesh.n_dofs
+        for row in rows:
+            if np.shape(row) != (n,):
+                raise ValueError(f"expected coefficient rows of shape (k, {n}), "
+                                 f"got a row of shape {np.shape(row)}")
+        out = np.empty((len(rows), n)) if out is None else out
+        out[...] = rows
+        return out
 
     def _band_norms(self, matrix: BandMatrix, rows) -> list[float]:
-        """sqrt(max(v . (matrix @ v), 0)) for each row v: each product is
-        added into its own row of one zeroed buffer by the matrix's held
-        kernel, and the dot products are taken in one ``np.vecdot`` call,
-        each the BLAS ``ddot`` that ``v.dot(product)`` makes."""
-        rows = self._rows(rows)
-        products = np.zeros(rows.shape)
+        """sqrt(max(v . (matrix @ v), 0)) for each row v: the rows are
+        stacked into one half of a zeroed allocation, each product is added
+        into its own row of the other half by the matrix's held kernel, and
+        the dot products are taken in one ``np.vecdot`` call, each the BLAS
+        ``ddot`` that ``v.dot(product)`` makes."""
+        stack, products = np.zeros((2, len(rows), self.mesh.n_dofs))
+        self._rows(rows, stack)
         matvec_add = matrix.matvec_add
-        for v, out in zip(rows, products):
+        for v, out in zip(stack, products):
             matvec_add(v, out)
         return [math.sqrt(max(dot, 0.0))
-                for dot in np.vecdot(rows, products).tolist()]
+                for dot in np.vecdot(stack, products).tolist()]
 
     def l2_norms(self, rows) -> list[float]:
         """``l2_norm`` of each row of coefficients, bit for bit."""

@@ -204,19 +204,17 @@ class _SubstepPair:
     their bands in place for the step size k, each band the IEEE value of
     ``M.data * (1 / (shift k)) + K.data * weight``, and returns the pair.
     P1 couples the same vertex pairs in M and K, so both have the same
-    offsets and the pair is formed diagonal by diagonal.  Each matrix starts
-    as a view of M, which skips scipy's validation of (data, offsets), and
-    takes bands of its own.  A ``BandMatrix`` sees an in-place change to its
-    bands, so the matrices and their bound kernels are built once per
-    loop."""
+    offsets, and each matrix holds bands of its own at them.  A
+    ``BandMatrix`` sees an in-place change to its bands, so the matrices and
+    their bound kernels are built once per loop."""
 
     def __init__(self, space: P1Space, params: SchemeParams):
-        self._mass, self._stiffness = space.mass.data, space.stiffness.data
+        M = space.mass
+        self._mass, self._stiffness = M.data, space.stiffness.data
         self._terms = ((params.theta, params.alpha1),
                        (params.theta_tilde, params.beta1))
-        self.matrices = (BandMatrix(space.mass), BandMatrix(space.mass))
-        for a in self.matrices:
-            a.data = np.empty_like(self._mass)
+        self.matrices = tuple(BandMatrix(np.empty_like(M.data), M.offsets, M.shape)
+                              for _ in range(2))
 
     def at(self, k: float) -> tuple[BandMatrix, BandMatrix]:
         for a, (shift, weight) in zip(self.matrices, self._terms):

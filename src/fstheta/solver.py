@@ -8,14 +8,14 @@ degree-2 polynomial in D^-1 M on top of it.
 The solver needs only ``shape``, ``diagonal()`` and ``@`` of its matrix, and
 uses ``matvec_add(vector, out)``, which adds the product into ``out``, where
 the matrix has it.  The package passes 7-diagonal ``fem.BandMatrix``
-operators, ``dia_matrix`` whose ``matvec_add`` is scipy's DIA kernel with the
-matrix's arguments bound (a C-level callable, so each product of the loop
-runs no Python frame of its own); ``@`` calls the same kernel on a fresh
-zeroed output.  Their products add diagonal by diagonal in ascending offset
-order, so each entry is the same left-to-right sum over ascending columns
-that the canonical CSR form gives, bit for bit (a stored zero of the band
-adds 0 * x).  The solver reads the attribute by name, so it does not import
-``fem``.
+operators, bands in scipy's DIA layout whose ``matvec_add`` is scipy's DIA
+kernel with the matrix's arguments bound (a C-level callable, so each
+product of the loop runs no Python frame of its own); ``@`` calls the same
+kernel on a fresh zeroed output.  Their products add diagonal by diagonal
+in ascending offset order, so each entry is the same left-to-right sum over
+ascending columns that the canonical CSR form gives, bit for bit (a stored
+zero of the band adds 0 * x).  The solver reads the attribute by name, so
+it does not import ``fem``.
 
 Inner products are taken as ``a.dot(b)`` and norms as
 ``math.sqrt(v.dot(v))``: ``a @ b`` and ``np.linalg.norm`` reach the same

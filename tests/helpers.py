@@ -189,6 +189,12 @@ def _scatter(mesh: Mesh, local, dirichlet: bool) -> sp.csr_matrix:
     return mat
 
 
+def scipy_dia(a: BandMatrix) -> sp.dia_matrix:
+    """``a`` as a scipy ``dia_matrix`` of the same bands and offsets, for
+    scipy's conversions (``toarray``, ``tocsr``) and scipy's products."""
+    return sp.dia_matrix((a.data, a.offsets), shape=a.shape)
+
+
 def gathered_element_norm(space, v: FeFunction, power: float) -> float:
     """(sum_K ||h_K^power v||_K^2)^{1/2} element by element from the gathered
     vertex values: the exact P1 integral |K|/12 (sum_i v_i^2 + (sum_i v_i)^2)
@@ -588,7 +594,7 @@ def allocating_pcg(matrix, rhs) -> np.ndarray:
 
 def direct_solve(matrix, rhs) -> np.ndarray:
     """``matrix`` x = ``rhs`` by scipy's sparse LU (``splu``)."""
-    return spla.splu(sp.csc_matrix(matrix)).solve(np.asarray(rhs, dtype=float))
+    return spla.splu(scipy_dia(matrix).tocsc()).solve(np.asarray(rhs, dtype=float))
 
 
 def single_pass_h1_error(space, g_grad, t: float, v: FeFunction) -> float:
@@ -757,14 +763,14 @@ def composed_step_estimates(engine, rec: StepRecord,
 
 def fresh_substep_matrices(space, params, k: float):
     """The substep pair (a_theta, a_tilde) for step size k, built afresh:
-    each matrix a view of M given new bands M.data / (shift k) + K.data *
-    weight by assignment.  The oracle of the pair a step loop holds and
-    rewrites in place."""
+    each matrix the new bands M.data / (shift k) + K.data * weight at M's
+    offsets.  The oracle of the pair a step loop holds and rewrites in
+    place."""
     M, K = space.mass, space.stiffness
-    a_theta, a_tilde = BandMatrix(M), BandMatrix(M)
-    a_theta.data = M.data * (1.0 / (params.theta * k)) + K.data * params.alpha1
-    a_tilde.data = M.data * (1.0 / (params.theta_tilde * k)) + K.data * params.beta1
-    return a_theta, a_tilde
+    return tuple(BandMatrix(M.data * (1.0 / (shift * k)) + K.data * weight,
+                            M.offsets, M.shape)
+                 for shift, weight in ((params.theta, params.alpha1),
+                                       (params.theta_tilde, params.beta1)))
 
 
 def flat_quad_norm(space, vals) -> float:

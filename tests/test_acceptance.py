@@ -19,7 +19,7 @@ from fstheta import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
 from fstheta.estimators import REPORT_COLUMNS
 
 from helpers import (estimator_series, l2_project, quadrature_exactness_check,
-                     scalar_substep_factor, sympy_local_matrices,
+                     scalar_substep_factor, scipy_dia, sympy_local_matrices,
                      synthetic_record, time_weight, zero_field)
 
 PI = np.pi
@@ -285,8 +285,8 @@ def test_criterion_6_local_matrices_symbolic():
 
 def test_criterion_7_scalar_substep_oracle():
     space = P1Space(build_uniform_mesh(3))
-    lams, vecs = scipy.linalg.eigh(space.stiffness.toarray(),
-                                   space.mass.toarray())
+    lams, vecs = scipy.linalg.eigh(scipy_dia(space.stiffness).toarray(),
+                                   scipy_dia(space.mass).toarray())
     params = SchemeParams(make_uniform_grid(8, 1.0))
     scheme = ThetaScheme(space, params, zero_field())
     k = params.step_size(1)

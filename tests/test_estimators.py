@@ -22,7 +22,8 @@ from helpers import (composed_step_estimates, corrected_forcing_interpolant,
                      forcing_substep_defect, four_laplacian_xi_theta,
                      lap_time_interpolant, nodal_interpolant,
                      project_quad_values, quadrature_exactness_check,
-                     random_grid, synthetic_record as _synthetic_record,
+                     random_grid, scipy_dia,
+                     synthetic_record as _synthetic_record,
                      varstep_case, zero_field)
 
 PI = np.pi
@@ -143,8 +144,8 @@ def test_two_level_coeff_zero_for_stationary(space2):
 
 def test_two_level_coeff_matches_eigen_oracle():
     space = P1Space(build_uniform_mesh(3))
-    lams, vecs = scipy.linalg.eigh(space.stiffness.toarray(),
-                                   space.mass.toarray())
+    lams, vecs = scipy.linalg.eigh(scipy_dia(space.stiffness).toarray(),
+                                   scipy_dia(space.mass).toarray())
     p = _params(n_steps=8)
     scheme = ThetaScheme(space, p, zero_field())
     v = space.function(vecs[:, 0])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,7 @@ from helpers import (assemble_mass, assemble_stiffness, basis_gradients,
                      full_coordinate_field, gathered_element_norm,
                      gathered_jump_norm, grid_jump_norm, interior_facets,
                      l2_project,
-                     nodal_interpolant, quadrature_points,
+                     nodal_interpolant, quadrature_points, scipy_dia,
                      single_pass_h1_error,
                      summed_weighted_quad_norm, sympy_local_matrices,
                      triangle_geometry, varstep_case, zero_field)
@@ -39,8 +41,8 @@ def space4():
 
 @pytest.fixture(scope="module")
 def eig4(space4):
-    lams, vecs = scipy.linalg.eigh(space4.stiffness.toarray(),
-                                   space4.mass.toarray())
+    lams, vecs = scipy.linalg.eigh(scipy_dia(space4.stiffness).toarray(),
+                                   scipy_dia(space4.mass).toarray())
     return lams, vecs
 
 
@@ -91,7 +93,7 @@ def test_stencil_operators_equal_the_assembled_band_bit_for_bit(level):
     for got, oracle in ((space.mass, assemble_mass(mesh)),
                         (space.stiffness, assemble_stiffness(mesh))):
         want = oracle.todia()
-        assert isinstance(got, sp.dia_matrix)
+        assert type(got) is BandMatrix
         assert got.offsets.tolist() == want.offsets.tolist()
         assert got.data.shape == want.data.shape
         assert got.data.tobytes() == want.data.tobytes()
@@ -103,19 +105,18 @@ def test_stencil_operators_equal_the_assembled_band_bit_for_bit(level):
 def test_stencil_operators_equal_scipys_validated_build(level):
     # M and K are set from their bands without scipy's (data, offsets)
     # constructor; that constructor, given the same arrays, must accept them
-    # and hold the same bytes, dtypes and attributes
+    # and hold the same bytes and dtypes, and count the same stored entries
+    # (the traced solver.matvec_flops is 2 nnz per product)
     space = P1Space(build_uniform_mesh(level))
     for got in (space.mass, space.stiffness):
-        want = BandMatrix((got.data, got.offsets), shape=got.shape)
+        want = scipy_dia(got)
         assert got.shape == want.shape
         for name in ("data", "offsets"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert a.flags.c_contiguous
         assert not np.shares_memory(space.mass.data, space.stiffness.data)
-        extra = {"jacobi_spectrum"} if got is space.mass else set()
-        assert set(vars(got)) == set(vars(want)) | extra
-        assert repr(got) == repr(want) and got.nnz == want.nnz
+        assert type(got.nnz) is int and got.nnz == want.nnz
 
 
 def _band_operators(level):
@@ -129,10 +130,6 @@ def _band_operators(level):
     return space, operators
 
 
-def _scipy_dia(a):
-    return sp.dia_matrix((a.data, a.offsets), shape=a.shape)
-
-
 @pytest.mark.parametrize("level", range(1, 8))
 def test_band_products_equal_scipys_dia_product_bit_for_bit(level):
     # the vector product calls scipy's DIA kernel directly; it must give the
@@ -141,36 +138,37 @@ def test_band_products_equal_scipys_dia_product_bit_for_bit(level):
     smooth = space.load_vector(make_case(1).forcing_f, 0.5)
     rand = np.random.default_rng(level).standard_normal(space.n_dofs)
     for a in operators:
-        assert type(a) is BandMatrix and isinstance(a, sp.dia_matrix)
-        for v in (smooth, rand):
+        assert type(a) is BandMatrix
+        # a strided vector is a float64 vector of the matching length too
+        for v in (smooth, rand, np.repeat(rand, 2)[::2]):
             got = a @ v
             assert got.shape == v.shape and got.dtype == np.float64
-            assert got.tobytes() == (_scipy_dia(a) @ v).tobytes()
+            assert got.tobytes() == (scipy_dia(a) @ v).tobytes()
 
 
 @pytest.mark.parametrize("level", [1, 4])
-def test_band_products_with_other_operands_are_scipys(level):
+def test_band_products_and_diagonals_off_the_kernel_raise(level):
+    # the kernel reads a vector of the wrong length or dtype without
+    # complaint, so ``@`` takes a float64 vector of the matching length only,
+    # and ``diagonal`` gives the held main diagonal only
     space, operators = _band_operators(level)
-    n = space.n_dofs
+    n, m = space.n_dofs, 2 ** level - 1
     rng = np.random.default_rng(level)
     other = (rng.standard_normal((n, 2)),                     # a block of vectors
-             rng.standard_normal(2 * n)[::2],                 # a strided vector
+             rng.standard_normal((1, n)),
+             np.ones(n + 1), np.ones(n - 1), np.float64(1.0),
              np.arange(n),                                    # integers
              rng.standard_normal(n).astype(np.float32),
-             rng.standard_normal(n) * (1.0 + 2.0j))
+             rng.standard_normal(n) * (1.0 + 2.0j),
+             list(rng.standard_normal(n)),
+             sp.csr_matrix(rng.standard_normal((n, 3))))
     for a in operators:
-        ref = _scipy_dia(a)
         for x in other:
-            got, want = a @ x, ref @ x
-            assert (got.shape, got.dtype) == (want.shape, want.dtype)
-            assert got.tobytes() == want.tobytes()
-        csr = sp.csr_matrix(rng.standard_normal((n, 3)))
-        assert ((a @ csr) != (ref @ csr)).nnz == 0
-        # the kernel reads a vector of the wrong length without complaint,
-        # so the shape check must send it to scipy, which rejects it
-        for x in (np.ones(n + 1), np.ones(n - 1)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="float64 vector of length"):
                 a @ x
+        for k in (1, -1, m, -m, m + 1, -(m + 1), 2, -3, n, -n):
+            with pytest.raises(ValueError, match="main diagonal only"):
+                a.diagonal(k)
 
 
 @pytest.mark.parametrize("level", range(1, 8))
@@ -181,53 +179,27 @@ def test_band_diagonal_is_scipys_bit_for_bit(level):
     if level == 1:
         assert [a.offsets.tolist() for a in operators] == [[0]] * 6
     for a in operators:
-        want = _scipy_dia(a).diagonal()
+        want = scipy_dia(a).diagonal()
         for got in (a.diagonal(), a.diagonal(0), a.diagonal(k=0)):
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("level", [1, 4])
-def test_band_diagonal_off_zero_goes_to_scipy(level, monkeypatch):
-    space, operators = _band_operators(level)
-    n, m = space.n_dofs, 2 ** level - 1
-    calls = []
-    scipys = sp.dia_matrix.diagonal
-
-    def recorded(self, k=0):
-        calls.append(k)
-        return scipys(self, k)
-
-    monkeypatch.setattr(sp.dia_matrix, "diagonal", recorded)
-    offsets = (1, -1, m, -m, m + 1, -(m + 1), 2, -3, n, -n)
-    for a in operators:
-        a.diagonal()
-        assert calls == []
-        for k in offsets:
-            got = a.diagonal(k)
-            want = scipys(_scipy_dia(a), k)
-            assert (got.shape, got.dtype) == (want.shape, want.dtype)
-            assert got.tobytes() == want.tobytes()
-        assert calls == list(offsets)
-        calls.clear()
-
-
 def test_band_products_see_changes_to_the_bands():
     # the kernel with its arguments bound and the offset-0 band are held per
     # matrix; a product, by @ or by the held kernel into a zeroed buffer,
-    # must see an in-place change to the bands, and a new data or offsets
-    # array (scipy's setdiag assigns both for a new offset)
+    # must see an in-place change to the bands
     space, (mass, *_) = _band_operators(4)
-    a = BandMatrix((mass.data.copy(), mass.offsets.copy()), shape=mass.shape)
+    a = BandMatrix(mass.data.copy(), mass.offsets.copy(), mass.shape)
     v = np.random.default_rng(4).standard_normal(space.n_dofs)
     before = (a @ v).tobytes(), a.diagonal().tobytes()
 
     def check():
-        assert (a @ v).tobytes() == (_scipy_dia(a) @ v).tobytes()
+        assert (a @ v).tobytes() == (scipy_dia(a) @ v).tobytes()
         out = np.zeros(space.n_dofs)
         a.matvec_add(v, out)
-        assert out.tobytes() == (_scipy_dia(a) @ v).tobytes()
-        assert a.diagonal().tobytes() == _scipy_dia(a).diagonal().tobytes()
+        assert out.tobytes() == (scipy_dia(a) @ v).tobytes()
+        assert a.diagonal().tobytes() == scipy_dia(a).diagonal().tobytes()
 
     a.data *= 3.0
     assert ((a @ v).tobytes(), a.diagonal().tobytes()) != before
@@ -235,11 +207,6 @@ def test_band_products_see_changes_to_the_bands():
     a.data[3] = 7.0
     check()
     assert (a.diagonal() == 7.0).all()
-    a.data = a.data * 0.5
-    check()
-    a.setdiag(np.full(space.n_dofs - 2, 0.25), k=2)
-    assert 2 in a.offsets.tolist()
-    check()
 
 
 @pytest.mark.parametrize("level", range(1, 9))
@@ -259,7 +226,7 @@ def test_mass_row_sums_total_one(space3):
 
 
 def test_mass_symmetric_positive(space3):
-    m = space3.mass.tocsr()
+    m = scipy_dia(space3.mass).tocsr()
     asym = abs(m - m.T).max()
     assert asym <= 1e-13 * abs(m).max()
     rng = np.random.default_rng(42)
@@ -304,7 +271,7 @@ def test_load_of_hat_equals_mass_column():
     for j in rng.choice(space.n_dofs, size=3, replace=False):
         hat = space.function(np.eye(space.n_dofs)[j])
         b = space.load_vector(fe_as_field(hat), 0.0)
-        col = space.mass.toarray()[:, j]
+        col = scipy_dia(space.mass).toarray()[:, j]
         assert np.abs(b - col).max() <= 1e-14
 
 
@@ -380,8 +347,8 @@ def test_norms_invariant_under_dof_permutation(space3):
     v = _random_fe(space3, seed=8)
     rng = np.random.default_rng(4)
     perm = rng.permutation(space3.n_dofs)
-    m_perm = space3.mass.toarray()[np.ix_(perm, perm)]
-    k_perm = space3.stiffness.toarray()[np.ix_(perm, perm)]
+    m_perm = scipy_dia(space3.mass).toarray()[np.ix_(perm, perm)]
+    k_perm = scipy_dia(space3.stiffness).toarray()[np.ix_(perm, perm)]
     vp = v.coeffs[perm]
     assert abs(np.sqrt(vp @ m_perm @ vp) - space3.l2_norm(v)) <= 1e-12
     assert abs(np.sqrt(vp @ k_perm @ vp) - space3.h1_seminorm(v)) <= 1e-12
@@ -469,7 +436,7 @@ def test_stacked_norms_equal_the_single_vector_norms_bit_for_bit(level):
     # method and of the allocating expressions it replaced
     space = P1Space(build_uniform_mesh(level))
     n = space.n_dofs
-    mass, stiffness = _scipy_dia(space.mass), _scipy_dia(space.stiffness)
+    mass, stiffness = scipy_dia(space.mass), scipy_dia(space.stiffness)
     smooth = [nodal_interpolant(space, g, 0.3).coeffs
               for g in (SIN2, LINEAR, make_case(1).exact_u)]
     rows = np.array([*np.random.default_rng(level).standard_normal((10, n)),
@@ -502,6 +469,36 @@ def test_stacked_norms_equal_the_single_vector_norms_bit_for_bit(level):
                 norms(bad)
         with pytest.raises(ValueError, match="coefficient rows"):
             space.jump_norms(bad, 1.5)
+
+
+def test_stacked_band_norms_hold_rows_and_products_in_one_block():
+    # l2_norms and h1_seminorms stack their rows and add the products into
+    # one zeroed allocation of both: at level 7 the kernel sees one traced
+    # block of at least a stack's size, 2 * 14 * n_dofs floats
+    space = P1Space(build_uniform_mesh(7))
+    rows = list(np.random.default_rng(7).standard_normal((14, space.n_dofs)))
+    stack_bytes = 14 * space.n_dofs * 8
+    for matrix, norms in ((space.mass, space.l2_norms),
+                          (space.stiffness, space.h1_seminorms)):
+        want = norms(rows)
+        matvec_add, blocks = matrix.matvec_add, []
+
+        def traced(v, out):
+            if not blocks:
+                blocks.extend(trace.size for trace in
+                              tracemalloc.take_snapshot().traces
+                              if trace.size >= stack_bytes)
+            matvec_add(v, out)
+
+        matrix.matvec_add = traced
+        tracemalloc.start()
+        try:
+            got = norms(rows)
+        finally:
+            tracemalloc.stop()
+            matrix.matvec_add = matvec_add
+        assert blocks == [2 * stack_bytes]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])

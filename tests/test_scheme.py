@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 import fstheta.scheme
@@ -21,8 +20,8 @@ from fstheta.scheme import (THETA_DEFAULT, _SubstepPair, correction_coeffs,
 
 from helpers import (INLINE, OVERLAPPED, discrete_laplacian, eager_end_of_step,
                      fail_scheme_solve, fresh_substep_matrices, l2_project,
-                     random_grid, scalar_substep_factor, varstep_case,
-                     zero_field)
+                     random_grid, scalar_substep_factor, scipy_dia,
+                     varstep_case, zero_field)
 
 
 @pytest.fixture(scope="module")
@@ -337,8 +336,8 @@ def test_a_substep_failure_surfaces_after_the_previous_record_is_taken(
 
 
 def test_eigenmode_decay_matches_scalar_oracle(space3):
-    lams, vecs = scipy.linalg.eigh(space3.stiffness.toarray(),
-                                   space3.mass.toarray())
+    lams, vecs = scipy.linalg.eigh(scipy_dia(space3.stiffness).toarray(),
+                                   scipy_dia(space3.mass).toarray())
     p = _params(n_steps=8, final_time=1.0)
     scheme = ThetaScheme(space3, p, zero_field())
     k = p.step_size(1)
@@ -411,20 +410,21 @@ def test_banded_operators_match_their_csr_form_bit_for_bit(level):
         a_theta, a_tilde = _SubstepPair(space, p).at(k)
         for a, shift, weight in ((a_theta, p.theta, p.alpha1),
                                  (a_tilde, p.theta_tilde, p.beta1)):
-            summed = M.tocsr() * (1.0 / (shift * k)) + K.tocsr() * weight
-            assert (a.tocsr() != summed).nnz == 0
-            # built as a view of M that takes its own bands: the offsets and
-            # the stored count of scipy's (data, offsets) constructor
-            scipys = sp.dia_matrix((a.data, M.offsets), shape=M.shape)
+            summed = (scipy_dia(M).tocsr() * (1.0 / (shift * k))
+                      + scipy_dia(K).tocsr() * weight)
+            assert (scipy_dia(a).tocsr() != summed).nnz == 0
+            # bands of its own at M's offsets: the offsets and the stored
+            # count of scipy's (data, offsets) constructor
+            scipys = scipy_dia(a)
             assert a.offsets.dtype == scipys.offsets.dtype == np.int32
             assert a.nnz == scipys.nnz
             assert not np.shares_memory(a.data, M.data)
             matrices.append(a)
     rng = np.random.default_rng(level)
     for a in matrices:
-        assert isinstance(a, sp.dia_matrix)
+        assert type(a) is BandMatrix
         assert list(a.offsets) == offsets
-        csr = a.tocsr()
+        csr = scipy_dia(a).tocsr()
         if a is M:
             # the polynomial step adds each product into a scaled vector;
             # scipy's CSR kernel adds the entries of a row into it in the
@@ -510,7 +510,7 @@ def test_second_order_against_independent_ode_reference():
 
     space = P1Space(build_uniform_mesh(2))
     case = make_case(1)
-    lu = splu(space.mass.tocsc())
+    lu = splu(scipy_dia(space.mass).tocsc())
     stiff = space.stiffness
 
     def rhs(t, u):

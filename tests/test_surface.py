@@ -5,6 +5,9 @@ calls or patches still resolves, by the same call path."""
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fstheta
@@ -118,3 +121,46 @@ def test_every_name_the_tracer_patches_resolves(monkeypatch):
     for module in (fstheta.cli, fstheta.estimators, fstheta.fem, fstheta.mesh,
                    fstheta.scheme, fstheta.study):
         assert not hasattr(module, "solve_spd"), module.__name__
+
+
+_IMPORT_SCRIPT = """
+import sys
+import fstheta, fstheta.cli
+print(fstheta.__file__)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+import numpy as np
+import scipy.sparse as sp
+mass = fstheta.P1Space(fstheta.build_uniform_mesh(4)).mass
+v = np.random.default_rng(4).standard_normal(mass.shape[1])
+want = sp.dia_matrix((mass.data, mass.offsets), shape=mass.shape) @ v
+print((mass @ v).tobytes() == want.tobytes())
+"""
+
+
+def test_importing_the_package_imports_no_scipy_module():
+    # fem loads scipy's DIA kernel from its extension file, so neither the
+    # package nor its CLI runs scipy's package init; a later import of
+    # scipy.sparse loads its own kernel module, with the same products
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    path, scipy_modules, same = done.stdout.split("\n")[:3]
+    assert Path(path).resolve() == ROOT / "src" / "fstheta" / "__init__.py"
+    assert scipy_modules == "[]"
+    assert same == "True"
+
+
+def test_a_missing_kernel_file_fails_the_import_naming_its_directory():
+    # no fallback import path: without scipy's _sparsetools extension file
+    # importing the package raises ImportError naming where it looked
+    script = ("import importlib.machinery\n"
+              "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']\n"
+              "import fstheta\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: no _sparsetools extension of scipy in ")
+    assert last.endswith(str(Path("scipy") / "sparse"))
