@@ -81,14 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_checks(result, case: int) -> list[str]:
     failures = []
     for rep in result.reports:
-        if rep.bound_two < rep.max_nodal_l2_error:
-            failures.append(f"level {rep.level}: two-level bound "
-                            f"{rep.bound_two:.4e} below error "
-                            f"{rep.max_nodal_l2_error:.4e}")
-        if rep.bound_three < rep.max_nodal_l2_error:
-            failures.append(f"level {rep.level}: three-level bound "
-                            f"{rep.bound_three:.4e} below error "
-                            f"{rep.max_nodal_l2_error:.4e}")
+        for v in ("two", "three"):
+            bound = getattr(rep, f"bound_{v}")
+            if bound < rep.max_nodal_l2_error:
+                failures.append(f"level {rep.level}: {v}-level bound "
+                                f"{bound:.4e} below error "
+                                f"{rep.max_nodal_l2_error:.4e}")
         if rep.report.final("E_C") != 0.0:
             failures.append(f"level {rep.level}: coarsening estimator "
                             f"nonzero on a fixed mesh")

@@ -360,6 +360,12 @@ class EstimatorAccumulator:
     error entering the composite bounds with factor sqrt(2).  Steps must
     arrive in order: the E_m1 term pairs each step's correction norms with
     the previous step's, which the accumulator keeps.
+
+    Both variants take one formula each: total = E_T1 + E_T2 + E_T3 + E_S1
+    + E_S2 + E_ell + E_rec and bound = sqrt(2) rho0 + E_T1 + hypot(E_T2 +
+    E_T3 + E_S1 + E_S2 + E_C + E_D1 + E_m1, E_D2) + E_rec + E_ell, with the
+    variant's E_T1, E_S1 and E_rec, and E_T3 = E_m1 = 0 in the two-level
+    variant (its sums keep their bits: x + 0.0 is x for x >= 0).
     """
 
     def __init__(self, params: SchemeParams, initial_elliptic: float = 0.0,
@@ -367,22 +373,12 @@ class EstimatorAccumulator:
         self.params = params
         self.rho0 = rho0
         self._n = 0
-        self._sum_kg2_two = 0.0
-        self._sum_kg2_three = 0.0
-        self._e_t2 = 0.0
-        self._e_t3 = 0.0
-        self._e_s1_two = 0.0
-        self._e_s1_three = 0.0
-        self._e_s2 = 0.0
-        self._e_c = 0.0
-        self._e_d1 = 0.0
-        self._e_d2 = 0.0
+        # (two-level, three-level) running sum k gamma^2, E_S1 and E_rec
+        self._sum_kg2, self._e_s1, self._e_rec = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+        self._e_t2 = self._e_t3 = self._e_s2 = self._e_c = 0.0
+        self._e_d1 = self._e_d2 = self._e_m1 = 0.0
         self._e_ell = initial_elliptic
-        self._e_rec_two = 0.0
-        self._e_rec_three = 0.0
-        self._e_m1 = 0.0
-        self._prev_xi_theta = 0.0
-        self._prev_proj_xi_phi = 0.0
+        self._prev_xi_theta = self._prev_proj_xi_phi = 0.0
         self.rows: list[tuple] = []
 
     def add(self, se: StepEstimates) -> None:
@@ -393,20 +389,12 @@ class EstimatorAccumulator:
         self._n = se.n
         k = se.k
 
-        self._sum_kg2_two += k * se.gamma_two ** 2
-        self._sum_kg2_three += k * se.gamma_three ** 2
         self._e_t2 += 2.0 * k * se.norm_xi_theta
-        self._e_s1_two += 0.5 * k * k * se.eta_w_two
-        self._e_s1_three += 0.5 * k * k * se.eta_w_three
         self._e_s2 += 2.0 * k * se.delta
         self._e_c += 2.0 * k * se.beta_coarsen
         self._e_d1 += 2.0 * k * (se.zeta1 + se.norm_xi_phi)
         self._e_d2 += math.sqrt(k) * se.zeta2
         self._e_ell = max(self._e_ell, se.eta_U)
-        self._e_rec_two = max(self._e_rec_two,
-                              k * k / 8.0 * (se.eta_w_two + se.norm_w_two))
-        self._e_rec_three = max(self._e_rec_three,
-                                k * k / 8.0 * (se.eta_w_three + se.norm_w_three))
         if se.n >= 2:
             self._e_t3 += k * k / (2.0 * (k + se.k_prev)) * se.z_norm
             self._e_m1 += k * (
@@ -416,29 +404,28 @@ class EstimatorAccumulator:
         self._prev_xi_theta = se.norm_xi_theta
         self._prev_proj_xi_phi = se.norm_proj_xi_phi
 
-        e_t1_two = math.sqrt(self._sum_kg2_two)
-        e_t1_three = math.sqrt(self._sum_kg2_three)
-        total_two = (e_t1_two + self._e_t2 + self._e_s1_two + self._e_s2
-                     + self._e_ell + self._e_rec_two)
-        total_three = (e_t1_three + self._e_t2 + self._e_t3 + self._e_s1_three
-                       + self._e_s2 + self._e_ell + self._e_rec_three)
-        bound_two = (math.sqrt(2.0) * self.rho0 + e_t1_two
-                     + math.hypot(self._e_t2 + self._e_s1_two + self._e_s2
-                                  + self._e_c + self._e_d1, self._e_d2)
-                     + self._e_rec_two + self._e_ell)
-        bound_three = (math.sqrt(2.0) * self.rho0 + e_t1_three
-                       + math.hypot(self._e_t2 + self._e_t3 + self._e_s1_three
-                                    + self._e_s2 + self._e_c + self._e_d1
-                                    + self._e_m1, self._e_d2)
-                       + self._e_rec_three + self._e_ell)
+        e_t1, totals, bounds = [], [], []
+        for i, (gamma, eta_w, norm_w, e_t3, e_m1) in enumerate((
+                (se.gamma_two, se.eta_w_two, se.norm_w_two, 0.0, 0.0),
+                (se.gamma_three, se.eta_w_three, se.norm_w_three,
+                 self._e_t3, self._e_m1))):
+            self._sum_kg2[i] += k * gamma ** 2
+            e_t1.append(math.sqrt(self._sum_kg2[i]))
+            self._e_s1[i] += 0.5 * k * k * eta_w
+            self._e_rec[i] = max(self._e_rec[i], k * k / 8.0 * (eta_w + norm_w))
+            totals.append(e_t1[i] + self._e_t2 + e_t3 + self._e_s1[i]
+                          + self._e_s2 + self._e_ell + self._e_rec[i])
+            bounds.append(math.sqrt(2.0) * self.rho0 + e_t1[i]
+                          + math.hypot(self._e_t2 + e_t3 + self._e_s1[i]
+                                       + self._e_s2 + self._e_c + self._e_d1
+                                       + e_m1, self._e_d2)
+                          + self._e_rec[i] + self._e_ell)
 
         self.rows.append((
             se.n, self.params.time(se.n),
-            e_t1_two, e_t1_three, self._e_t2, self._e_t3,
-            self._e_s1_two, self._e_s1_three, self._e_s2, self._e_c,
-            self._e_d1, self._e_d2,
-            self._e_ell, self._e_rec_two, self._e_rec_three, self._e_m1,
-            total_two, total_three, bound_two, bound_three,
+            *e_t1, self._e_t2, self._e_t3, *self._e_s1, self._e_s2, self._e_c,
+            self._e_d1, self._e_d2, self._e_ell, *self._e_rec, self._e_m1,
+            *totals, *bounds,
         ))
 
     def report(self) -> EstimatorReport:

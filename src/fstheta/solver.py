@@ -47,6 +47,7 @@ of a run goes through it with its step and quantity, so a failure names both.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -178,8 +179,7 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     # argument, which numpy parses faster than the keyword
     add, subtract, multiply = np.add, np.subtract, np.multiply
     if spectrum is None:
-        precondition = None
-        multiply(s, inv_diag, neg_z)
+        precondition = partial(multiply, s, inv_diag, neg_z)  # -z = s / d
     else:
         a1, a0, q_min = _chebyshev_quadratic(*spectrum)
         d = float(d_min)
@@ -194,7 +194,7 @@ def solve_spd(matrix, rhs) -> np.ndarray:
             matvec_add(s, neg_u)
             multiply(s, a0, neg_z)
             matvec_add(neg_u, neg_z)
-        precondition()
+    precondition()
     np.negative(neg_z, out=p)
     alpha, beta = np.empty(()), np.empty(())
     p_dot, s_dot, q_fill = p.dot, s.dot, q.fill
@@ -210,10 +210,7 @@ def solve_spd(matrix, rhs) -> np.ndarray:
                 residual=math.sqrt(s_dot(s)) / b_norm, iterations=it)
         alpha[()] = rz / pAp
         add(xs, multiply(pq, alpha, scaled), xs)
-        if precondition is None:
-            multiply(s, inv_diag, neg_z)
-        else:
-            precondition()
+        precondition()
         rz_new = float(s_dot(neg_z))
         if (rz_new <= rz_tol if rz_tol is not None
                 else math.sqrt(s_dot(s)) <= tol):

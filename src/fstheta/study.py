@@ -185,18 +185,17 @@ def run_single(case: CaseSpec, level: int, *, theta: float = THETA_DEFAULT,
 
     report = acc.report()
     e_total = math.sqrt(max_err ** 2 + sum_k_grad2)
-    total_two = report.final("total_two")
-    total_three = report.final("total_three")
-    eff_two = total_two / max_err if max_err > 0.0 else float("nan")
-    eff_three = total_three / max_err if max_err > 0.0 else float("nan")
+    per_variant = {}
+    for v in ("two", "three"):
+        per_variant[f"effectivity_{v}"] = (report.final(f"total_{v}") / max_err
+                                           if max_err > 0.0 else float("nan"))
+        per_variant[f"bound_{v}"] = report.final(f"bound_{v}")
     return RunReport(
         case_id=case.case_id, level=level,
         h_cell=2.0 ** (-level),
         k=params.step_size(1), n_steps=steps,
         max_nodal_l2_error=max_err, e_total=e_total,
-        report=report,
-        effectivity_two=eff_two, effectivity_three=eff_three,
-        bound_two=report.final("bound_two"), bound_three=report.final("bound_three"),
+        report=report, **per_variant,
         max_compact_residual=max_compact,
     )
 
@@ -273,24 +272,24 @@ def _with_eoc(values, hs) -> list[tuple[str, str]]:
     return [(_fmt_value(v), _fmt_eoc(o)) for v, o in zip(values, orders)]
 
 
+def _shows(variant: str, owner: str) -> bool:
+    """Whether ``variant``'s tables show the columns ``owner`` owns."""
+    return owner == "always" or variant in (owner, "both")
+
+
 def _table_errors(reports, variant):
-    header = ["h=k", "max_error", "EOC", "e_total", "EOC"]
-    if variant in ("two", "both"):
-        header += ["total_two", "EI_two"]
-    if variant in ("three", "both"):
-        header += ["total_three", "EI_three"]
+    shown = [v for v in ("two", "three") if _shows(variant, v)]
+    header = ["h=k", "max_error", "EOC", "e_total", "EOC",
+              *(c for v in shown for c in (f"total_{v}", f"EI_{v}"))]
     hs = [r.h_cell for r in reports]
     err = _with_eoc([r.max_nodal_l2_error for r in reports], hs) if reports else []
     tot = _with_eoc([r.e_total for r in reports], hs) if reports else []
     rows = []
     for i, r in enumerate(reports):
         row = [_fmt_value(r.h_cell), *err[i], *tot[i]]
-        if variant in ("two", "both"):
-            row += [_fmt_value(r.report.final("total_two")),
-                    f"{r.effectivity_two:.2f}"]
-        if variant in ("three", "both"):
-            row += [_fmt_value(r.report.final("total_three")),
-                    f"{r.effectivity_three:.2f}"]
+        for v in shown:
+            row += [_fmt_value(r.report.final(f"total_{v}")),
+                    f"{getattr(r, f'effectivity_{v}'):.2f}"]
         rows.append(row)
     return header, rows
 
@@ -299,10 +298,9 @@ def _estimator_table(reports, variant, layout):
     """Table of estimator columns, each followed by its EOC column.
 
     ``layout`` holds (report column, owning variant) pairs in column order;
-    columns owned by the other variant are dropped unless variant="both".
+    ``_shows`` picks the columns of ``variant``.
     """
-    cols = [c for c, owner in layout
-            if owner == "always" or variant in (owner, "both")]
+    cols = [c for c, owner in layout if _shows(variant, owner)]
     header = ["h=k"]
     for col in cols:
         header += [col, "EOC"]

@@ -441,6 +441,69 @@ def test_accumulator_formulas_one_step_each_term():
     assert abs(rep.final("bound_two") - bound) <= 1e-15
 
 
+def test_accumulator_three_level_formulas_over_two_steps():
+    # hand-check the three-level columns on two synthetic steps of unequal
+    # size: step 1 takes equal two/three inputs (as step_estimates gives
+    # them), step 2 distinct ones and the E_T3 and E_m1 inputs
+    k1, k2 = 0.2, 0.3
+    acc = EstimatorAccumulator(SchemeParams(np.array([0.0, k1, k1 + k2])),
+                               initial_elliptic=0.05, rho0=0.1)
+    shared = dict(delta=0.6, beta_coarsen=0.7, zeta1=0.8, zeta2=0.9,
+                  norm_xi_phi=1.1, compact_residual=0.0)
+    acc.add(StepEstimates(
+        n=1, k=k1, k_prev=0.0, eta_U=0.2, gamma_two=1.5, gamma_three=1.5,
+        eta_w_two=2.5, eta_w_three=2.5, norm_w_two=3.5, norm_w_three=3.5,
+        norm_xi_theta=0.4, norm_proj_xi_phi=0.3, z_norm=0.0, y_norm=0.0,
+        **shared))
+    row1 = dict(zip(REPORT_COLUMNS, acc.rows[-1]))
+    for col in ("E_T1", "E_S1", "E_rec", "total", "bound"):
+        assert row1[f"{col}_two"] == row1[f"{col}_three"], col
+    assert row1["E_T3"] == row1["E_m1"] == 0.0
+
+    acc.add(StepEstimates(
+        n=2, k=k2, k_prev=k1, eta_U=0.1, gamma_two=1.0, gamma_three=0.25,
+        eta_w_two=0.5, eta_w_three=40.0, norm_w_two=0.5, norm_w_three=5.0,
+        norm_xi_theta=0.5, norm_proj_xi_phi=0.7, z_norm=6.0, y_norm=7.0,
+        **shared))
+    row = dict(zip(REPORT_COLUMNS, acc.rows[-1]))
+    assert row["m"] == 2 and row["t_m"] == k1 + k2
+
+    def close(name, want):
+        assert math.isclose(row[name], want, rel_tol=1e-14, abs_tol=0.0), name
+
+    e_t1 = math.sqrt(k1 * 1.5 ** 2 + k2 * 0.25 ** 2)
+    e_t2 = 2 * k1 * 0.4 + 2 * k2 * 0.5
+    e_t3 = k2 * k2 / (2 * (k2 + k1)) * 6.0
+    e_s1 = 0.5 * k1 * k1 * 2.5 + 0.5 * k2 * k2 * 40.0
+    e_s2 = 2 * (k1 + k2) * 0.6
+    e_c = 2 * (k1 + k2) * 0.7
+    e_d1 = 2 * (k1 + k2) * (0.8 + 1.1)
+    e_d2 = (math.sqrt(k1) + math.sqrt(k2)) * 0.9
+    e_ell = 0.2                 # the larger of the seed and both indicators
+    # step 2's reconstruction indicator is the larger in the three-level
+    # variant, step 1's in the two-level one
+    e_rec = max(k1 * k1 / 8 * (2.5 + 3.5), k2 * k2 / 8 * (40.0 + 5.0))
+    assert e_rec == k2 * k2 / 8 * (40.0 + 5.0)
+    e_m1 = k2 * (k2 / (2 * (k2 + k1)) * 7.0 + 0.25 * k2 * (0.5 + 0.4)
+                 + 0.25 * k2 * (0.7 + 0.3))
+    for name, want in (("E_T1_three", e_t1), ("E_T2", e_t2), ("E_T3", e_t3),
+                       ("E_S1_three", e_s1), ("E_S2", e_s2), ("E_C", e_c),
+                       ("E_D1", e_d1), ("E_D2", e_d2), ("E_ell", e_ell),
+                       ("E_rec_three", e_rec), ("E_m1", e_m1)):
+        close(name, want)
+    close("total_three", e_t1 + e_t2 + e_t3 + e_s1 + e_s2 + e_ell + e_rec)
+    close("bound_three", math.sqrt(2.0) * 0.1 + e_t1
+          + math.hypot(e_t2 + e_t3 + e_s1 + e_s2 + e_c + e_d1 + e_m1, e_d2)
+          + e_rec + e_ell)
+    # the two-level columns leave E_T3 and E_m1 out
+    assert row["E_rec_two"] == row1["E_rec_two"] == k1 * k1 / 8 * (2.5 + 3.5)
+    close("total_two", row["E_T1_two"] + e_t2 + row["E_S1_two"] + e_s2 + e_ell
+          + row["E_rec_two"])
+    close("bound_two", math.sqrt(2.0) * 0.1 + row["E_T1_two"]
+          + math.hypot(e_t2 + row["E_S1_two"] + e_s2 + e_c + e_d1, e_d2)
+          + row["E_rec_two"] + e_ell)
+
+
 def test_report_csv_roundtrip(tmp_path, space2):
     p = _params()
     f = make_case(1).forcing_f

@@ -9,13 +9,13 @@ import pytest
 import fstheta.scheme
 from fstheta import (CaseSpec, ConfigurationError, ConstantsConfig,
                      EstimatorAccumulator, EstimatorEngine, P1Space, RunReport,
-                     ScalarField, SchemeParams, SolverError, ThetaScheme,
-                     build_uniform_mesh, elliptic_estimator, emit, eoc,
-                     make_case, make_uniform_grid, run_single, run_study,
+                     ScalarField, SchemeParams, SolverError, StudyResult,
+                     ThetaScheme, build_uniform_mesh, elliptic_estimator, emit,
+                     eoc, make_case, make_uniform_grid, run_single, run_study,
                      verify_forcing)
 from fstheta import study
-from fstheta.cli import main as cli_main
-from fstheta.estimators import REPORT_COLUMNS
+from fstheta.cli import _run_checks, main as cli_main
+from fstheta.estimators import REPORT_COLUMNS, EstimatorReport
 
 from helpers import (INLINE, OVERLAPPED, SolveRecord, error_metrics,
                      fail_scheme_solve, full_coordinate_case, random_grid,
@@ -607,12 +607,14 @@ def test_emit_formats_identical_numbers(tmp_path, small_study):
         assert _numbers_in(pc.read_text()) == _numbers_in(pm.read_text())
 
 
-def test_emit_variant_filtering(tmp_path, small_study):
+@pytest.mark.parametrize("variant", ["two", "three"])
+def test_emit_variant_filtering(tmp_path, small_study, variant):
+    other = {"two": "three", "three": "two"}[variant]
     paths = emit(small_study.reports, fmt="csv", out_dir=tmp_path,
-                 variant="two")
+                 variant=variant)
     for p in paths:
         header = p.read_text().splitlines()[0]
-        assert "three" not in header
+        assert variant in header and other not in header, (p.name, header)
 
 
 def test_emit_rejects_bad_format(tmp_path, small_study):
@@ -679,6 +681,38 @@ def test_a_cli_study_failing_at_its_last_level_keeps_the_earlier_per_step_csvs(
         lines = (out / f"case1_level{level}_estimators.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 ** level    # header plus one row per step
     assert not (out / "case1_level3_estimators.csv").exists()
+
+
+def _synthetic_run(level, error, bound_two, bound_three, **finals):
+    """A RunReport of one report row: ``finals`` by column, 0.0 elsewhere."""
+    row = tuple(finals.get(c, 0.0) for c in REPORT_COLUMNS)
+    return RunReport(
+        case_id=1, level=level, h_cell=2.0 ** -level, k=2.0 ** -level,
+        n_steps=2 ** level, max_nodal_l2_error=error, e_total=error,
+        report=EstimatorReport(REPORT_COLUMNS, [row]),
+        effectivity_two=1.0, effectivity_three=1.0,
+        bound_two=bound_two, bound_three=bound_three,
+        max_compact_residual=0.0)
+
+
+def test_cli_checks_name_each_failing_level_and_variant():
+    healthy = _synthetic_run(3, 0.4, 0.5, 0.6, E_T1_two=2.0, E_T1_three=1.0)
+    failing = _synthetic_run(4, 0.2, 0.125, 0.1875, E_C=0.5, E_T1_two=1.0,
+                             E_T1_three=1.0)
+    assert _run_checks(StudyResult(2, [healthy]), 2) == []
+    assert _run_checks(StudyResult(2, [healthy, failing]), 2) == [
+        "level 4: two-level bound 1.2500e-01 below error 2.0000e-01",
+        "level 4: three-level bound 1.8750e-01 below error 2.0000e-01",
+        "level 4: coarsening estimator nonzero on a fixed mesh",
+        "level 4: three-level time estimator 1.0000e+00 not below "
+        "two-level 1.0000e+00",
+    ]
+    # case 1 also checks the error order: 0.4 -> 0.2 is order 1
+    assert _run_checks(StudyResult(1, [healthy, failing]), 1)[-1] == \
+        "error EOC 1.00 at level 4 outside 2.0 +- 0.15"
+    # the ordering of the time estimators is checked from level 3 on
+    level2 = _synthetic_run(2, 0.4, 0.5, 0.6, E_T1_two=1.0, E_T1_three=3.0)
+    assert _run_checks(StudyResult(2, [level2]), 2) == []
 
 
 def test_cli_constant_overrides(tmp_path):
