@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fem import FeFunction, P1Space, ScalarField
 from .scheme import SchemeParams, StepRecord
-from .solver import tagged_solve
+from .solver import SolverError, StackedSolves, tagged_solve
 
 _SQRT30 = math.sqrt(30.0)
 _GAUSS3_OFFSETS = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
@@ -164,8 +164,10 @@ class StepEstimates:
 class EstimatorEngine:
     """Evaluates every per-step indicator for one run.
 
-    Stateless: a step needs only its own record and the previous one, so
-    steps of a fixed trajectory may be processed in any order.
+    A step needs only its own record and the previous one, so steps of a
+    fixed trajectory may be processed in any order.  The engine keeps no
+    state but the buffers of its ``StackedSolves``, so it serves one
+    thread at a time.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField,
@@ -174,6 +176,7 @@ class EstimatorEngine:
         self.params = params
         self.forcing = forcing
         self.consts = consts or ConstantsConfig()
+        self._mass = StackedSolves(space.mass)
 
     # -- forcing data errors -------------------------------------------------
 
@@ -232,9 +235,37 @@ class EstimatorEngine:
 
     def step_estimates(self, rec: StepRecord,
                        prev_rec: StepRecord | None = None) -> StepEstimates:
+        """Every indicator of the step: ``iter_estimates`` of the one
+        record."""
+        return next(self.iter_estimates([rec], prev_rec))
+
+    def iter_estimates(self, records, prev_rec: StepRecord | None = None):
+        """Yield the ``StepEstimates`` of each of the consecutive
+        ``records`` in order, each record's previous record the one before
+        it in the list (``prev_rec`` for the first).  The records'
+        reconstruction Laplacians are solved first, as one list of the
+        engine's ``StackedSolves``; a failed one raises at its record,
+        after the estimates of the records before it."""
+        sp_ = self.space
+        ws = [recon_coeff_two_level(rec).coeffs for rec in records]
+        laps = self._mass.solve([
+            (sp_.stiffness @ w, rec.n, "laplacian of the reconstruction")
+            for rec, w in zip(records, ws)])
+        for rec, w, lap in zip(records, ws, laps):
+            if isinstance(lap, SolverError):
+                raise lap
+            estimates = self._step_estimates(rec, prev_rec, w, lap)
+            # a suspended generator keeps its locals: holding the record
+            # before this one would keep its quadrature fields alive
+            prev_rec = rec
+            yield estimates
+
+    def _step_estimates(self, rec: StepRecord, prev_rec: StepRecord | None,
+                        w: np.ndarray, lap_w: np.ndarray) -> StepEstimates:
         """Every indicator of the step, each formed once here from the
-        step's norms.  The step's M-norms, K-seminorms and jump norms are
-        taken in one stacked call per kind, and the norm of each
+        step's norms, given the two-level reconstruction coefficient w and
+        its discrete Laplacian.  The step's M-norms, K-seminorms and jump
+        norms are taken in one stacked call per kind, and the norm of each
         reconstruction Laplacian once for both of its weighted terms."""
         sp_, cs, h = self.space, self.consts, self.space._h
         k = rec.k
@@ -243,10 +274,7 @@ class EstimatorEngine:
         # two-level one, and from step 2 on the three-level one, whose
         # Laplacian is a multiple of the Laplacian second difference (the
         # discrete Laplacian is linear)
-        w = recon_coeff_two_level(rec)
-        coeffs = [w.coeffs]
-        laps = [tagged_solve(sp_.mass, sp_.stiffness @ w.coeffs, rec.n,
-                             "laplacian of the reconstruction")]
+        coeffs, laps = [w], [lap_w]
         second_diffs = []
         k_prev = 0.0
         if prev_rec is not None:

@@ -13,12 +13,13 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .fem import BandMatrix, FeFunction, P1Space, ScalarField
-from .solver import tagged_solve
+from .solver import SolverError, StackedSolves, stack_rows, tagged_solve
 
 THETA_DEFAULT = 1.0 - math.sqrt(2.0) / 2.0
 
@@ -182,12 +183,17 @@ class StepRecord:
 
 
 # From this many dofs on, ``iter_steps`` solves the substeps one step ahead on
-# a worker thread.  Below it the overlap does not pay: case-1 ``run_single``
-# ran no faster overlapped than inline at levels 4 to 6, because the
-# thread's handoffs cost about what the small solves it hides save.  Above
-# it the overlap pays: with the worker deleted, the benchmark's study-c1
-# (case 1, levels 3..7) read a median run_ref_s of 17.1 s against 10.95 s
-# with it (README, Notes).
+# a worker thread.  Below it the overlap does not pay: the thread's handoffs
+# cost about what the small solves it hides save.  At level 6 (3,969 dofs),
+# the first level above it, a case-1 ``run_single`` took 1.23-1.27 s inline
+# and 0.86-1.03 s overlapped in three alternating runs each, and 1.05-1.26 s
+# against 0.87-1.12 s in an earlier set (2-core x86_64 host, one BLAS
+# thread); varstep-L6, which does more per step, gains 37 % in the
+# benchmark's run_ref_s.  The stack budget of ``StackedSolves``
+# (``solver.STACK_VALUES``, 4,096 values) holds two rows or more up to 2,048
+# dofs, so the two meet between 2,000 and 2,048 dofs, where no level lies:
+# level 5 (961 dofs) stacks and runs inline, level 6 overlaps with every
+# stack one row.  From the cutoff on each batch of a loop is one step.
 OVERLAP_MIN_DOFS = 2000
 
 
@@ -227,18 +233,22 @@ class ThetaScheme:
     """Advance the discrete solution through the three substeps per step.
 
     A step has two stages: ``_substeps`` samples the forcing, solves the
-    three substeps and multiplies U^n by K, and ``iter_steps`` passes one
-    list of (tag, right-hand side) to ``_mass_solves``: the discrete
-    Laplacian and the forcing projection at the step's end, which the next
-    step reuses as its start, and the two substep-defect corrections.
-    K U^n serves both the Laplacian at t^n and the next step's first
-    right-hand side, so each state is multiplied by K once.  ``iter_steps``
-    submits the first stage of step n+1 before it runs the second stage of
-    step n, so a worker thread can run the one while the caller runs the
-    other.  Each ``iter_steps`` loop holds one pair of substep matrices,
-    whose bands each step writes in place from those of M and K with its
-    own k, so any increasing time grid runs the same code.  Distinct runs
-    sharing the same space, and loops of one scheme, are independent.
+    three substeps and multiplies U^n by K, and ``iter_steps`` passes the
+    step's four (right-hand side, step, tag) rows to ``StackedSolves``: the
+    discrete Laplacian and the forcing projection at the step's end, which
+    the next step reuses as its start, and the two substep-defect
+    corrections.  K U^n serves both the Laplacian at t^n and the next step's
+    first right-hand side, so each state is multiplied by K once.  The loop
+    runs in batches of consecutive steps: the first stage of every step of
+    a batch, in order, then the second stage of all of them in one list,
+    so that small meshes solve them as lockstep stacks.  ``iter_steps``
+    submits the first stage of the next batch before it runs the second
+    stage of this one, so a worker thread can run the one while the caller
+    runs the other.  Each ``iter_steps`` loop holds one pair of substep
+    matrices, whose bands each step writes in place from those of M and K
+    with its own k, so any increasing time grid runs the same code.
+    Distinct runs sharing the same space, and loops of one scheme, are
+    independent.
     """
 
     def __init__(self, space: P1Space, params: SchemeParams, forcing: ScalarField):
@@ -254,11 +264,12 @@ class ThetaScheme:
         load = sp_.load_vector(u0, self.params.time(0))
         return sp_.function(tagged_solve(sp_.mass, load, 0, "initial projection"))
 
-    def _mass_solves(self, n: int, *solves) -> list[FeFunction]:
-        """One mass solve of step n per (tag, right-hand side), in order."""
-        sp_ = self.space
-        return [sp_.function(tagged_solve(sp_.mass, rhs, n, tag))
-                for tag, rhs in solves]
+    def _batch_rows(self) -> int:
+        """Rows of the stacks a loop plans its batches by, read at call
+        time: ``stack_rows`` of the dofs, and one from ``OVERLAP_MIN_DOFS``
+        dofs on, so that the worker runs one step ahead."""
+        n = self.space.n_dofs
+        return 1 if n >= OVERLAP_MIN_DOFS else stack_rows(n)
 
     def iter_steps(self, U0: FeFunction):
         """Yield the N step records in order, every field computed.  Each
@@ -266,57 +277,122 @@ class ThetaScheme:
         forcing samples, load, Laplacian and projection; the caller's thread
         makes them at t^0 from U0 first.
 
-        Before step n's four end-of-step mass solves the loop submits step
-        n+1's ``_substeps``, from record n's own ``U_new``: from
-        ``OVERLAP_MIN_DOFS`` dofs on (read at call time) to one worker
-        thread, below the cutoff to ``_Later``, so no thread starts.  The
-        worker writes only the bands of the loop's own substep pair, which
-        nothing else reads and which the next submission rewrites only
-        after this one returned; otherwise it reads the arrays it is handed
-        and returns new ones.  Either way the records are the same bit for
-        bit, at most one step is ahead, a failure raises at the ``next()``
-        that would yield its step, and closing the generator joins the
-        worker."""
+        Steps run in batches of as many steps as a stack of
+        ``_batch_rows()`` rows holds the four end-of-step rows of, at least
+        one.  A batch's end-of-step mass solves are one list for the
+        loop's own ``StackedSolves``, four rows per step, which at step 1
+        starts with the carry at t^0.  Before them the loop submits the
+        next batch's chain of ``_substeps``, from the batch's own last
+        ``U_new``: from ``OVERLAP_MIN_DOFS`` dofs on (read at call time) to
+        one worker thread, below the cutoff to ``_Later``, so no thread
+        starts.  The worker writes only the bands of the loop's own substep
+        pair, which nothing else reads and which the next submission
+        rewrites only after this one returned; otherwise it reads the
+        arrays it is handed and returns new ones.  Either way the records
+        are the same bit for bit, at most one batch (one step where the
+        worker runs) is ahead, a failure raises at the ``next()`` that would
+        yield its step, after the batch's steps before it, and closing the
+        generator joins the worker."""
         sp_, p = self.space, self.params
         fq0 = sp_.eval_field_q4(self.forcing, p.time(0))
         b0 = sp_.load_from_quad_values(fq0)
         stiff0 = sp_.stiffness @ U0.coeffs
-        lap_prev, proj_f_prev = self._mass_solves(
-            1, ("laplacian at t^{n-1}", stiff0),
-            ("forcing projection at t^{n-1}", b0))
-        prev = U0
+        rows = [(stiff0, 1, "laplacian at t^{n-1}"),
+                (b0, 1, "forcing projection at t^{n-1}")]
+        prev, n, size = U0, 1, max(1, self._batch_rows() // 4)
         overlap = sp_.n_dofs >= OVERLAP_MIN_DOFS
         with (ThreadPoolExecutor(max_workers=1) if overlap
               else contextlib.nullcontext()) as pool:
             submit = pool.submit if overlap else _Later
-            pair = _SubstepPair(sp_, p)
-            ahead = submit(self._substeps, prev, 1, fq0, b0, stiff0, pair)
-            for n in range(1, p.n_steps + 1):
-                states, fqs, loads, stiff_new = ahead.result()
-                U_new = sp_.function(states[-1])
-                if n < p.n_steps:
-                    ahead = submit(self._substeps, U_new, n + 1, fqs[-1],
-                                   loads[-1], stiff_new, pair)
+            pair, mass = _SubstepPair(sp_, p), StackedSolves(sp_.mass)
+            ahead = submit(self._chain, prev, n, fq0, b0, stiff0, pair, size)
+            while n <= p.n_steps:
+                steps, error = ahead.result()
+                if error is None and n + len(steps) <= p.n_steps:
+                    U_last, _, fqs, loads, stiff_last = steps[-1]
+                    ahead = submit(self._chain, U_last, n + len(steps),
+                                   fqs[-1], loads[-1], stiff_last, pair, size)
                 # the discrete Laplacian and the projection are linear, so
                 # each substep-defect correction takes one mass solve of the
                 # same combination of states or loads
-                lap_new, proj_f_new, xi_theta, proj_xi_phi = self._mass_solves(
-                    n, ("laplacian at t^n", stiff_new),
-                    ("forcing projection at t^n", loads[-1]),
-                    ("laplacian substep defect", sp_.stiffness @ substep_defect(
-                        p.theta, p.alpha1, prev.coeffs, *states)),
-                    ("forcing projection substep defect",
-                     substep_defect(p.theta, p.alpha2, b0, *loads)))
-                yield StepRecord(
-                    n=n, t_prev=p.time(n - 1), t_new=p.time(n),
-                    U_prev=prev, U_new=U_new,
-                    lap_prev=lap_prev, proj_f_prev=proj_f_prev,
-                    lap_new=lap_new, proj_f_new=proj_f_new,
-                    xi_theta=xi_theta, proj_xi_phi=proj_xi_phi,
-                    xi_phi_q4=substep_defect(p.theta, p.alpha2, fq0, *fqs),
-                    fq_prev=fq0, fq_new=fqs[-1])
-                prev, fq0, b0 = U_new, fqs[-1], loads[-1]
-                lap_prev, proj_f_prev = lap_new, proj_f_new
+                fields = []
+                for m, (U_new, states, fqs, loads, stiff_new) in enumerate(steps, n):
+                    rows += [
+                        (stiff_new, m, "laplacian at t^n"),
+                        (loads[-1], m, "forcing projection at t^n"),
+                        (sp_.stiffness @ substep_defect(
+                            p.theta, p.alpha1, prev.coeffs, *states),
+                         m, "laplacian substep defect"),
+                        (substep_defect(p.theta, p.alpha2, b0, *loads),
+                         m, "forcing projection substep defect")]
+                    fields.append(dict(
+                        n=m, t_prev=p.time(m - 1), t_new=p.time(m),
+                        U_prev=prev, U_new=U_new,
+                        xi_phi_q4=substep_defect(p.theta, p.alpha2, fq0, *fqs),
+                        fq_prev=fq0, fq_new=fqs[-1]))
+                    prev, fq0, b0 = U_new, fqs[-1], loads[-1]
+                solved, rows = iter(mass.solve(rows)), []
+                if n == 1:
+                    lap_prev, proj_f_prev = self._functions(islice(solved, 2))
+                for step in fields:
+                    lap_new, proj_f_new, xi_theta, proj_xi_phi = \
+                        self._functions(islice(solved, 4))
+                    yield StepRecord(
+                        **step, lap_prev=lap_prev, proj_f_prev=proj_f_prev,
+                        lap_new=lap_new, proj_f_new=proj_f_new,
+                        xi_theta=xi_theta, proj_xi_phi=proj_xi_phi)
+                    lap_prev, proj_f_prev = lap_new, proj_f_new
+                if error is not None:
+                    raise error
+                n += len(steps)
+
+    def iter_batches(self, U0: FeFunction):
+        """The records of ``iter_steps`` in lists of ``_batch_rows()``
+        consecutive steps, so that a caller can stack one solve per step
+        (``run_single``'s reconstruction Laplacians).  A failure that
+        ``iter_steps`` raises at the ``next()`` of step n raises after the
+        list of the steps before n."""
+        size, batch = self._batch_rows(), []
+        try:
+            for rec in self.iter_steps(U0):
+                batch.append(rec)
+                if len(batch) == size:
+                    yield batch
+                    batch = []
+        except Exception:
+            if batch:
+                yield batch
+            raise
+        if batch:
+            yield batch
+
+    def _functions(self, results) -> list[FeFunction]:
+        """The FE functions of solve results in order; the first SolverError
+        among them raises."""
+        results = list(results)
+        for x in results:
+            if isinstance(x, SolverError):
+                raise x
+        return [self.space.function(x) for x in results]
+
+    def _chain(self, prev: FeFunction, n: int, fq0: np.ndarray, b0: np.ndarray,
+               stiff_prev: np.ndarray, pair: _SubstepPair, count: int):
+        """``_substeps`` of up to ``count`` steps from step n, each from the
+        state, samples, load and K product of the one before: a list of
+        (U^m as an FE function, the three states, samples and loads, K U^m)
+        per step, and the exception that stopped the chain at a step, or
+        None."""
+        steps = []
+        try:
+            for m in range(n, min(n + count, self.params.n_steps + 1)):
+                states, fqs, loads, stiff_prev = self._substeps(
+                    prev, m, fq0, b0, stiff_prev, pair)
+                prev = self.space.function(states[-1])
+                steps.append((prev, states, fqs, loads, stiff_prev))
+                fq0, b0 = fqs[-1], loads[-1]
+        except Exception as err:
+            return steps, err
+        return steps, None
 
     def _substeps(self, prev: FeFunction, n: int, fq0: np.ndarray,
                   b0: np.ndarray, stiff_prev: np.ndarray, pair: _SubstepPair):

@@ -41,7 +41,16 @@ gate's 1e-9, which the polynomial step keeps: ``P1Space.mass`` carries
 reads ``matvec_add``, and no other matrix carries it.
 
 ``tagged_solve`` is the package's one caller of ``solve_spd``: every solve
-of a run goes through it with its step and quantity, so a failure names both.
+of a run that is not part of a stack goes through it with its step and
+quantity, so a failure names both.  ``StackedSolves`` takes lists of mass
+solves and solves them in lockstep stacks of up to ``stack_rows(n)`` rows:
+each product is one call of the DIA kernel on M's bands tiled once per row
+(the band entries that couple two blocks are the grid's off-grid zeros,
+so each block's sums keep M's bits), each set of inner products one
+``np.vecdot`` call (the BLAS ``ddot`` of each row), and each row is
+scaled, stopped and re-checked by ``solve_spd``'s own rules, so it returns
+``solve_spd``'s bytes.  Any row the stack does not finish goes to
+``tagged_solve``, which returns it or raises its error.
 """
 
 from __future__ import annotations
@@ -53,6 +62,13 @@ import numpy as np
 
 REL_TOLERANCE = 1e-12
 MAX_ITERATIONS_PER_DOF = 10
+# The most values, rows times dofs, that one lockstep stack of
+# ``StackedSolves`` holds.  At level 4 (225 dofs) a stack takes 18 rows, and
+# each of its 8 or 9 iterations makes 19 numpy calls for all of them where
+# one-row solves make about 13 per row; at level 5 its four rows run about
+# even with one-row solves, and from level 6 (3,969 dofs) on, where a
+# four-row stack is slower, every stack is one row (README, Notes).
+STACK_VALUES = 4096
 
 
 class SolverError(RuntimeError):
@@ -270,3 +286,168 @@ def tagged_solve(matrix, rhs, n: int | None, tag: str) -> np.ndarray:
         where = tag if n is None else f"step {n}, {tag}"
         raise SolverError(f"{where}: {err}", residual=err.residual,
                           iterations=err.iterations) from err
+
+
+def stack_rows(n: int) -> int:
+    """The rows of n values that one lockstep stack holds, at least one."""
+    return max(1, STACK_VALUES // n)
+
+
+class StackedSolves:
+    """The tagged solves of lists of right-hand sides of one matrix.
+
+    ``solve(solves)`` is ``tagged_solve(matrix, rhs, n, tag)`` of each
+    (rhs, n, tag) of ``solves``: a list of each solution, or of the tagged
+    SolverError it raises, in order; nothing is raised, so a caller can
+    raise each error where its step is due.  A matrix with a constant
+    diagonal that carries ``jacobi_spectrum`` (the band ``P1Space.mass``,
+    whose bands never change) takes its rows with a nonzero finite
+    right-hand side, in order, in lockstep stacks of up to ``stack_rows(n)``
+    rows, each row returned with the bytes ``solve_spd`` gives it.  A zero
+    or non-finite row, a stack of one row, a row that a stack does not
+    finish and every row of another matrix go to ``tagged_solve``, which
+    returns exact zeros or raises without iterating on the first two.
+
+    From its first stack on the object holds the matrix's bands tiled
+    ``stack_rows(n)`` times and the buffers of the stacked loop, so each
+    caller that solves lists in turn (a step loop, an estimator engine)
+    holds one, for one thread at a time."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self._rows = 0
+        self._kernels = {}
+
+    def solve(self, solves) -> list:
+        solves = list(solves)
+        matrix, out = self.matrix, [None] * len(solves)
+        diag = matrix.diagonal()
+        size = (stack_rows(matrix.shape[0])
+                if getattr(matrix, "jacobi_spectrum", None) is not None
+                and diag.min() == diag.max() and len(solves) > 1 else 1)
+        if size > 1:
+            # NaN propagates through max, so the test covers every entry
+            b_max = np.abs(np.stack([rhs for rhs, _, _ in solves])).max(axis=1)
+            rows = np.flatnonzero((b_max > 0.0) & (b_max < math.inf))
+            for start in range(0, len(rows), size):
+                chunk = rows[start:start + size]
+                if len(chunk) > 1:
+                    for i, x in zip(chunk, self._lockstep(
+                            [solves[i][0] for i in chunk])):
+                        out[i] = x
+        for i, (rhs, n, tag) in enumerate(solves):
+            if out[i] is None:
+                try:
+                    out[i] = tagged_solve(matrix, rhs, n, tag)
+                except SolverError as err:
+                    out[i] = err
+        return out
+
+    def _hold(self, r: int) -> None:
+        """Room for stacks of r rows: the tiled bands and the loop's
+        buffers, built when a stack first needs more rows than they have."""
+        if r <= self._rows:
+            return
+        matrix = self.matrix
+        rows, n = max(r, stack_rows(matrix.shape[0])), matrix.shape[0]
+        self._rows, self._kernels = rows, {}
+        self._tiled = np.tile(matrix.data, (1, rows))
+        self._b, self._neg_u, self._neg_z = (np.empty((rows, n))
+                                             for _ in range(3))
+        self._xs, self._pq, self._scaled = (np.empty((2, rows, n))
+                                            for _ in range(3))
+
+    def _kernel(self, r: int):
+        """``matvec_add`` of the tiled matrix of r blocks, on flat vectors:
+        a matrix of the type of the one solved, on the tiled bands."""
+        if r not in self._kernels:
+            n = self.matrix.shape[0]
+            self._kernels[r] = type(self.matrix)(
+                self._tiled, self.matrix.offsets, (r * n, r * n)).matvec_add
+        return self._kernels[r]
+
+    def _lockstep(self, rows) -> list:
+        """The solution with ``solve_spd``'s bytes of each of the nonzero,
+        finite right-hand sides ``rows`` that one lockstep loop finishes,
+        and None for each it leaves to ``solve_spd``: every row left running
+        when some row's curvature is not positive or the iteration cap is
+        reached, and a row whose true-residual re-check or scaling back
+        fails.  The matrix has a constant diagonal d and
+        ``jacobi_spectrum``.
+
+        The loop is ``solve_spd``'s polynomial loop on r rows at once, each
+        row at its own unit scale and with its own stop
+        r.z <= tol^2 d^2 q_min.  A row that stops is frozen: from then on
+        its alpha and beta are 0, so its x and s keep their values (x,
+        which starts at +0, never holds -0, and x + 0 p is x), its p is
+        -(-z) of a fixed s and every product stays finite.  Entries of a
+        tiled product that couple two rows are exact zeros times finite
+        values, so they change no sum but the sign of a zero one."""
+        matrix, r = self.matrix, len(rows)
+        self._hold(r)
+        b = np.stack(rows, out=self._b[:r])
+        b_max = np.abs(b).max(axis=1)
+        e = np.frexp(b_max)[1]
+        np.ldexp(b, -e[:, None], out=b)
+        tol = REL_TOLERANCE * np.sqrt(np.vecdot(b, b))
+        d = float(matrix.diagonal()[0])
+        a1, a0, q_min = _chebyshev_quadratic(*matrix.jacobi_spectrum)
+        a1, a0 = np.array(a1 * d), np.array(a0 * d * d)
+        # per-row values as (r, 1) columns, which broadcast over the rows
+        rz_tol = (tol * tol * q_min * d * d)[:, None]
+
+        xs, pq = self._xs[:, :r], self._pq[:, :r]
+        scaled = self._scaled[:, :r]
+        (x, s), (p, q) = xs, pq
+        neg_u, neg_z = self._neg_u[:r], self._neg_z[:r]
+        flat_x, flat_s, flat_p, flat_q, flat_u, flat_z = (
+            a.reshape(-1) for a in (x, s, p, q, neg_u, neg_z))
+        matvec_add = self._kernel(r)
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        vecdot = np.vecdot
+
+        def precondition():
+            multiply(s, a1, neg_u)
+            matvec_add(flat_s, flat_u)
+            multiply(s, a0, neg_z)
+            matvec_add(flat_u, flat_z)
+
+        x.fill(0.0)
+        np.negative(b, out=s)
+        precondition()
+        np.negative(neg_z, out=p)
+        rz, rz_new, pAp = (np.empty((r, 1)) for _ in range(3))
+        vecdot(s, neg_z, out=rz[:, 0])
+        # alpha and beta stay 0 in a frozen row, and its stop never holds again
+        alpha, beta = np.zeros((r, 1)), np.zeros((r, 1))
+        running = np.ones((r, 1), dtype=bool)
+        for _ in range(MAX_ITERATIONS_PER_DOF * matrix.shape[1]):
+            flat_q.fill(0.0)
+            matvec_add(flat_p, flat_q)
+            vecdot(p, q, out=pAp[:, 0])
+            if not np.all(pAp > 0.0, where=running):
+                break
+            divide(rz, pAp, alpha, where=running)
+            add(xs, multiply(pq, alpha, scaled), xs)
+            precondition()
+            vecdot(s, neg_z, out=rz_new[:, 0])
+            stopped = rz_new <= rz_tol
+            if stopped.any():
+                running &= ~stopped
+                alpha[stopped] = beta[stopped] = 0.0
+                rz_tol[stopped] = -math.inf
+                if not running.any():
+                    break
+            divide(rz_new, rz, beta, where=running)
+            subtract(multiply(p, beta, p), neg_z, p)
+            rz, rz_new = rz_new, rz
+
+        # the re-check of every stopped row, whose x is frozen since its stop
+        res = scaled[0]
+        res.fill(0.0)
+        matvec_add(flat_x, res.reshape(-1))
+        res -= b
+        done = ~running[:, 0] & (np.sqrt(vecdot(res, res)) <= 10.0 * tol)
+        # x 2^e overflows where max|x| has a binary exponent above 1024 - e
+        done &= (e <= 0) | (np.frexp(np.abs(x).max(axis=1))[1] + e <= 1024)
+        return [np.ldexp(x[i], e[i]) if done[i] else None for i in range(r)]

@@ -17,7 +17,7 @@ from fstheta import (THETA_DEFAULT, CaseSpec, FeFunction, Mesh, ScalarField,
                      solve_spd)
 from fstheta.fem import _Q4_BARY, _Q4_W, _Q5_BARY, BandMatrix
 from fstheta.solver import (MAX_ITERATIONS_PER_DOF, REL_TOLERANCE,
-                            _chebyshev_quadratic)
+                            StackedSolves, _chebyshev_quadratic)
 from fstheta.scheme import _SubstepPair, correction_coeffs, substep_defect
 
 
@@ -630,16 +630,23 @@ def eager_end_of_step(scheme, rec: StepRecord) -> tuple:
 
 
 def fail_scheme_solve(monkeypatch, n_fail: int, tag_fail: str) -> None:
-    """Make the scheme's solve of ``tag_fail`` in step ``n_fail`` fail, with
-    the tagged ``SolverError`` of a non-finite right-hand side."""
-    solve = fstheta.scheme.tagged_solve
+    """Make the solve of ``tag_fail`` in step ``n_fail`` fail, with the
+    tagged ``SolverError`` of a non-finite right-hand side: a lone tagged
+    solve of the scheme or one row of a list of ``StackedSolves``."""
+    solve, solves = fstheta.scheme.tagged_solve, StackedSolves.solve
+
+    def poisoned(rhs, n, tag):
+        return np.full_like(rhs, np.nan) if (n, tag) == (n_fail, tag_fail) else rhs
 
     def failing(matrix, rhs, n, tag):
-        if (n, tag) == (n_fail, tag_fail):
-            rhs = np.full_like(rhs, np.nan)
-        return solve(matrix, rhs, n, tag)
+        return solve(matrix, poisoned(rhs, n, tag), n, tag)
+
+    def failing_rows(self, rows):
+        return solves(self, [(poisoned(rhs, n, tag), n, tag)
+                             for rhs, n, tag in rows])
 
     monkeypatch.setattr(fstheta.scheme, "tagged_solve", failing)
+    monkeypatch.setattr(StackedSolves, "solve", failing_rows)
 
 
 class SolveRecord(NamedTuple):
@@ -650,31 +657,63 @@ class SolveRecord(NamedTuple):
 
 def record_solves(monkeypatch) -> list[SolveRecord]:
     """Record every tagged solve of the scheme and the estimators, in call
-    order, and check that each makes exactly one ``solve_spd`` call through
-    the binding ``tagged_solve`` calls and that no ``solve_spd`` call runs
-    outside a tagged solve.  Returns the list of records."""
+    order, a list of ``StackedSolves`` row by row, and check that no
+    ``solve_spd`` call runs outside them: a lone tagged solve makes exactly
+    one through the binding ``tagged_solve`` calls, and a list at most one
+    per row (its stacked rows make none).  Returns the list of records."""
     caller = threading.current_thread()
     records, inside = [], threading.local()
-    solve, tagged = fstheta.solver.solve_spd, fstheta.solver.tagged_solve
+    solve, tagged, tagged_rows = (fstheta.solver.solve_spd,
+                                  fstheta.solver.tagged_solve, StackedSolves.solve)
 
     def counting_solve(matrix, rhs):
-        assert getattr(inside, "calls", None) == 0, "solve_spd outside a tagged solve"
+        assert getattr(inside, "calls", None) is not None, \
+            "solve_spd outside a tagged solve"
         inside.calls += 1
         return solve(matrix, rhs)
 
-    def recording(matrix, rhs, n, tag):
-        records.append(SolveRecord(threading.current_thread() is caller, n, tag))
+    def counted(solves, rows, least, most):
+        on_caller = threading.current_thread() is caller
+        records.extend(SolveRecord(on_caller, n, tag) for _, n, tag in rows)
         inside.calls = 0
         try:
-            return tagged(matrix, rhs, n, tag)
+            return solves()
         finally:
-            assert inside.calls == 1, (n, tag, inside.calls)
+            assert least <= inside.calls <= most, (rows, inside.calls)
             del inside.calls
+
+    def recording(matrix, rhs, n, tag):
+        return counted(lambda: tagged(matrix, rhs, n, tag), [(rhs, n, tag)], 1, 1)
+
+    def recording_rows(self, rows):
+        rows = list(rows)
+        return counted(lambda: tagged_rows(self, rows), rows, 0, len(rows))
 
     monkeypatch.setattr(fstheta.solver, "solve_spd", counting_solve)
     for module in (fstheta.scheme, fstheta.estimators):
         monkeypatch.setattr(module, "tagged_solve", recording)
+    monkeypatch.setattr(StackedSolves, "solve", recording_rows)
     return records
+
+
+def energy_estimator(scheme, U0: FeFunction) -> float:
+    """The classical energy-type residual estimator of the run of
+    ``scheme`` from U0, with unit constants:
+    eta^2 = sum_n k_n [||h (f^n - (U^n - U^{n-1}) / k_n)||^2
+    + jump_norm(U^n, 1/2)^2 + ||grad(U^n - U^{n-1})||^2], the forcing taken
+    at the step's end (M. Picasso, Comput. Methods Appl. Mech. Engrg. 167
+    (1998); R. Verfuerth, Calcolo 40 (2003)).  It bounds the energy error,
+    L-infinity(L2) plus L2(H1), and uses only public ``P1Space`` norms."""
+    sp_ = scheme.space
+    total = 0.0
+    for rec in scheme.iter_steps(U0):
+        step = rec.U_new - rec.U_prev
+        residual = (sp_.eval_field_q4(scheme.forcing, rec.t_new)
+                    - sp_.eval_q4(step / rec.k))
+        total += rec.k * (sp_.weighted_quad_norm(residual, 1.0) ** 2
+                          + sp_.jump_norm(rec.U_new, 0.5) ** 2
+                          + sp_.h1_seminorm(step) ** 2)
+    return math.sqrt(total)
 
 
 def time_weight(space, w: FeFunction, k: float, consts,

@@ -18,7 +18,8 @@ from fstheta import (ConstantsConfig, EstimatorAccumulator, EstimatorEngine,
                      recon_coeff_three_level)
 from fstheta.estimators import REPORT_COLUMNS
 
-from helpers import (estimator_series, l2_project, quadrature_exactness_check,
+from helpers import (energy_estimator, estimator_series, l2_project,
+                     quadrature_exactness_check,
                      scalar_substep_factor, scipy_dia, sympy_local_matrices,
                      synthetic_record, time_weight, zero_field)
 
@@ -346,3 +347,31 @@ def test_anchor_constant_dependent_magnitudes(case1_sweep):
                        for n, got, ref, _ in checks)
     ok = all(ref / fac <= got <= ref * fac for _, got, ref, fac in checks)
     _verdict("anchors (constant-dependent)", ok, detail)
+
+
+def test_headline_claim_the_energy_estimator_is_first_order_in_linf_l2(
+        case1_sweep):
+    # the paper's claim: its reconstruction bound is of optimal (second)
+    # order in L-infinity(L2), where the classical energy-type residual
+    # estimator is of first order.  eta tracks e_total, the energy error, at
+    # a near-constant ratio; bound_two keeps the order of the L2 error
+    case = make_case(1)
+    levels = [3, 4, 5, 6]
+    etas = []
+    for level in levels:
+        space = P1Space(build_uniform_mesh(level))
+        scheme = ThetaScheme(space, SchemeParams(make_uniform_grid(2 ** level, 1.0)),
+                             case.forcing_f)
+        etas.append(energy_estimator(scheme, scheme.initial_state(case.u0)))
+    reports = {r.level: r for r in case1_sweep.reports}
+    hs = [reports[level].h_cell for level in levels]
+    eta_orders = eoc(etas, hs)[1:]
+    bound_orders = eoc([reports[level].bound_two for level in levels], hs)[1:]
+    ratios = [eta / reports[level].e_total for eta, level in zip(etas, levels)]
+    print("[acceptance headline] eta " + ", ".join(f"{v:.3g}" for v in etas)
+          + "; EOC " + ", ".join(f"{v:.2f}" for v in eta_orders)
+          + "; bound_two EOC " + ", ".join(f"{v:.2f}" for v in bound_orders)
+          + "; eta/e_total " + ", ".join(f"{v:.3f}" for v in ratios))
+    assert all(abs(order - 1.0) <= 0.1 for order in eta_orders), eta_orders
+    assert all(order >= 1.9 for order in bound_orders), bound_orders
+    assert max(ratios) < 1.05 * min(ratios), ratios

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import fstheta.solver
 from fstheta import (ConstantsConfig, EstimatorAccumulator,
                      EstimatorEngine, P1Space, ScalarField, SchemeParams,
                      SolverError, ThetaScheme, build_uniform_mesh,
@@ -14,6 +13,7 @@ from fstheta import (ConstantsConfig, EstimatorAccumulator,
                      recon_coeff_two_level, verify_forcing)
 from fstheta.estimators import REPORT_COLUMNS, StepEstimates
 from fstheta.scheme import THETA_DEFAULT, correction_coeffs, substep_defect
+from fstheta.solver import StackedSolves
 
 from helpers import (composed_step_estimates, corrected_forcing_interpolant,
                      data_projection_error, data_time_error, direct_xi_theta,
@@ -22,7 +22,7 @@ from helpers import (composed_step_estimates, corrected_forcing_interpolant,
                      forcing_substep_defect, four_laplacian_xi_theta,
                      lap_time_interpolant, nodal_interpolant,
                      project_quad_values, quadrature_exactness_check,
-                     random_grid, scipy_dia,
+                     random_grid, record_solves, scipy_dia,
                      synthetic_record as _synthetic_record,
                      varstep_case, zero_field)
 
@@ -743,29 +743,46 @@ def test_three_level_laplacian_identity(varstep_run):
 def test_eight_solves_per_step_from_step_two(monkeypatch, space3):
     # the stepper runs 3 substep solves, 2 end-of-step mass solves and one
     # mass solve per substep-defect correction, the engine one more for the
-    # Laplacian of w; step 1 adds the two initial ones
-    calls = []
-
-    def counting(solve):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(fstheta.solver, "solve_spd",
-                        counting(fstheta.solver.solve_spd))
+    # Laplacian of w; step 1 adds the two initial ones.  A step's solves are
+    # counted by their step tag, since a batch of steps solves its mass
+    # systems together
     case = varstep_case()
     p = SchemeParams(random_grid(4, 8))
     scheme = ThetaScheme(space3, p, case.forcing_f)
     engine = EstimatorEngine(space3, p, case.forcing_f)
-    per_step, prev = [], None
-    steps = scheme.iter_steps(scheme.initial_state(case.u0))
-    while True:
-        before = len(calls)
-        rec = next(steps, None)
-        if rec is None:
-            break
+    U0 = scheme.initial_state(case.u0)
+    solves, prev = record_solves(monkeypatch), None
+    for rec in scheme.iter_steps(U0):
         engine.step_estimates(rec, prev)
-        per_step.append(len(calls) - before)
         prev = rec
+    per_step = [sum(1 for s in solves if s.n == n) for n in range(1, p.n_steps + 1)]
+    assert len(solves) == sum(per_step)
     assert per_step == [10] + [8] * (p.n_steps - 1)
+
+
+def test_a_batch_of_records_gives_each_records_own_estimates(monkeypatch, space3):
+    # iter_estimates over the records of a ±50 % grid equals step_estimates
+    # record by record; a failed reconstruction Laplacian raises at its
+    # record, after the estimates of the records before it
+    case = varstep_case()
+    p = SchemeParams(random_grid(6, 8))
+    scheme = ThetaScheme(space3, p, case.forcing_f)
+    engine = EstimatorEngine(space3, p, case.forcing_f)
+    records = list(scheme.iter_steps(scheme.initial_state(case.u0)))
+    want = [engine.step_estimates(rec, prev)
+            for rec, prev in zip(records, [None] + records[:-1])]
+    assert list(engine.iter_estimates(records)) == want
+    assert list(engine.iter_estimates(records[3:], records[2])) == want[3:]
+    solves = StackedSolves.solve
+
+    def failing(self, rows):
+        return solves(self, [(np.full_like(rhs, np.nan) if n == 3 else rhs,
+                              n, tag) for rhs, n, tag in rows])
+
+    monkeypatch.setattr(StackedSolves, "solve", failing)
+    estimates = engine.iter_estimates(records)
+    assert [next(estimates), next(estimates)] == want[:2]
+    with pytest.raises(SolverError) as err:
+        next(estimates)
+    assert str(err.value) == ("step 3, laplacian of the reconstruction: "
+                              "right-hand side is not finite")

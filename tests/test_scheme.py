@@ -10,6 +10,7 @@ import scipy.linalg
 from scipy.sparse._sparsetools import csr_matvec
 
 import fstheta.scheme
+import fstheta.solver
 from fstheta import (ConfigurationError, EstimatorEngine, P1Space, ScalarField,
                      SchemeParams, SolverError, StepRecord, ThetaScheme,
                      build_uniform_mesh, glowinski_alpha, make_case,
@@ -193,7 +194,10 @@ def _same_record(a: StepRecord, b: StepRecord) -> bool:
 
 
 def test_overlapped_and_inline_records_are_bit_identical(monkeypatch):
-    # the varstep case on a random time grid: every step has its own k
+    # the varstep case on a random time grid: every step has its own k.
+    # Inline, four steps share each stack of end-of-step solves; overlapped,
+    # each step stacks its own; with a stack budget of one row every mass
+    # system is solved alone, as solve_spd solves it
     space = P1Space(build_uniform_mesh(4))
     case = varstep_case()
     scheme = ThetaScheme(space, SchemeParams(random_grid(4, 16)), case.forcing_f)
@@ -202,9 +206,46 @@ def test_overlapped_and_inline_records_are_bit_identical(monkeypatch):
     for cutoff in (INLINE, OVERLAPPED):
         monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", cutoff)
         runs.append(list(scheme.iter_steps(U0)))
-    inline, overlapped = runs
-    assert len(inline) == len(overlapped) == 16
+    monkeypatch.setattr(fstheta.solver, "STACK_VALUES", 1)
+    runs.append(list(scheme.iter_steps(U0)))
+    inline, overlapped, one_row = runs
+    assert len(inline) == len(overlapped) == len(one_row) == 16
     assert all(_same_record(a, b) for a, b in zip(inline, overlapped))
+    assert all(_same_record(a, b) for a, b in zip(inline, one_row))
+
+
+@pytest.mark.parametrize("failure", ["substep", "end of step"])
+def test_a_batch_failing_at_step_n_first_yields_its_earlier_steps(
+        monkeypatch, failure):
+    # inline at level 4 a batch is four steps; step 6 fails in the second
+    # batch, whose step 5 is yielded first, as a run without the failure
+    # yields it, and the error raises at the next() of step 6
+    space = P1Space(build_uniform_mesh(4))
+    case = make_case(1)
+    scheme = ThetaScheme(space, _params(n_steps=16), case.forcing_f)
+    U0 = scheme.initial_state(case.u0)
+    want = list(scheme.iter_steps(U0))
+    if failure == "substep":
+        substeps = ThetaScheme._substeps
+
+        def failing(scheme, prev, n, *start):
+            if n == 6:
+                raise SolverError("step 6, first substep: no convergence")
+            return substeps(scheme, prev, n, *start)
+
+        monkeypatch.setattr(ThetaScheme, "_substeps", failing)
+        message = "step 6, first substep: no convergence"
+    else:
+        fail_scheme_solve(monkeypatch, 6, "forcing projection substep defect")
+        message = ("step 6, forcing projection substep defect: right-hand "
+                   "side is not finite")
+    steps = scheme.iter_steps(U0)
+    got = [next(steps) for _ in range(5)]
+    with pytest.raises(SolverError) as err:
+        next(steps)
+    assert str(err.value) == message
+    assert next(steps, None) is None
+    assert all(_same_record(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("theta,alpha", [(THETA_DEFAULT, None), (0.25, 0.6)],
@@ -441,24 +482,26 @@ def test_banded_operators_match_their_csr_form_bit_for_bit(level):
 
 def test_three_loads_per_step_from_step_two(monkeypatch, space3):
     # the end-of-step load is carried into the next step, which assembles
-    # only the loads at its three new time levels
-    calls = []
-    load = P1Space.load_from_quad_values
+    # only the loads at its three new time levels.  Each load counts for
+    # the step whose substeps run (the load at t^0 for step 1), since a
+    # batch of steps runs its substeps before it yields the first
+    calls, step = [], [1]
+    load, substeps = P1Space.load_from_quad_values, ThetaScheme._substeps
 
     def counting(self, vals):
-        calls.append(1)
+        calls.append(step[0])
         return load(self, vals)
 
+    def stepping(scheme, prev, n, *start):
+        step[0] = n
+        return substeps(scheme, prev, n, *start)
+
     monkeypatch.setattr(P1Space, "load_from_quad_values", counting)
+    monkeypatch.setattr(ThetaScheme, "_substeps", stepping)
     case = make_case(1)
     scheme = ThetaScheme(space3, _params(n_steps=4), case.forcing_f)
-    per_step, steps = [], scheme.iter_steps(space3.function())
-    while True:
-        before = len(calls)
-        if next(steps, None) is None:
-            break
-        per_step.append(len(calls) - before)
-    assert per_step == [4, 3, 3, 3]
+    assert len(list(scheme.iter_steps(space3.function()))) == 4
+    assert [calls.count(n) for n in range(1, 5)] == [4, 3, 3, 3]
 
 
 def test_each_state_is_multiplied_by_the_stiffness_once(monkeypatch):

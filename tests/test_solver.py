@@ -14,7 +14,7 @@ import fstheta.solver
 from fstheta import (P1Space, SchemeParams, SolverError, build_uniform_mesh,
                      make_case, make_uniform_grid, run_single, solve_spd)
 from fstheta.scheme import _SubstepPair
-from fstheta.solver import _chebyshev_quadratic, tagged_solve
+from fstheta.solver import StackedSolves, _chebyshev_quadratic, tagged_solve
 
 from helpers import allocating_pcg, direct_solve, scipy_dia
 
@@ -410,7 +410,10 @@ class _KernelCounting:
 
 
 def test_every_mass_solve_of_a_run_takes_at_most_10_iterations(monkeypatch):
-    # Jacobi-PCG took 20 to 27 iterations on these systems
+    # Jacobi-PCG took 20 to 27 iterations on these systems.  Every stack is
+    # one row here, so each mass system goes through solve_spd; a stacked
+    # row is that solve's bytes, so the run's systems are the same
+    monkeypatch.setattr(fstheta.solver, "STACK_VALUES", 1)
     solve = fstheta.solver.solve_spd
 
     def counting_solve(matrix, rhs):
@@ -449,6 +452,100 @@ def test_a_solution_beyond_the_float_range_raises_a_tagged_error():
     # the same system a power of two lower solves, to the scaled bits
     x = solve_spd(space.mass, np.ldexp(rhs, -10))
     assert np.isfinite(x).all() and np.abs(x).max() > 2.0 ** 1013
+
+
+def _mass_iterations(mass, rhs) -> int:
+    counted = _KernelCounting(mass)
+    solve_spd(counted, rhs)
+    return (counted.products - 3) // 3
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_every_stacked_row_is_the_bytes_of_its_own_solve(monkeypatch, level):
+    # twelve rows of one list: smooth, random, one-hot and alternating rows
+    # at magnitudes from 1e-300 to 1e300, which stop at different
+    # iterations, a zero row, a row with a NaN and one whose solution
+    # exceeds the float range.  Each row comes back with the bytes of its
+    # own solve_spd, or with the SolverError of its own tagged solve; the
+    # zero and the NaN rows never enter a stacked loop
+    space = P1Space(build_uniform_mesh(level))
+    mass, n = space.mass, space.n_dofs
+    rng = np.random.default_rng(level)
+    grid = np.arange(n, dtype=float)
+    rows = [mass @ np.sin((grid + 1) / (n + 1) * np.pi), rng.standard_normal(n),
+            1e-300 * rng.standard_normal(n), 1e300 * rng.uniform(0.5, 1.0, n),
+            np.where(grid == n // 2, 1.0, 0.0), (-1.0) ** grid,
+            rng.uniform(size=n), np.zeros(n),
+            np.where(grid == 0, np.nan, 1.0),
+            1e308 * rng.uniform(0.5, 1.0, n),
+            rng.standard_normal(n) - 0.5, np.cos(grid)]
+    solves = [(rhs, m, f"row {m}") for m, rhs in enumerate(rows, 1)]
+    stacked, lockstep = [], StackedSolves._lockstep
+
+    def recording(self, stack):
+        stacked.extend(id(rhs) for rhs in stack)
+        return lockstep(self, stack)
+
+    monkeypatch.setattr(StackedSolves, "_lockstep", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = StackedSolves(mass).solve(solves)
+    assert len(got) == len(rows)
+    for x, (rhs, m, tag) in zip(got, solves):
+        try:
+            want = tagged_solve(mass, rhs, m, tag)
+        except SolverError as err:
+            assert isinstance(x, SolverError), tag
+            assert str(x) == str(err) and str(x).startswith(f"step {m}, {tag}: ")
+            continue
+        assert isinstance(x, np.ndarray) and x.tobytes() == want.tobytes(), tag
+    assert str(got[8]).endswith("right-hand side is not finite")
+    assert "solution exceeds the float range" in str(got[9])
+    assert got[7].tobytes() == np.zeros(n).tobytes()
+    assert id(rows[7]) not in stacked and id(rows[8]) not in stacked
+    # every other row went through a stack, and from level 2 on (one dof
+    # takes one iteration) the stacked rows stop at different iterations
+    assert fstheta.solver.stack_rows(n) > 1
+    assert sorted(stacked) == sorted(id(r) for i, r in enumerate(rows)
+                                     if i not in (7, 8))
+    iterations = {_mass_iterations(mass, rows[i]) for i in (0, 1, 4, 5, 10)}
+    assert len(iterations) > (level > 1), iterations
+
+
+def test_a_lone_row_and_other_matrices_take_the_tagged_solve(monkeypatch):
+    # a list of one row is one solve_spd call, and a matrix without
+    # jacobi_spectrum never stacks
+    calls, solve = [], fstheta.solver.solve_spd
+
+    def counting(matrix, rhs):
+        calls.append(matrix)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(fstheta.solver, "solve_spd", counting)
+    space = P1Space(build_uniform_mesh(4))
+    rng = np.random.default_rng(8)
+    rhs = rng.standard_normal(space.n_dofs)
+    (x,) = StackedSolves(space.mass).solve([(rhs, 1, "one row")])
+    assert x.tobytes() == solve(space.mass, rhs).tobytes()
+    assert calls == [space.mass]
+    a_theta = _SubstepPair(space, SchemeParams(make_uniform_grid(16, 1.0))).at(1 / 16)[0]
+    rows = [rng.standard_normal(space.n_dofs) for _ in range(3)]
+    got = StackedSolves(a_theta).solve([(r, 1, "substep") for r in rows])
+    assert calls[1:] == [a_theta] * 3
+    assert all(x.tobytes() == solve(a_theta, r).tobytes() for x, r in zip(got, rows))
+
+
+def test_rows_a_stack_leaves_running_get_their_own_tagged_error(monkeypatch):
+    # with no iteration allowed the stacked loop finishes no row, so each
+    # goes to tagged_solve, which raises its own non-convergence
+    monkeypatch.setattr(fstheta.solver, "MAX_ITERATIONS_PER_DOF", 0)
+    mass = P1Space(build_uniform_mesh(3)).mass
+    rng = np.random.default_rng(2)
+    solves = [(rng.standard_normal(mass.shape[0]), m, "row") for m in (1, 2, 3)]
+    got = StackedSolves(mass).solve(solves)
+    assert [str(x) for x in got] == [
+        f"step {m}, row: no convergence within 0 iterations (relative "
+        "residual 1.000e+00)" for m in (1, 2, 3)]
 
 
 _OPTIMIZED_SCRIPT = """

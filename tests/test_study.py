@@ -16,6 +16,7 @@ from fstheta import (CaseSpec, ConfigurationError, ConstantsConfig,
 from fstheta import study
 from fstheta.cli import _run_checks, main as cli_main
 from fstheta.estimators import REPORT_COLUMNS, EstimatorReport
+from fstheta.solver import StackedSolves
 
 from helpers import (INLINE, OVERLAPPED, SolveRecord, error_metrics,
                      fail_scheme_solve, full_coordinate_case, random_grid,
@@ -242,14 +243,14 @@ def test_a_non_finite_error_norm_fails_at_its_step(monkeypatch, method, message)
 def test_a_non_finite_compact_residual_fails_at_its_step(monkeypatch):
     # max(0.0, nan) is 0.0, so without the check a NaN residual would read
     # as a perfect one in max_compact_residual
-    estimate = EstimatorEngine.step_estimates
+    estimates = EstimatorEngine.iter_estimates
 
-    def nan_residual_at_3(engine, rec, prev_rec=None):
-        se = estimate(engine, rec, prev_rec)
-        return dataclasses.replace(se, compact_residual=math.nan) \
-            if rec.n == 3 else se
+    def nan_residual_at_3(engine, records, prev_rec=None):
+        for se in estimates(engine, records, prev_rec):
+            yield dataclasses.replace(se, compact_residual=math.nan) \
+                if se.n == 3 else se
 
-    monkeypatch.setattr(EstimatorEngine, "step_estimates", nan_residual_at_3)
+    monkeypatch.setattr(EstimatorEngine, "iter_estimates", nan_residual_at_3)
     with pytest.raises(FloatingPointError) as err:
         run_single(make_case(1), 3)
     assert str(err.value) == "step 3, compact residual: nan is not finite"
@@ -319,21 +320,46 @@ def test_no_thread_below_the_cutoff_and_none_alive_after_return(monkeypatch):
 def test_at_most_one_step_is_in_flight(monkeypatch):
     monkeypatch.setattr(fstheta.scheme, "OVERLAP_MIN_DOFS", OVERLAPPED)
     scheme_steps, evaluated = [], []
-    substeps, estimate = ThetaScheme._substeps, EstimatorEngine.step_estimates
+    substeps, estimates = ThetaScheme._substeps, EstimatorEngine.iter_estimates
 
     def recording_substeps(scheme, prev, n, *start):
         scheme_steps.append(n)
         return substeps(scheme, prev, n, *start)
 
-    def recording_estimate(engine, rec, prev_rec=None):
-        evaluated.append((rec.n, max(scheme_steps)))
-        return estimate(engine, rec, prev_rec)
+    def recording_estimates(engine, records, prev_rec=None):
+        for rec, se in zip(records, estimates(engine, records, prev_rec)):
+            evaluated.append((rec.n, max(scheme_steps)))
+            yield se
 
     monkeypatch.setattr(ThetaScheme, "_substeps", recording_substeps)
-    monkeypatch.setattr(EstimatorEngine, "step_estimates", recording_estimate)
+    monkeypatch.setattr(EstimatorEngine, "iter_estimates", recording_estimates)
     run_single(make_case(1), 4)
     assert [n for n, _ in evaluated] == list(range(1, 17))
     assert all(latest <= n + 1 for n, latest in evaluated)
+
+
+def test_a_level_6_run_stacks_no_rows(monkeypatch):
+    # from level 6 (3,969 dofs) on one stack holds one row, so every mass
+    # system takes solve_spd, each batch is one step and the substep worker
+    # runs one step ahead, as it ran before the stacks
+    stacks, batches = [], []
+    lockstep, estimates = StackedSolves._lockstep, EstimatorEngine.iter_estimates
+
+    def recording(self, rows):
+        stacks.append(len(rows))
+        return lockstep(self, rows)
+
+    def recording_estimates(engine, records, prev_rec=None):
+        batches.append(len(records))
+        return estimates(engine, records, prev_rec)
+
+    monkeypatch.setattr(StackedSolves, "_lockstep", recording)
+    monkeypatch.setattr(EstimatorEngine, "iter_estimates", recording_estimates)
+    started = _record_thread_starts(monkeypatch)
+    run_single(make_case(1), 6)
+    assert stacks == []
+    assert batches == [1] * 64
+    assert len(started) == 1
 
 
 def _failing_from(field: ScalarField, t_fail: float) -> ScalarField:
@@ -357,14 +383,15 @@ def _fail_scheme_at(monkeypatch, n_fail: int) -> None:
 
 
 def _fail_estimate_at(monkeypatch, n_fail: int) -> None:
-    estimate = EstimatorEngine.step_estimates
+    estimates = EstimatorEngine.iter_estimates
 
-    def failing_estimate(engine, rec, prev_rec=None):
-        if rec.n == n_fail:
-            raise FloatingPointError(f"indicator of step {rec.n} overflowed")
-        return estimate(engine, rec, prev_rec)
+    def failing_estimates(engine, records, prev_rec=None):
+        for rec, se in zip(records, estimates(engine, records, prev_rec)):
+            if rec.n == n_fail:
+                raise FloatingPointError(f"indicator of step {rec.n} overflowed")
+            yield se
 
-    monkeypatch.setattr(EstimatorEngine, "step_estimates", failing_estimate)
+    monkeypatch.setattr(EstimatorEngine, "iter_estimates", failing_estimates)
 
 
 def _errors_of_both_paths(monkeypatch, run) -> list:

@@ -110,9 +110,12 @@ def test_every_name_the_tracer_patches_resolves(monkeypatch):
     for owner, attr in ((fstheta.P1Space, "__init__"),
                         (fstheta.ThetaScheme, "iter_steps")):
         assert callable(getattr(owner, attr))
-    # every solve of the package goes through solver.tagged_solve, which
-    # calls solve_spd through its module's binding, so patching that binding
-    # sees every solve; no other module of the package binds solve_spd
+    # every solve of the package that is not a row of a lockstep stack goes
+    # through solver.tagged_solve, which calls solve_spd through its
+    # module's binding, so patching that binding sees each of them; no other
+    # module of the package binds solve_spd.  The rows that StackedSolves
+    # solves in lockstep call no solve_spd, so a traced run does not see
+    # them (README, Solve tags)
     solve = fstheta.solve_spd
     assert fstheta.solver.solve_spd is solve
     with tracing.Tracer():
